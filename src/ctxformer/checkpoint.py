@@ -9,6 +9,7 @@ so checkpoints can be inspected without this library.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -38,28 +39,40 @@ def save_arrays(path, named: dict[str, np.ndarray]) -> None:
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
+    """Read a container; a truncated or malformed one raises DataError."""
     path = Path(path)
     blob = path.read_bytes()
+    offset = 0
+
+    def take(n: int, what: str) -> int:
+        nonlocal offset
+        if n > len(blob) - offset:
+            raise DataError(
+                f"{path}: truncated container: {what} needs {n} bytes at offset "
+                f"{offset}, {len(blob) - offset} left"
+            )
+        offset += n
+        return offset - n
+
+    take(4, "magic")
     if blob[:4] != MAGIC:
         raise DataError(f"{path}: not a checkpoint container (bad magic)")
-    version, count = struct.unpack_from("<II", blob, 4)
+    version, count = struct.unpack_from("<II", blob, take(8, "header"))
     if version != VERSION:
         raise DataError(f"{path}: unsupported container version {version}")
-    offset = 12
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        name = blob[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{rank}I", blob, offset)
-        offset += 4 * rank
-        n = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=offset).reshape(shape)
-        offset += 4 * n
-        out[name] = arr.copy()
+        (name_len,) = struct.unpack_from("<I", blob, take(4, "name length"))
+        start = take(name_len, "name")
+        try:
+            name = blob[start : start + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: record name at offset {start} is not utf-8") from exc
+        (rank,) = struct.unpack_from("<I", blob, take(4, f"rank of {name}"))
+        shape = struct.unpack_from(f"<{rank}I", blob, take(4 * rank, f"shape of {name}"))
+        n = math.prod(shape)  # a Python int: corrupt extents cannot wrap around
+        start = take(4 * n, f"data of {name}")
+        out[name] = np.frombuffer(blob, dtype="<f4", count=n, offset=start).reshape(shape).copy()
     if offset != len(blob):
         raise DataError(f"{path}: trailing bytes after last record")
     return out

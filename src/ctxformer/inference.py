@@ -4,6 +4,16 @@ Beam search ranks finished hypotheses by log-probability divided by the
 length penalty ((5 + |Y|) / 6)^alpha, where |Y| counts generated tokens
 including the end marker. Expansion ties break deterministically by token
 id, then hypothesis index, so decoding is reproducible bit for bit.
+
+Decoding is incremental. The source is encoded once and
+`model.start_decoding` builds a decoder cache from the memory: per decoder
+layer the self-attention keys and values, each conv head's causal window
+and running adaptive-query softmax, and the cross-attention keys, values
+and conv half, computed once per sentence. Each step then feeds only the
+last token of every live hypothesis to `model.decode(..., cache=cache)`,
+and `cache.select` reorders and duplicates the cached states after
+pruning. The full-prefix `model.decode` is the training path and the
+reference these steps are tested against.
 """
 
 from __future__ import annotations
@@ -17,7 +27,6 @@ import numpy as np
 from . import tensor as tn
 from .data import BOS_ID, EOS_ID, NER_TAGS, POS_TAGS
 from .errors import ConfigError, DataError, NumericsError
-from .tensor import Tensor
 
 
 @dataclass
@@ -64,18 +73,14 @@ def beam_search(src_ids, model, config: DecodeConfig) -> BeamResult:
     budget = min(config.max_decode_len, model.config.max_len - 1)
     with tn.no_grad():
         memory = model.encode(src).memory
+        cache = model.start_decoding(memory)
         active = [Hypothesis(tokens=(), log_prob=0.0, finished=False)]
         finished: list[Hypothesis] = []
         for _ in range(budget):
-            prefix = np.array(
-                [(BOS_ID,) + h.tokens for h in active], dtype=np.int64
+            last = np.array(
+                [[h.tokens[-1] if h.tokens else BOS_ID] for h in active], dtype=np.int64
             )
-            mem_b = Tensor(
-                np.broadcast_to(
-                    memory.data, (len(active),) + memory.data.shape
-                ).copy()
-            )
-            logits = model.decode(prefix, mem_b).data[:, -1, :]
+            logits = model.decode(last, memory, cache=cache).data[:, -1, :]
             logp = _log_softmax_rows(logits)
             n_active, vocab = logp.shape
             scores = np.array([h.log_prob for h in active])[:, None] + logp
@@ -84,7 +89,7 @@ def beam_search(src_ids, model, config: DecodeConfig) -> BeamResult:
             tok_idx = np.tile(np.arange(vocab), n_active)
             order = np.lexsort((hyp_idx, tok_idx, -flat))
             keep = order[: config.beam_size]
-            next_active = []
+            next_active, parents = [], []
             for pos in keep:
                 h = active[hyp_idx[pos]]
                 token = int(tok_idx[pos])
@@ -97,9 +102,11 @@ def beam_search(src_ids, model, config: DecodeConfig) -> BeamResult:
                     finished.append(cand)
                 else:
                     next_active.append(cand)
+                    parents.append(hyp_idx[pos])
             active = next_active
             if not active:
                 break
+            cache.select(parents)
     pool = finished if finished else active
     best, best_score = None, -math.inf
     for h in pool:
@@ -113,10 +120,6 @@ def beam_search(src_ids, model, config: DecodeConfig) -> BeamResult:
         score=best_score,
         finished=best.finished,
     )
-
-
-def translate_corpus(src_sentences, model, config: DecodeConfig):
-    return [beam_search(ids, model, config) for ids in src_sentences]
 
 
 # --------------------------------------------------------------------- BLEU

@@ -232,16 +232,30 @@ def base_encoder_layer(
     return y, aux_logits
 
 
+def _pooled_conv_head(memory: Tensor, cp: ConvHeadParams, reg: _Regularizers) -> Tensor:
+    """One conv head of encoder-decoder attention, (..., 1, d_h).
+
+    The head reads the memory through its input projection with the
+    full-sequence context query, which is safe because the memory is fully
+    observed; the gated features are mean-pooled over source positions.
+    """
+    gated = dynamic_conv_head(
+        tn.matmul(memory, cp.w_in),
+        cp,
+        causal_query=False,
+        kernel_dropconnect=reg.kernel,
+    )
+    return tn.tmean(gated, axis=-2, keepdims=True)
+
+
 def _cross_attention(
     y: Tensor, memory: Tensor, params: MultiHeadParams, reg: _Regularizers
 ) -> Tensor:
     """Encoder-decoder attention.
 
-    Dot-product heads attend the memory from decoder queries. Conv heads
-    (hybrid mode) read the memory through their input projection with the
-    full-sequence context query, which is safe because the memory is fully
-    observed; the gated features are mean-pooled over source positions and
-    broadcast to every decoder position, so decoder causality is untouched.
+    Dot-product heads attend the memory from decoder queries. The pooled
+    conv heads (hybrid mode) are broadcast to every decoder position, so
+    decoder causality is untouched.
     """
     t_q = y.shape[-2]
     outs = []
@@ -251,13 +265,7 @@ def _cross_attention(
         v = tn.matmul(memory, hp.w_v)
         outs.append(scaled_dot_product_attention(q, k, v, None, reg.attn))
     for cp in params.conv_heads:
-        gated = dynamic_conv_head(
-            tn.matmul(memory, cp.w_in),
-            cp,
-            causal_query=False,
-            kernel_dropconnect=reg.kernel,
-        )
-        pooled = tn.tmean(gated, axis=-2, keepdims=True)  # (..., 1, d_h)
+        pooled = _pooled_conv_head(memory, cp, reg)
         outs.append(tn.broadcast_to(pooled, pooled.shape[:-2] + (t_q, pooled.shape[-1])))
     return tn.matmul(tn.concat(outs, axis=-1), params.w_o)
 
@@ -473,15 +481,45 @@ class Seq2SeqModel:
             x = encoder_layer(x, layer, reg)
         return EncoderOutput(memory=x, pos_logits=pos_logits, ner_logits=ner_logits)
 
+    def start_decoding(self, memory: Tensor):
+        """An empty `DecoderCache` for one sentence's (T_src, d) memory.
+
+        It stacks the decoder's head weights and computes everything that
+        depends only on the memory: the cross-attention keys and values and
+        the conv half of cross-attention. Build a new one after the
+        parameters change.
+        """
+        from .incremental import DecoderCache
+
+        return DecoderCache(self, memory)
+
     def decode(
         self,
         tgt_in_ids: np.ndarray,
         memory: Tensor,
         training: bool = False,
         rng=None,
+        cache=None,
     ) -> Tensor:
-        """Teacher-forced decoder pass; returns target-vocabulary logits."""
+        """Decoder pass; returns target-vocabulary logits.
+
+        Without a cache this is the teacher-forced pass over whole prefixes
+        (..., T) against a memory (..., T_src, d): the training path, and the
+        reference that incremental decoding is tested against. With a cache
+        from `start_decoding(memory)`, `tgt_in_ids` holds the next token of
+        each cached hypothesis, shape (B, 1), at position `cache.length`;
+        the call returns the (B, 1, vocab) logits of that position only and
+        appends it to the cache. The cache holds, per layer, the
+        self-attention keys and values, each conv head's causal window of
+        projected inputs and its running adaptive-query softmax, and the
+        cross-attention keys, values and conv half computed once from the
+        memory; see `incremental`. Cached decoding is inference only.
+        """
         tgt_in_ids = np.asarray(tgt_in_ids)
+        if cache is not None:
+            if training:
+                raise ConfigError("cached decoding is inference only; train on full prefixes")
+            return Tensor(cache.step(tgt_in_ids, memory)[:, None, :])
         self._check_length(tgt_in_ids, "target")
         reg = _Regularizers.from_config(self.config, training, rng)
         y = self.embed(tgt_in_ids, self.tgt_embed, training, rng)

@@ -317,6 +317,7 @@ class Trainer:
         self.state = TrainState()
         self._log_lines: list[str] = [METRICS_HEADER]
         self._saved_paths: list[Path] = []
+        self._saved_step: Optional[int] = None  # step of the last checkpoint this run saved
         self.batches_per_epoch = len(make_batches(pairs, cfg.max_tokens, _epoch_seed(cfg.seed, 0)))
 
     def _epoch_batches(self, epoch: int) -> list[Batch]:
@@ -351,6 +352,7 @@ class Trainer:
         path = self.out_dir / f"ckpt_{self.state.opt_step:07d}.bin"
         save_checkpoint(path, self._checkpoint())
         self._saved_paths.append(path)
+        self._saved_step = self.state.opt_step
         while len(self._saved_paths) > self.cfg.keep_last:
             old = self._saved_paths.pop(0)
             old.unlink(missing_ok=True)
@@ -385,8 +387,8 @@ class Trainer:
                 )
                 if self.state.opt_step % cfg.checkpoint_every == 0:
                     self._save_cadence_checkpoint()
-        if self.out_dir is not None and not self._saved_paths:
-            self._save_cadence_checkpoint()
+        if self.out_dir is not None and self.state.opt_step != self._saved_step:
+            self._save_cadence_checkpoint()  # so averaged.bin includes the last updates
         if self.out_dir is not None:
             tail = self._saved_paths[-cfg.keep_last :]
             averaged = average_checkpoints([load_checkpoint(p) for p in tail])

@@ -2,6 +2,8 @@
 
 Everything here is plain numpy with explicit loops, deliberately sharing
 no code with the package; the tests compare library outputs against these.
+The one exception is `beam_search_oracle`, which drives a model's
+full-prefix decoder pass, the reference for incremental decoding.
 """
 
 import math
@@ -153,3 +155,47 @@ def cross_entropy_oracle(logits, targets, ignore_id=-1):
         total -= math.log(p[t])
         count += 1
     return total / count
+
+
+def beam_search_oracle(src_ids, model, beam_size, alpha, max_decode_len, bos_id, eos_id):
+    """Beam search that re-decodes every hypothesis's full prefix at each step.
+
+    Same conventions as the library's beam search: the source gets the end
+    marker appended, expansion ties break by token id then hypothesis
+    index, finished hypotheses outrank unfinished ones, and the score is
+    log-probability over ((5 + length) / 6) ** alpha. Returns (tokens,
+    log_prob, score, finished) with the end marker stripped from tokens.
+    """
+    src = np.asarray(list(src_ids) + [eos_id], dtype=np.int64)
+    budget = min(max_decode_len, model.config.max_len - 1)
+    memory = model.encode(src).memory.data
+    active = [((), 0.0)]  # (tokens, log_prob)
+    finished = []
+    for _ in range(budget):
+        prefix = np.array([(bos_id,) + tokens for tokens, _ in active], dtype=np.int64)
+        mem_b = np.broadcast_to(memory, (len(active),) + memory.shape).copy()
+        logits = model.decode(prefix, mem_b).data[:, -1, :]
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        n_active, vocab = logp.shape
+        flat = (np.array([lp for _, lp in active])[:, None] + logp).reshape(-1)
+        hyp_idx = np.repeat(np.arange(n_active), vocab)
+        tok_idx = np.tile(np.arange(vocab), n_active)
+        next_active = []
+        for pos in np.lexsort((hyp_idx, tok_idx, -flat))[:beam_size]:
+            tokens = active[hyp_idx[pos]][0] + (int(tok_idx[pos]),)
+            if tokens[-1] == eos_id:
+                finished.append((tokens, float(flat[pos])))
+            else:
+                next_active.append((tokens, float(flat[pos])))
+        active = next_active
+        if not active:
+            break
+    pool = finished if finished else active
+    best, best_score = None, -math.inf
+    for tokens, log_prob in pool:
+        score = log_prob / ((5.0 + len(tokens)) / 6.0) ** alpha
+        if score > best_score or (score == best_score and tokens < best[0]):
+            best, best_score = (tokens, log_prob), score
+    tokens, log_prob = best
+    return [t for t in tokens if t != eos_id], log_prob, best_score, bool(finished)

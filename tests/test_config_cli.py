@@ -1,5 +1,6 @@
 """Run configuration, presets, CLI commands, and exit codes."""
 
+import numpy as np
 import pytest
 
 from ctxformer import config as C
@@ -333,6 +334,27 @@ def test_cli_missing_checkpoint_exits_nonzero(tmp_path):
         ["translate", "--config", str(cfg), "--data", str(data), str(inp)]
     )
     assert code == 3
+
+
+def test_cli_translate_truncated_checkpoint_exits_3(tmp_path, capsys):
+    from ctxformer.training import Checkpoint, save_checkpoint
+
+    cfg = _toy_flags(tmp_path)
+    data = tmp_path / "data"
+    main(["gen", "--config", str(cfg), "--out", str(data)])
+    ckpt = tmp_path / "cut.bin"
+    save_checkpoint(ckpt, Checkpoint(step=3, params={"w": np.ones((4, 4), np.float32)}, m={}, v={}))
+    ckpt.write_bytes(ckpt.read_bytes()[:-3])
+    inp = tmp_path / "i.txt"
+    inp.write_text("the fox sees a dog\n")
+    capsys.readouterr()
+    code = main(
+        ["translate", "--config", str(cfg), "--data", str(data), str(inp),
+         "--checkpoint", str(ckpt)]
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "truncated" in err and "Traceback" not in err
 
 
 def test_cli_config_error_exit_code(tmp_path):

@@ -14,6 +14,20 @@ from ctxformer.errors import ConfigError, DataError
 from ctxformer.model import ModelConfig, Seq2SeqModel
 
 
+class StubCache:
+    """The stub's decoder cache: the prefix of every live hypothesis."""
+
+    def __init__(self):
+        self.prefixes = [[]]
+
+    @property
+    def length(self):
+        return len(self.prefixes[0])
+
+    def select(self, parent_idx):
+        self.prefixes = [list(self.prefixes[i]) for i in parent_idx]
+
+
 class StubModel:
     """Fake decoder whose next-token logits are a seeded function of the
     prefix, so exhaustive enumeration is cheap and exact."""
@@ -30,13 +44,15 @@ class StubModel:
         rng = np.random.default_rng((self.seed, 77) + tuple(int(t) for t in prefix))
         return rng.normal(size=self.vocab) * 2.0
 
-    def decode(self, prefix_batch, memory):
-        b, length = prefix_batch.shape
-        out = np.zeros((b, length, self.vocab))
-        for i in range(b):
-            for t in range(length):
-                out[i, t] = self._row(prefix_batch[i, : t + 1])
-        return T.Tensor(out)
+    def start_decoding(self, memory):
+        return StubCache()
+
+    def decode(self, next_tokens, memory, cache):
+        assert next_tokens.shape == (len(cache.prefixes), 1)
+        for prefix, token in zip(cache.prefixes, next_tokens[:, 0]):
+            prefix.append(int(token))
+        rows = [self._row(prefix) for prefix in cache.prefixes]
+        return T.Tensor(np.stack(rows)[:, None, :])
 
 
 def _log_softmax(row):

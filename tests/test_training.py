@@ -6,7 +6,7 @@ import pytest
 from ctxformer import data as D
 from ctxformer import training as TR
 from ctxformer import tensor as T
-from ctxformer.checkpoint import load_arrays
+from ctxformer.checkpoint import load_arrays, save_arrays
 from ctxformer.errors import ConfigError, DataError, NumericsError
 from ctxformer.model import ModelConfig, Seq2SeqModel
 
@@ -342,6 +342,26 @@ def test_checkpoint_detects_corruption(tmp_path):
         load_arrays(path)
 
 
+def test_truncated_container_raises_data_error_at_every_length(tmp_path):
+    arrays = {
+        "w": np.arange(6, dtype=np.float32).reshape(2, 3),
+        "one": np.array([[2.5]], dtype=np.float32),
+        "b": np.array([-1.0, 4.0], dtype=np.float32),
+    }
+    full = tmp_path / "full.bin"
+    save_arrays(full, arrays)
+    blob = full.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for length in range(len(blob)):
+        cut.write_bytes(blob[:length])
+        with pytest.raises(DataError):
+            load_arrays(cut)
+    loaded = load_arrays(full)
+    assert list(loaded) == list(arrays)
+    for name, arr in arrays.items():
+        assert loaded[name].shape == arr.shape and np.array_equal(loaded[name], arr)
+
+
 # ------------------------------------------------------------------ trainer
 
 
@@ -392,6 +412,22 @@ def test_trainer_resume_reproduces_trajectory(tmp_path):
     tail_a = ["\t".join(l.split("\t")[:-1]) for l in lines_a[6:]]
     tail_c = ["\t".join(l.split("\t")[:-1]) for l in lines_c[1:]]
     assert tail_a == tail_c
+
+
+def test_trainer_saves_the_last_step_off_the_cadence(tmp_path):
+    out = tmp_path / "run"
+    trainer, model = _toy_training_setup(tmp_path, total_steps=7, out=out)
+    trainer.run()
+    kept = sorted(out.glob("ckpt_*.bin"))
+    assert [p.name for p in kept] == ["ckpt_0000005.bin", "ckpt_0000007.bin"]
+    last = TR.load_checkpoint(out / "ckpt_0000007.bin")
+    for name, t in model.params.items():
+        assert np.array_equal(last.params[name], t.data)
+    averaged = TR.load_checkpoint(out / "averaged.bin")
+    assert averaged.step == 7
+    manual = TR.average_checkpoints([TR.load_checkpoint(p) for p in kept])
+    for name, arr in manual.params.items():
+        assert np.array_equal(arr, averaged.params[name])
 
 
 def test_trainer_writes_averaged_checkpoint(tmp_path):
