@@ -8,6 +8,11 @@ projected sequence acts as a context query, and a per-position sigmoid
 gate scores each local representation against that context. Head outputs
 are concatenated (dot-product heads first) and linearly recombined.
 
+Each head family runs as one: its per-head weights are joined once per
+call (`stack_dot_heads`, `stack_conv_heads`), the projected inputs are
+split into a leading head axis (n, ..., T, width), and the single-head
+functions below run once on those head-stacked tensors.
+
 Also hosts the per-layer complexity model backing the benchmark command.
 """
 
@@ -32,6 +37,8 @@ from .tensor import (
     reshape,
     sigmoid,
     softmax,
+    stack,
+    transpose,
     transpose_last,
     tsum,
 )
@@ -55,17 +62,19 @@ class ConvHeadParams:
 
     w_in projects the model width down to the head width; w_a holds the
     (pre-softmax) kernel weights over the temporal window; w_s and w_q
-    build the adaptive context query.
+    build the adaptive context query. The same fields with a leading head
+    axis, and w_in's columns side by side, describe n heads run as one
+    (see `stack_conv_heads`).
     """
 
-    w_in: Tensor  # (d, d_h)
-    w_a: Tensor  # (F, d_h), softmax-normalized along F at use time
-    w_s: Tensor  # (d_h, d_h)
-    w_q: Tensor  # (d_h,)
+    w_in: Tensor  # (d, d_h); stacked: (d, n * d_h)
+    w_a: Tensor  # (F, d_h), softmax-normalized along F at use time; stacked: (n, F, d_h)
+    w_s: Tensor  # (d_h, d_h); stacked: (n, d_h, d_h)
+    w_q: Tensor  # (d_h,); stacked: (n, d_h)
     dilation: int = 1
 
     def __post_init__(self):
-        taps = self.w_a.shape[0]
+        taps = self.w_a.shape[-2]
         if taps < 1 or taps % 2 == 0:
             raise ConfigError(f"conv head kernel size must be odd and >= 1, got {taps}")
         if self.dilation < 1:
@@ -74,7 +83,8 @@ class ConvHeadParams:
 
 @dataclass
 class MultiHeadParams:
-    """Hybrid head bundle: H/2 dot-product heads, H/2 conv heads, output mix."""
+    """Head bundle and output mix: H/2 dot-product heads and H/2 conv heads
+    (hybrid), or H dot-product heads and no conv heads (all dot-product)."""
 
     h_total: int
     self_heads: list
@@ -85,11 +95,58 @@ class MultiHeadParams:
         if self.h_total % 2 != 0 or self.h_total < 2:
             raise ConfigError(f"head count must be even and >= 2, got {self.h_total}")
         half = self.h_total // 2
-        if len(self.self_heads) != half or len(self.conv_heads) != half:
+        split = (len(self.self_heads), len(self.conv_heads))
+        if split not in ((half, half), (self.h_total, 0)):
             raise ConfigError(
-                f"need exactly {half} heads of each family, got "
-                f"{len(self.self_heads)} dot-product and {len(self.conv_heads)} conv"
+                f"need {half} heads of each family or {self.h_total} dot-product heads "
+                f"alone, got {split[0]} dot-product and {split[1]} conv"
             )
+
+
+def _same_shapes(heads, fields: tuple, family: str) -> None:
+    first = heads[0]
+    for hp in heads[1:]:
+        for f in fields:
+            if getattr(hp, f).shape != getattr(first, f).shape:
+                raise DimensionError(
+                    f"{family} heads run as one and need equal shapes; {f} has "
+                    f"{getattr(hp, f).shape} and {getattr(first, f).shape}"
+                )
+
+
+def stack_dot_heads(heads: list) -> tuple:
+    """The q, k and v projections of dot-product heads, each (d, n * d_k),
+    head j in columns j * d_k ... (j + 1) * d_k - 1."""
+    _same_shapes(heads, ("w_q", "w_k", "w_v"), "dot-product")
+    return tuple(concat([getattr(hp, f) for hp in heads], axis=-1) for f in ("w_q", "w_k", "w_v"))
+
+
+def stack_conv_heads(heads: list) -> ConvHeadParams:
+    """Conv heads of one kernel size and dilation as one head-stacked bundle."""
+    _same_shapes(heads, ("w_in", "w_a", "w_s", "w_q"), "conv")
+    if len({cp.dilation for cp in heads}) != 1:
+        raise ConfigError("conv heads run as one and need one dilation")
+    return ConvHeadParams(
+        w_in=concat([cp.w_in for cp in heads], axis=-1),
+        w_a=stack([cp.w_a for cp in heads]),
+        w_s=stack([cp.w_s for cp in heads]),
+        w_q=stack([cp.w_q for cp in heads]),
+        dilation=heads[0].dilation,
+    )
+
+
+def _split_heads(x: Tensor, n: int) -> Tensor:
+    """(..., T, n * w) -> (n, ..., T, w)."""
+    x = reshape(x, x.shape[:-1] + (n, x.shape[-1] // n))
+    nd = x.ndim
+    return transpose(x, (nd - 2,) + tuple(range(nd - 2)) + (nd - 1,))
+
+
+def _merge_heads(x: Tensor) -> Tensor:
+    """(n, ..., T, w) -> (..., T, n * w), the inverse of `_split_heads`."""
+    nd = x.ndim
+    x = transpose(x, tuple(range(1, nd - 1)) + (0, nd - 1))
+    return reshape(x, x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
 
 
 def causal_mask(t_len: int) -> np.ndarray:
@@ -150,7 +207,7 @@ def local_conv(s: Tensor, params: ConvHeadParams, kernel_dropconnect=None) -> Te
     `kernel_dropconnect` is an optional (p, rng) pair zeroing kernel taps
     during training.
     """
-    kernel = softmax(params.w_a, axis=0)
+    kernel = softmax(params.w_a, axis=-2)
     if kernel_dropconnect is not None:
         p, rng = kernel_dropconnect
         kernel = drop_connect(kernel, p, rng, training=True)
@@ -167,11 +224,15 @@ def adaptive_query(s: Tensor, params: ConvHeadParams, causal: bool = False) -> T
     by s @ w_q, softmaxed over the sequence, and used to mix s @ w_s.
     Causal mode restricts each position's softmax to the prefix ending at
     it and returns one query per position (..., T, d_h), which is what the
-    decoder needs to avoid reading future tokens.
+    decoder needs to avoid reading future tokens. Head-stacked params take
+    s as (n, ..., T, d_h); each head's positions are then one (n, N, d_h)
+    block for the w_s and w_q products.
     """
-    proj = matmul(s, params.w_s)  # (..., T, d_h)
+    heads = params.w_s.shape[:-2]
     d_h = params.w_s.shape[-1]
-    scores = matmul(s, reshape(params.w_q, (d_h, 1)))  # (..., T, 1)
+    rows = reshape(s, heads + (-1, d_h))
+    proj = reshape(matmul(rows, params.w_s), s.shape)  # (..., T, d_h)
+    scores = reshape(matmul(rows, reshape(params.w_q, heads + (d_h, 1))), s.shape[:-1] + (1,))
     if not causal:
         weights = softmax(scores, axis=-2)
         return tsum(mul(proj, weights), axis=-2)  # (..., d_h)
@@ -197,12 +258,14 @@ def dynamic_conv_head(
     score_t = <local_t, query_t> / sqrt(d_h) collapses each position to a
     scalar word-context relevance; the head output sigmoid(score_t) *
     local_t keeps the local representation as the value carrier so the
-    head still emits (..., T, d_h) for concatenation.
+    head still emits (..., T, d_h) for concatenation. With head-stacked
+    params (see `stack_conv_heads`) s_proj and the output are
+    (n, ..., T, d_h), and `capture` gets head 0.
     """
     d_h = s_proj.shape[-1]
     local = local_conv(s_proj, params, kernel_dropconnect)
     if capture is not None:
-        capture["conv_local"] = local.data
+        capture["conv_local"] = local.data[0] if params.w_a.ndim == 3 else local.data
     query = adaptive_query(s_proj, params, causal=causal_query)
     if not causal_query:
         query = reshape(query, query.shape[:-1] + (1, d_h))  # broadcast over T
@@ -211,6 +274,51 @@ def dynamic_conv_head(
 
 
 # ---------------------------------------------------------------- Eq. (5)
+
+
+def dot_product_family(
+    query_seq: Tensor,
+    key_seq: Tensor,
+    heads: list,
+    mask: Optional[np.ndarray] = None,
+    attn_dropout=None,
+    capture: Optional[dict] = None,
+) -> Tensor:
+    """Dot-product heads run as one, (..., T_q, n * d_v), head j in block j.
+
+    One projection each for queries, keys and values, then one
+    `scaled_dot_product_attention` over a leading head axis. Dropout masks
+    are drawn head-major, as a loop over the heads would draw them.
+    """
+    w_q, w_k, w_v = stack_dot_heads(heads)
+    n = len(heads)
+    q = _split_heads(matmul(query_seq, w_q), n)
+    k = _split_heads(matmul(key_seq, w_k), n)
+    v = _split_heads(matmul(key_seq, w_v), n)
+    out = scaled_dot_product_attention(q, k, v, mask, attn_dropout)
+    if capture is not None:
+        capture["self_head"] = out.data[0]
+    return _merge_heads(out)
+
+
+def conv_family(
+    seq: Tensor,
+    heads: list,
+    causal_query: bool = False,
+    kernel_dropconnect=None,
+    capture: Optional[dict] = None,
+) -> Tensor:
+    """Conv word-context heads run as one, (..., T, n * d_h), head j in block j.
+
+    One input projection, then one `dynamic_conv_head` on head-stacked
+    tensors. DropConnect masks are drawn head-major, as a loop over the
+    heads would draw them.
+    """
+    stacked = stack_conv_heads(heads)
+    s_proj = _split_heads(matmul(seq, stacked.w_in), len(heads))
+    return _merge_heads(
+        dynamic_conv_head(s_proj, stacked, causal_query, kernel_dropconnect, capture)
+    )
 
 
 def multi_head_forward(
@@ -235,25 +343,10 @@ def multi_head_forward(
         raise DimensionError(
             f"concatenated head width {head_widths} != model width {d_model}"
         )
-    outs = []
-    for j, hp in enumerate(params.self_heads):
-        q = matmul(query_seq, hp.w_q)
-        k = matmul(key_seq, hp.w_k)
-        v = matmul(key_seq, hp.w_v)
-        out = scaled_dot_product_attention(q, k, v, mask, attn_dropout)
-        if capture is not None and j == 0:
-            capture["self_head"] = out.data
-        outs.append(out)
-    for j, cp in enumerate(params.conv_heads):
-        s_proj = matmul(query_seq, cp.w_in)
+    outs = [dot_product_family(query_seq, key_seq, params.self_heads, mask, attn_dropout, capture)]
+    if params.conv_heads:
         outs.append(
-            dynamic_conv_head(
-                s_proj,
-                cp,
-                causal_query=causal_conv,
-                kernel_dropconnect=kernel_dropconnect,
-                capture=capture if j == 0 else None,
-            )
+            conv_family(query_seq, params.conv_heads, causal_conv, kernel_dropconnect, capture)
         )
     return matmul(concat(outs, axis=-1), params.w_o)
 

@@ -5,12 +5,19 @@ then one record per tensor: uint32 name length, utf-8 name, uint32 rank,
 uint32 extents, raw little-endian float32 data. The manifest (written next
 to the container as `<path>.manifest`) lists `name dim0xdim1x...` per line
 so checkpoints can be inspected without this library.
+
+Both files are written to a temporary file in the same directory and then
+renamed over the target, so a write that fails midway leaves the previous
+file in place. The rename is atomic, but nothing is fsynced: a power loss
+can still lose the newest write.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -21,21 +28,37 @@ MAGIC = b"CTXF"
 VERSION = 1
 
 
+@contextmanager
+def _replacing(path: Path):
+    """A binary file that replaces `path` when the block exits cleanly.
+
+    On an exception the temporary file is removed and `path` is untouched.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    out = open(tmp, "wb")
+    try:
+        with out:
+            yield out
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_arrays(path, named: dict[str, np.ndarray]) -> None:
     path = Path(path)
-    chunks = [MAGIC, struct.pack("<II", VERSION, len(named))]
     manifest_lines = []
-    for name, arr in named.items():
-        arr32 = np.ascontiguousarray(arr, dtype="<f4")
-        name_bytes = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(name_bytes)))
-        chunks.append(name_bytes)
-        chunks.append(struct.pack("<I", arr32.ndim))
-        chunks.append(struct.pack(f"<{arr32.ndim}I", *arr32.shape))
-        chunks.append(arr32.tobytes())
-        manifest_lines.append(f"{name} {'x'.join(str(e) for e in arr32.shape)}")
-    path.write_bytes(b"".join(chunks))
-    Path(str(path) + ".manifest").write_text("\n".join(manifest_lines) + "\n")
+    with _replacing(path) as out:
+        out.write(MAGIC + struct.pack("<II", VERSION, len(named)))
+        for name, arr in named.items():
+            arr32 = np.asarray(arr, dtype="<f4")  # keeps a 0-d array 0-d
+            name_bytes = name.encode("utf-8")
+            header = struct.pack(f"<I{len(name_bytes)}sI{arr32.ndim}I", len(name_bytes),
+                                 name_bytes, arr32.ndim, *arr32.shape)
+            out.write(header + arr32.tobytes())
+            manifest_lines.append(f"{name} {'x'.join(str(e) for e in arr32.shape)}")
+    with _replacing(Path(str(path) + ".manifest")) as out:
+        out.write(("\n".join(manifest_lines) + "\n").encode("utf-8"))
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:

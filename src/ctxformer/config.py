@@ -205,14 +205,6 @@ def load_run_config(
     return rc
 
 
-def describe(rc: RunConfig) -> str:
-    lines = [f"[run] preset={rc.preset} seed={rc.seed} data_dir={rc.data_dir} out_dir={rc.out_dir}"]
-    for name, cfg in (("model", rc.model), ("train", rc.train), ("decode", rc.decode)):
-        pairs = ", ".join(f"{f.name}={getattr(cfg, f.name)}" for f in dataclasses.fields(cfg))
-        lines.append(f"[{name}] {pairs}")
-    return "\n".join(lines)
-
-
 def corpus_paths(rc: RunConfig) -> dict[str, Path]:
     base = Path(rc.data_dir)
     return {split: base / f"{split}.txt" for split in ("train", "valid", "test")}

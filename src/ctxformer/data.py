@@ -376,10 +376,6 @@ class Batch:
     def n_pairs(self):
         return self.src.shape[0]
 
-    @property
-    def n_target_tokens(self):
-        return int(self.tgt_out.size)
-
 
 def collate(batch_pairs) -> Batch:
     if not batch_pairs:

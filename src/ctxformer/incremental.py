@@ -35,8 +35,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as tn
+from .attention import conv_family, stack_conv_heads, stack_dot_heads
 from .errors import DataError, DimensionError
-from .model import LAYER_NORM_EPS, _pooled_conv_head, _Regularizers
+from .model import LAYER_NORM_EPS
 
 
 def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -96,22 +97,22 @@ class _LayerState:
 
 def _stack_layer(layer, memory: tn.Tensor) -> _LayerWeights:
     mha, xmha = layer.mha, layer.xmha
-    dot, conv = mha.self_heads, mha.conv_heads
-    taps, d_h = conv[0].w_a.shape
-    dilation = conv[0].dilation
-    width = (taps - 1) * dilation + 1
-    cat = np.concatenate
+    self_q, self_k, self_v = (w.data for w in stack_dot_heads(mha.self_heads))
+    conv = stack_conv_heads(mha.conv_heads)
+    n_conv, taps, d_h = conv.w_a.shape
+    width = (taps - 1) * conv.dilation + 1
 
     mem = memory.data
-    heads = xmha.self_heads
-    d_k = heads[0].w_q.shape[1]
+    n_cross = len(xmha.self_heads)
+    cross_q, cross_k, cross_v = (w.data for w in stack_dot_heads(xmha.self_heads))
+    d_k = cross_q.shape[1] // n_cross
     t_src = mem.shape[0]
-    keys = (mem @ cat([hp.w_k.data for hp in heads], axis=1)).reshape(t_src, len(heads), d_k)
-    values = (mem @ cat([hp.w_v.data for hp in heads], axis=1)).reshape(t_src, len(heads), d_k)
-    n_cols = len(heads) * d_k
+    keys = (mem @ cross_k).reshape(t_src, n_cross, d_k)
+    values = (mem @ cross_v).reshape(t_src, n_cross, d_k)
+    n_cols = n_cross * d_k
     if xmha.conv_heads:
-        pooled = [_pooled_conv_head(memory, cp, _Regularizers()).data for cp in xmha.conv_heads]
-        cross_conv = cat(pooled, axis=-1)[0] @ xmha.w_o.data[n_cols:]
+        pooled = conv_family(memory, xmha.conv_heads).data.mean(axis=0)
+        cross_conv = pooled @ xmha.w_o.data[n_cols:]
     else:
         cross_conv = np.zeros(xmha.w_o.shape[1], dtype=mem.dtype)
 
@@ -119,25 +120,19 @@ def _stack_layer(layer, memory: tn.Tensor) -> _LayerWeights:
         return params.gamma.data, params.beta.data
 
     return _LayerWeights(
-        n_dot=len(dot),
+        n_dot=len(mha.self_heads),
         d_k=d_k,
-        n_conv=len(conv),
+        n_conv=n_conv,
         d_h=d_h,
-        self_in=cat(
-            [hp.w_q.data for hp in dot]
-            + [hp.w_k.data for hp in dot]
-            + [hp.w_v.data for hp in dot]
-            + [cp.w_in.data for cp in conv],
-            axis=1,
-        ),
-        kernel=np.stack([_softmax(cp.w_a.data, axis=0) for cp in conv]),
-        taps=(width - 1) - dilation * np.arange(taps),
-        w_s=np.stack([cp.w_s.data for cp in conv]),
-        w_q=np.stack([cp.w_q.data for cp in conv]),
+        self_in=np.concatenate([self_q, self_k, self_v, conv.w_in.data], axis=1),
+        kernel=_softmax(conv.w_a.data, axis=1),
+        taps=(width - 1) - conv.dilation * np.arange(taps),
+        w_s=conv.w_s.data,
+        w_q=conv.w_q.data,
         self_out=mha.w_o.data,
         ln1=ln(layer.ln1),
-        n_cross=len(heads),
-        cross_q=cat([hp.w_q.data for hp in heads], axis=1),
+        n_cross=n_cross,
+        cross_q=cross_q,
         cross_keys=keys.transpose(1, 2, 0),
         cross_values=values.transpose(1, 0, 2),
         cross_out=xmha.w_o.data[:n_cols],

@@ -22,9 +22,9 @@ from .attention import (
     MultiHeadParams,
     SelfHeadParams,
     causal_mask,
-    dynamic_conv_head,
+    conv_family,
+    dot_product_family,
     multi_head_forward,
-    scaled_dot_product_attention,
 )
 from .errors import ConfigError, DataError
 from .tensor import Tensor
@@ -232,41 +232,22 @@ def base_encoder_layer(
     return y, aux_logits
 
 
-def _pooled_conv_head(memory: Tensor, cp: ConvHeadParams, reg: _Regularizers) -> Tensor:
-    """One conv head of encoder-decoder attention, (..., 1, d_h).
-
-    The head reads the memory through its input projection with the
-    full-sequence context query, which is safe because the memory is fully
-    observed; the gated features are mean-pooled over source positions.
-    """
-    gated = dynamic_conv_head(
-        tn.matmul(memory, cp.w_in),
-        cp,
-        causal_query=False,
-        kernel_dropconnect=reg.kernel,
-    )
-    return tn.tmean(gated, axis=-2, keepdims=True)
-
-
 def _cross_attention(
     y: Tensor, memory: Tensor, params: MultiHeadParams, reg: _Regularizers
 ) -> Tensor:
     """Encoder-decoder attention.
 
-    Dot-product heads attend the memory from decoder queries. The pooled
-    conv heads (hybrid mode) are broadcast to every decoder position, so
-    decoder causality is untouched.
+    Dot-product heads attend the memory from decoder queries. The conv
+    heads (hybrid mode) read the memory with the full-sequence context
+    query, which is safe because the memory is fully observed; their gated
+    features are mean-pooled over source positions and broadcast to every
+    decoder position, so decoder causality is untouched.
     """
-    t_q = y.shape[-2]
-    outs = []
-    for hp in params.self_heads:
-        q = tn.matmul(y, hp.w_q)
-        k = tn.matmul(memory, hp.w_k)
-        v = tn.matmul(memory, hp.w_v)
-        outs.append(scaled_dot_product_attention(q, k, v, None, reg.attn))
-    for cp in params.conv_heads:
-        pooled = _pooled_conv_head(memory, cp, reg)
-        outs.append(tn.broadcast_to(pooled, pooled.shape[:-2] + (t_q, pooled.shape[-1])))
+    outs = [dot_product_family(y, memory, params.self_heads, None, reg.attn)]
+    if params.conv_heads:
+        gated = conv_family(memory, params.conv_heads, False, reg.kernel)
+        pooled = tn.tmean(gated, axis=-2, keepdims=True)
+        outs.append(tn.broadcast_to(pooled, pooled.shape[:-2] + (y.shape[-2], pooled.shape[-1])))
     return tn.matmul(tn.concat(outs, axis=-1), params.w_o)
 
 
@@ -363,14 +344,12 @@ class Seq2SeqModel:
         cfg = self.config
         d, h = cfg.d_model, cfg.h
         d_h = d // h
-        params = MultiHeadParams.__new__(MultiHeadParams)
-        params.h_total = h
-        params.self_heads = [
-            self._self_head(f"{prefix}.self.{j}", d, d_h) for j in range(h)
-        ]
-        params.conv_heads = []
-        params.w_o = self._param(f"{prefix}.w_o", (d, d), d)
-        return params
+        return MultiHeadParams(
+            h_total=h,
+            self_heads=[self._self_head(f"{prefix}.self.{j}", d, d_h) for j in range(h)],
+            conv_heads=[],
+            w_o=self._param(f"{prefix}.w_o", (d, d), d),
+        )
 
     def _ffn(self, prefix: str) -> FeedForwardParams:
         d = self.config.d_model

@@ -11,10 +11,9 @@ All operations are deterministic for a fixed seed and BLAS thread count.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -33,10 +32,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
-
-
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
 
 
 class Tensor:
@@ -81,9 +76,11 @@ class Tensor:
     # -- gradient machinery --------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
+        # The first write copies: g may be a view that other nodes also hold.
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -92,7 +89,10 @@ class Tensor:
         """Reverse-mode sweep from a scalar; visits nodes exactly once.
 
         Populates `.grad` on every requires_grad leaf reachable from this
-        value. Repeated calls add on top of existing gradients.
+        value. Repeated calls add on top of existing gradients. Interior
+        nodes' grads are released during the sweep: each is set to None
+        once its chain-rule closure has passed it on, so after the call only
+        leaves hold a `.grad`.
         """
         if self.data.size != 1:
             raise DimensionError(
@@ -122,6 +122,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
+                node.grad = None
 
     # -- operator sugar --------------------------------------------------
 
@@ -153,11 +154,6 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.zero_grad()
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
@@ -281,6 +277,20 @@ def transpose_last(x) -> Tensor:
     return _make(data, (x,), bwd)
 
 
+def transpose(x, axes) -> Tensor:
+    """Permute the axes, as np.transpose."""
+    x = as_tensor(x)
+    axes = tuple(axes)
+    data = np.transpose(x.data, axes)
+    inverse = tuple(np.argsort(axes))
+
+    def bwd(g):
+        if x.requires_grad:
+            x._accumulate(np.transpose(g, inverse))
+
+    return _make(data, (x,), bwd)
+
+
 def broadcast_to(x, shape) -> Tensor:
     x = as_tensor(x)
     data = np.broadcast_to(x.data, shape).copy()
@@ -305,6 +315,19 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
                 idx[axis] = slice(offset, offset + ext)
                 p._accumulate(g[tuple(idx)])
             offset += ext
+
+    return _make(data, tuple(parts), bwd)
+
+
+def stack(parts: Sequence[Tensor]) -> Tensor:
+    """Join same-shaped tensors along a new leading axis."""
+    parts = [as_tensor(p) for p in parts]
+    data = np.stack([p.data for p in parts])
+
+    def bwd(g):
+        for i, p in enumerate(parts):
+            if p.requires_grad:
+                p._accumulate(g[i])
 
     return _make(data, tuple(parts), bwd)
 
@@ -350,6 +373,8 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(
             f"matmul inner extents disagree: {a.data.shape} x {b.data.shape}"
         )
+    if b.data.ndim == 2:
+        return _matmul_flat(a, b)
     data = a.data @ b.data
 
     def bwd(g):
@@ -359,6 +384,25 @@ def matmul(a, b) -> Tensor:
         if b.requires_grad:
             gb = np.swapaxes(a.data, -1, -2) @ g
             b._accumulate(_unbroadcast(gb, b.data.shape).astype(b.data.dtype, copy=False))
+
+    return _make(data, (a, b), bwd)
+
+
+def _matmul_flat(a: Tensor, b: Tensor) -> Tensor:
+    """(..., d) x (d, k) as one (N, d) x (d, k) GEMM over the flattened rows.
+
+    The weight gradient is then one GEMM too, a2^T g2, rather than one
+    product per leading index followed by a sum over them.
+    """
+    a2 = a.data.reshape(-1, a.data.shape[-1])
+    data = (a2 @ b.data).reshape(a.data.shape[:-1] + (b.data.shape[1],))
+
+    def bwd(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if a.requires_grad:
+            a._accumulate((g2 @ b.data.T).reshape(a.data.shape))
+        if b.requires_grad:
+            b._accumulate(a2.T @ g2)
 
     return _make(data, (a, b), bwd)
 
@@ -450,15 +494,21 @@ def depthwise_causal_dilated_conv1d(s, w, dilation: int = 1) -> Tensor:
 
     out[..., t, c] = sum_j w[j, c] * s[..., t - j*dilation, c], out-of-range
     terms are zero, so position t never reads positions greater than t.
+    A kernel (n, F, d) holds one (F, d) kernel per slice s[i] of an input
+    (n, ..., T, d): stacked heads convolve in one call.
     """
     s, w = as_tensor(s), as_tensor(w)
     if dilation < 1:
         raise ConfigError(f"dilation must be >= 1, got {dilation}")
-    if w.data.ndim != 2:
-        raise DimensionError(f"kernel must be (F, d), got {w.data.shape}")
-    if s.data.ndim < 2:
-        raise DimensionError(f"input must be (..., T, d), got {s.data.shape}")
-    taps, channels = w.data.shape
+    if w.data.ndim not in (2, 3):
+        raise DimensionError(f"kernel must be (F, d) or (n, F, d), got {w.data.shape}")
+    heads = w.data.shape[:-2]
+    if s.data.ndim < 2 + len(heads) or s.data.shape[: len(heads)] != heads:
+        raise DimensionError(
+            f"input must be (..., T, d) with leading axes {heads} for kernel "
+            f"{w.data.shape}, got {s.data.shape}"
+        )
+    taps, channels = w.data.shape[-2:]
     if taps < 1:
         raise DimensionError("kernel needs at least one tap")
     if channels != s.data.shape[-1]:
@@ -466,15 +516,19 @@ def depthwise_causal_dilated_conv1d(s, w, dilation: int = 1) -> Tensor:
             f"kernel channel count {channels} != input channels {s.data.shape[-1]}"
         )
     t_len = s.data.shape[-2]
+    # kern[j] is tap j shaped to broadcast against the input.
+    kern = np.moveaxis(w.data, -2, 0).reshape(
+        (taps,) + heads + (1,) * (s.data.ndim - 1 - len(heads)) + (channels,)
+    )
     data = np.zeros_like(s.data)
     for j in range(taps):
         off = j * dilation
         if off >= t_len:
             break
         if off == 0:
-            data += w.data[j] * s.data
+            data += kern[j] * s.data
         else:
-            data[..., off:, :] += w.data[j] * s.data[..., : t_len - off, :]
+            data[..., off:, :] += kern[j] * s.data[..., : t_len - off, :]
 
     def bwd(g):
         if s.requires_grad:
@@ -484,21 +538,21 @@ def depthwise_causal_dilated_conv1d(s, w, dilation: int = 1) -> Tensor:
                 if off >= t_len:
                     break
                 if off == 0:
-                    gs += w.data[j] * g
+                    gs += kern[j] * g
                 else:
-                    gs[..., : t_len - off, :] += w.data[j] * g[..., off:, :]
+                    gs[..., : t_len - off, :] += kern[j] * g[..., off:, :]
             s._accumulate(gs)
         if w.requires_grad:
             gw = np.zeros_like(w.data)
-            lead = tuple(range(g.ndim - 1))
+            summed = tuple(range(len(heads), g.ndim - 1))
             for j in range(taps):
                 off = j * dilation
                 if off >= t_len:
                     break
                 if off == 0:
-                    gw[j] = (g * s.data).sum(axis=lead)
+                    gw[..., j, :] = (g * s.data).sum(axis=summed)
                 else:
-                    gw[j] = (g[..., off:, :] * s.data[..., : t_len - off, :]).sum(axis=lead)
+                    gw[..., j, :] = (g[..., off:, :] * s.data[..., : t_len - off, :]).sum(axis=summed)
             w._accumulate(gw)
 
     return _make(data, (s, w), bwd)
@@ -673,12 +727,3 @@ def finite_difference_check(
     return FiniteDifferenceReport(
         max_rel_error=worst, tol=tol, passed=worst <= tol, n_checked=len(indices)
     )
-
-
-def assert_finite(t: Tensor, what: str = "tensor") -> None:
-    if not np.isfinite(t.data).all():
-        raise NumericsError(f"{what} contains non-finite values")
-
-
-def sqrt_dim(d: int) -> float:
-    return math.sqrt(d)

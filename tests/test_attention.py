@@ -329,6 +329,64 @@ def test_multi_head_rejects_odd_head_count():
         )
 
 
+def test_multi_head_accepts_all_dot_product_heads():
+    rng = np.random.default_rng(26)
+    params = A.MultiHeadParams(
+        h_total=4,
+        self_heads=[rand_self_params(rng, 8, 2) for _ in range(4)],
+        conv_heads=[],
+        w_o=T.Tensor(rng.normal(size=(8, 8))),
+    )
+    x = rng.normal(size=(5, 8))
+    out = A.multi_head_forward(T.Tensor(x), T.Tensor(x), params)
+    assert np.max(np.abs(out.data - multi_head_oracle(x, params))) < 1e-10
+
+
+@pytest.mark.parametrize("n_dot,n_conv", [(3, 1), (1, 3), (4, 2), (0, 4)])
+def test_multi_head_rejects_uneven_split(n_dot, n_conv):
+    rng = np.random.default_rng(27)
+    with pytest.raises(ConfigError):
+        A.MultiHeadParams(
+            h_total=4,
+            self_heads=[rand_self_params(rng, 8, 2) for _ in range(n_dot)],
+            conv_heads=[rand_conv_params(rng, 8, 2) for _ in range(n_conv)],
+            w_o=T.Tensor(rng.normal(size=(8, 8))),
+        )
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_fused_training_forward_matches_per_head_composition(causal):
+    # Dropout on the attention weights and DropConnect on the kernels draw
+    # from one rng; the fused heads must draw the masks a head loop draws.
+    rng = np.random.default_rng(28)
+    params = rand_multi_head(rng, 16, 8, taps=5)
+    for cp in params.conv_heads:
+        cp.dilation = 2
+    x = T.Tensor(rng.normal(size=(3, 6, 16)))
+    mask = A.causal_mask(6) if causal else None
+    fused_stream, fused_capture = np.random.default_rng(7), {}
+    fused = A.multi_head_forward(
+        x, x, params, mask, causal, (0.3, fused_stream), (0.2, fused_stream), fused_capture
+    ).data
+
+    stream, capture = np.random.default_rng(7), {}
+    outs = []
+    for hp in params.self_heads:
+        q, k, v = (T.matmul(x, w) for w in (hp.w_q, hp.w_k, hp.w_v))
+        outs.append(A.scaled_dot_product_attention(q, k, v, mask, (0.3, stream)))
+    for j, cp in enumerate(params.conv_heads):
+        outs.append(
+            A.dynamic_conv_head(
+                T.matmul(x, cp.w_in), cp, causal, (0.2, stream), capture if j == 0 else None
+            )
+        )
+    composed = T.matmul(T.concat(outs, axis=-1), params.w_o).data
+    assert np.max(np.abs(fused - composed)) < 1e-10
+    assert fused_stream.bit_generator.state == stream.bit_generator.state
+    assert np.max(np.abs(fused_capture["self_head"] - outs[0].data)) < 1e-12
+    assert np.max(np.abs(fused_capture["conv_local"] - capture["conv_local"])) < 1e-12
+
+
 def test_multi_head_split_is_half_and_half():
     rng = np.random.default_rng(24)
     params = rand_multi_head(rng, 16, 16, taps=3)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ctxformer import attention as A
 from ctxformer import model as M
 from ctxformer import tensor as T
 from ctxformer.errors import ConfigError, DataError
@@ -330,6 +331,77 @@ def test_full_model_gradient_check_sampled():
             rng=np.random.default_rng(99),
         )
         assert report.passed, f"{name}: {report}"
+
+
+@pytest.mark.parametrize(
+    "name,cross_conv",
+    [
+        ("enc.0.mha.self.3.v", "memory"),
+        ("dec.0.mha.conv.3.w_a", "memory"),
+        ("dec.1.xmha.conv.3.w_s", "memory"),
+        ("dec.0.xmha.self.7.k", "off"),
+    ],
+)
+def test_gradient_of_the_last_head_of_each_family(name, cross_conv):
+    # Heads run as one family; a head past the first must get its own slice.
+    model = tiny_model(
+        seed=11, d_model=16, h=8, kernel_sizes=(3, 5, 3), dilations=(1, 2, 1),
+        cross_conv=cross_conv,
+    )
+    rng = np.random.default_rng(12)
+    src = rng.integers(4, 16, size=(2, 5))
+    tgt_in = rng.integers(4, 16, size=(2, 4))
+    tgt_out = rng.integers(4, 16, size=(2, 4))
+    pos = rng.integers(0, 6, size=(2, 5))
+    ner = rng.integers(0, 3, size=(2, 5))
+
+    def loss():
+        mt, p, n = model.forward_train(src, tgt_in, training=False)
+        return T.add(
+            T.cross_entropy(mt, tgt_out),
+            T.add(T.mul(T.cross_entropy(p, pos), 0.3), T.mul(T.cross_entropy(n, ner), 0.3)),
+        )
+
+    param = model.params[name]
+    loss().backward()
+    auto = param.grad.reshape(-1).copy()
+    flat = param.data.reshape(-1)
+    step = 1e-5
+    with T.no_grad():
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            up = loss().item()
+            flat[i] = orig - step
+            down = loss().item()
+            flat[i] = orig
+            fd = (up - down) / (2 * step)
+            assert abs(fd - auto[i]) <= 1e-8 + 1e-6 * abs(fd), f"{name}[{i}]"
+    assert np.abs(auto).max() > 1e-6
+
+
+def test_training_cross_attention_matches_per_head_composition():
+    model = tiny_model(seed=13, d_model=16, h=8, dropout=0.3, dropconnect=0.2)
+    xmha = model.dec_layers[0].xmha
+    rng = np.random.default_rng(14)
+    y = T.Tensor(rng.normal(size=(2, 4, 16)))
+    memory = T.Tensor(rng.normal(size=(2, 6, 16)))
+    fused_stream = np.random.default_rng(5)
+    reg = M._Regularizers.from_config(model.config, True, fused_stream)
+    fused = M._cross_attention(y, memory, xmha, reg).data
+
+    stream = np.random.default_rng(5)
+    outs = []
+    for hp in xmha.self_heads:
+        q, k, v = T.matmul(y, hp.w_q), T.matmul(memory, hp.w_k), T.matmul(memory, hp.w_v)
+        outs.append(A.scaled_dot_product_attention(q, k, v, None, (0.3, stream)))
+    for cp in xmha.conv_heads:
+        gated = A.dynamic_conv_head(T.matmul(memory, cp.w_in), cp, False, (0.2, stream))
+        pooled = T.tmean(gated, axis=-2, keepdims=True)
+        outs.append(T.broadcast_to(pooled, (2, 4, pooled.shape[-1])))
+    composed = T.matmul(T.concat(outs, axis=-1), xmha.w_o).data
+    assert np.max(np.abs(fused - composed)) < 1e-10
+    assert fused_stream.bit_generator.state == stream.bit_generator.state
 
 
 def test_forward_train_loss_matches_manual_composition():

@@ -82,6 +82,21 @@ def test_matmul_batched_matches_per_slice():
         assert np.allclose(out.data[i], a[i] @ b, atol=1e-12)
 
 
+def test_flat_matmul_gradients_match_the_batched_reference():
+    rng = np.random.default_rng(2)
+    for lead in ((6,), (3, 5), (2, 3, 4)):
+        a = T.Tensor(rng.normal(size=lead + (7,)), requires_grad=True)
+        b = T.Tensor(rng.normal(size=(7, 4)), requires_grad=True)
+        g = rng.normal(size=lead + (4,))
+        out = T.matmul(a, b)
+        T.tsum(T.mul(out, g)).backward()
+        assert np.max(np.abs(out.data - np.einsum("...i,ij->...j", a.data, b.data))) < 1e-12
+        # Reference: one product per leading index, then a sum over them.
+        gb = (np.swapaxes(a.data, -1, -2) @ g).reshape(-1, 7, 4).sum(axis=0)
+        assert np.max(np.abs(a.grad - g @ b.data.T)) < 1e-12
+        assert np.max(np.abs(b.grad - gb)) < 1e-12
+
+
 # ---------------------------------------------------------------- softmax
 
 
@@ -147,6 +162,18 @@ def test_conv_matches_double_loop():
     w = rng.normal(size=(3, 3))
     out = T.depthwise_causal_dilated_conv1d(T.Tensor(s), T.Tensor(w), 2)
     assert np.max(np.abs(out.data - conv_oracle(s, w, 2))) < 1e-12
+
+
+def test_conv_with_stacked_kernels_matches_one_call_per_head():
+    rng = np.random.default_rng(4)
+    s = rng.normal(size=(3, 2, 6, 4))
+    w = rng.normal(size=(3, 5, 4))
+    out = T.depthwise_causal_dilated_conv1d(T.Tensor(s), T.Tensor(w), 2).data
+    for i in range(3):
+        single = T.depthwise_causal_dilated_conv1d(T.Tensor(s[i]), T.Tensor(w[i]), 2).data
+        assert np.array_equal(out[i], single)
+    with pytest.raises(DimensionError):
+        T.depthwise_causal_dilated_conv1d(T.Tensor(s), T.Tensor(w[:2]), 2)
 
 
 def test_conv_channel_mismatch():
@@ -306,6 +333,22 @@ def test_repeated_backward_accumulates():
     assert np.array_equal(x.grad, 2 * np.ones(3))
 
 
+def test_backward_releases_interior_grads_and_leaves_keep_accumulating():
+    rng = np.random.default_rng(3)
+    x = T.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = T.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    hidden = T.matmul(x, w)
+    act = T.sigmoid(hidden)
+    loss = T.tsum(T.mul(act, act))
+    loss.backward()
+    first_x, first_w = x.grad.copy(), w.grad.copy()
+    assert all(node.grad is None for node in (hidden, act, loss))
+    loss.backward()
+    assert all(node.grad is None for node in (hidden, act, loss))
+    assert np.allclose(x.grad, 2 * first_x, rtol=1e-14, atol=0)
+    assert np.allclose(w.grad, 2 * first_w, rtol=1e-14, atol=0)
+
+
 def test_no_grad_skips_graph():
     x = T.Tensor(np.arange(3.0), requires_grad=True)
     with T.no_grad():
@@ -361,6 +404,10 @@ def _fd_cases(rng):
     cm = rng.normal(size=(5, d))
     keep = rng.random(size=(5, d)) > 0.3
     keep[:, 0] = True  # no fully masked rows
+    cs = rng.normal(size=(2, 5, d))
+    cp = rng.normal(size=(2, 2, 5))
+    w_heads = rng.normal(size=(2, 3, 2))
+    ch = rng.normal(size=(2, 5, 2))
     return {
         "add": lambda x: T.tsum(T.add(x, 1.5)),
         "mul": lambda x: T.tsum(T.mul(x, x)),
@@ -386,6 +433,16 @@ def _fd_cases(rng):
         ),
         "broadcast": lambda x: T.tsum(
             T.mul(T.broadcast_to(T.tsum(x, axis=-1, keepdims=True), (5, d)), 0.3)
+        ),
+        "stack": lambda x: T.tsum(T.mul(T.stack([x, T.mul(x, x)]), cs)),
+        "permute": lambda x: T.tsum(T.mul(T.transpose(T.reshape(x, (5, 2, 2)), (1, 2, 0)), cp)),
+        "conv_heads": lambda x: T.tsum(
+            T.mul(
+                T.depthwise_causal_dilated_conv1d(
+                    T.transpose(T.reshape(x, (5, 2, 2)), (1, 0, 2)), T.Tensor(w_heads), 2
+                ),
+                ch,
+            )
         ),
     }
 

@@ -335,6 +335,40 @@ def test_checkpoint_roundtrip(tmp_path):
     assert "__step__ 1" in manifest
 
 
+def test_zero_dim_array_keeps_its_shape_through_a_round_trip(tmp_path):
+    path = tmp_path / "scalars.bin"
+    save_arrays(path, {"scalar": np.array(2.5), "row": np.array([1.0, 2.0])})
+    loaded = load_arrays(path)
+    assert loaded["scalar"].shape == ()
+    assert loaded["scalar"] == np.float32(2.5)
+    assert loaded["row"].shape == (2,)
+
+
+def test_failed_write_keeps_the_previous_file_and_leaves_no_temp_file(tmp_path):
+    resource = pytest.importorskip("resource")
+    import signal
+
+    path = tmp_path / "model.bin"
+    previous = {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4)}
+    save_arrays(path, previous)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    # A file-size limit makes the write fail midway, as a full disk would.
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 16, hard))
+    try:
+        with pytest.raises(OSError):
+            save_arrays(path, {"a": np.zeros(100_000), "b": np.ones(4)})
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, handler)
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    loaded = load_arrays(path)
+    for name, arr in previous.items():
+        assert np.array_equal(loaded[name], arr)
+    assert (tmp_path / "model.bin.manifest").read_text() == "a 2x3\nb 4\n"
+
+
 def test_checkpoint_detects_corruption(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
