@@ -21,11 +21,8 @@ from .attention import (
     scaled_dot_product_attention,
 )
 from .data import (
-    BpeModel,
     TaggedPair,
     Vocabulary,
-    bpe_encode,
-    bpe_train,
     generate_corpus,
     make_batches,
 )

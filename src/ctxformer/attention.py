@@ -13,7 +13,8 @@ call (`stack_dot_heads`, `stack_conv_heads`), the projected inputs are
 split into a leading head axis (n, ..., T, width), and the single-head
 functions below run once on those head-stacked tensors.
 
-Also hosts the per-layer complexity model backing the benchmark command.
+Also hosts the per-layer complexity model, checked on the real halves by
+`test_complexity_validation`.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: gen (synthetic corpus), train, translate, eval, bench, probe.
+Subcommands: gen (synthetic corpus), train, translate, eval, probe.
 Shared flags: --config PATH, --seed N, --preset {paper,toy}, --out PATH.
 The CTXFORMER_THREADS environment variable caps BLAS parallelism (read
 before numpy loads, which is why heavyweight imports happen lazily).
@@ -60,13 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", type=Path, default=None, help="tagged corpus for tag accuracy")
     p.add_argument("--checkpoint", type=Path, default=None)
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("bench", help="complexity table and measured op counts")
-    _common_flags(p)
-    p.add_argument("--n-list", default="64,128,256")
-    p.add_argument("--d-list", default="64,128")
-    p.add_argument("--f-list", default="3,7")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("probe", help="cosine similarity of two words in context")
     _common_flags(p)
@@ -171,10 +164,11 @@ def cmd_train(args) -> int:
 
 def cmd_translate(args) -> int:
     rc = _load_config(args)
+    from .data import read_text
     from .inference import beam_search
 
     model, src_vocab, tgt_vocab = _load_trained_model(rc, args)
-    text = Path(args.input).read_text(encoding="utf-8")
+    text = read_text(args.input)
     sentences = [line.split() for line in text.splitlines() if line.strip()]
     out_lines = []
     for words in sentences:
@@ -191,13 +185,13 @@ def cmd_translate(args) -> int:
 
 def cmd_eval(args) -> int:
     rc = _load_config(args)
-    from .data import read_corpus
+    from .data import read_corpus, read_text
     from .errors import DataError
     from .inference import bleu, exact_match, tag_accuracies
 
     # keep empty lines: an empty hypothesis is still a (bad) translation
-    hyp_lines = [l.split() for l in Path(args.hyp).read_text(encoding="utf-8").splitlines()]
-    ref_lines = [l.split() for l in Path(args.ref).read_text(encoding="utf-8").splitlines()]
+    hyp_lines = [l.split() for l in read_text(args.hyp).splitlines()]
+    ref_lines = [l.split() for l in read_text(args.ref).splitlines()]
     if len(hyp_lines) != len(ref_lines):
         raise DataError(
             f"line count mismatch: {len(hyp_lines)} hypotheses vs {len(ref_lines)} references"
@@ -217,25 +211,6 @@ def cmd_eval(args) -> int:
     if args.out is not None:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(text + "\n", encoding="utf-8")
-    return 0
-
-
-def cmd_bench(args) -> int:
-    from .bench import bench_table, format_table, scaling_checks
-    from .errors import ConfigError
-
-    def parse_list(raw):
-        try:
-            values = tuple(int(v) for v in str(raw).split(",") if v.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad list {raw!r}: {exc}") from exc
-        if not values:
-            raise ConfigError(f"empty list {raw!r}")
-        return values
-
-    rows = bench_table(parse_list(args.n_list), parse_list(args.d_list), parse_list(args.f_list))
-    checks = scaling_checks(rows)
-    print(format_table(rows, checks))
     return 0
 
 

@@ -178,7 +178,11 @@ def load_run_config(
     parser = None
     if config_path is not None:
         parser = configparser.ConfigParser()
-        if not parser.read(config_path):
+        try:
+            found = parser.read(config_path, encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {config_path} is not valid UTF-8: {exc}") from exc
+        if not found:
             raise ConfigError(f"config file not found: {config_path}")
     chosen = preset
     if chosen is None and parser is not None and parser.has_option("run", "preset"):

@@ -1,6 +1,5 @@
 """Synthetic parallel corpus with deterministic POS/NER tags, plus the
-word-level vocabulary, a small byte-pair-encoding trainer, and
-equal-length batching.
+word-level vocabulary and equal-length batching.
 
 The source language follows determiner-adjective-noun-verb patterns with
 named-entity slots. The target language is a deterministic token-level
@@ -210,8 +209,17 @@ def write_corpus(path, lines) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
+def read_text(path) -> str:
+    """The contents of a UTF-8 text file; bytes that do not decode raise
+    DataError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not valid UTF-8: {exc}") from exc
+
+
 def read_corpus(path):
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     return [parse_record(line) for line in text.splitlines() if line.strip()]
 
 
@@ -227,107 +235,6 @@ def records_to_pairs(records, src_vocab: Vocabulary, tgt_vocab: Vocabulary):
             TaggedPair(src_vocab.encode(src), tgt_vocab.encode(tgt), pos_ids, ner_ids)
         )
     return pairs
-
-
-# ------------------------------------------------------------------- BPE
-
-
-END_OF_WORD = "</w>"
-
-
-@dataclass
-class BpeModel:
-    merges: list  # ordered (left_symbol, right_symbol) rules
-
-    def merged(self):
-        return [a + b for a, b in self.merges]
-
-
-def _word_symbols(word: str) -> tuple:
-    if not word:
-        return ()
-    return tuple(word[:-1]) + (word[-1] + END_OF_WORD,)
-
-
-def _count_pairs(word_freqs):
-    counts = collections.Counter()
-    for symbols, freq in word_freqs.items():
-        for a, b in zip(symbols, symbols[1:]):
-            counts[(a, b)] += freq
-    return counts
-
-
-def _merge_word(symbols: tuple, pair) -> tuple:
-    a, b = pair
-    out, i = [], 0
-    while i < len(symbols):
-        if i + 1 < len(symbols) and symbols[i] == a and symbols[i + 1] == b:
-            out.append(a + b)
-            i += 2
-        else:
-            out.append(symbols[i])
-            i += 1
-    return tuple(out)
-
-
-def bpe_train(texts, n_merges: int) -> BpeModel:
-    """Greedy highest-frequency pair merges, ties broken lexicographically."""
-    if n_merges < 0:
-        raise ConfigError(f"n_merges must be >= 0, got {n_merges}")
-    word_freqs = collections.Counter()
-    for line in texts:
-        for word in line.split():
-            word_freqs[_word_symbols(word)] += 1
-    if not word_freqs:
-        raise DataError("cannot train byte-pair encoding on an empty corpus")
-    merges = []
-    for _ in range(n_merges):
-        counts = _count_pairs(word_freqs)
-        if not counts:
-            break
-        top = max(counts.values())
-        best_pair = min(p for p, c in counts.items() if c == top)
-        merges.append(best_pair)
-        word_freqs = collections.Counter(
-            {_merge_word(sym, best_pair): f for sym, f in word_freqs.items()}
-        )
-    return BpeModel(merges=merges)
-
-
-def bpe_segment(word: str, model: BpeModel) -> list[str]:
-    symbols = _word_symbols(word)
-    for pair in model.merges:
-        symbols = _merge_word(symbols, pair)
-    return list(symbols)
-
-
-def bpe_vocabulary(texts, model: BpeModel) -> Vocabulary:
-    seen = set()
-    for line in texts:
-        for word in line.split():
-            seen.update(bpe_segment(word, model))
-    return Vocabulary(seen)
-
-
-def bpe_encode(text: str, model: BpeModel, vocab: Vocabulary) -> list[int]:
-    ids = []
-    for word in text.split():
-        ids.extend(vocab.encode(bpe_segment(word, model)))
-    return ids
-
-
-def bpe_decode(ids, vocab: Vocabulary) -> str:
-    words, current = [], []
-    for token in vocab.decode(ids):
-        if token.endswith(END_OF_WORD):
-            current.append(token[: -len(END_OF_WORD)])
-            words.append("".join(current))
-            current = []
-        else:
-            current.append(token)
-    if current:
-        words.append("".join(current))
-    return " ".join(words)
 
 
 # ---------------------------------------------------------------- batching

@@ -10,6 +10,7 @@ interrupted run resumed from a checkpoint replays the exact trajectory.
 from __future__ import annotations
 
 import hashlib
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import checkpoint as ckpt_io
 from . import tensor as tn
-from .data import Batch, collate, make_batches
+from .data import Batch, collate, make_batches, read_text
 from .errors import ConfigError, DataError, NumericsError
 from .model import Seq2SeqModel
 from .tensor import Tensor
@@ -284,6 +285,7 @@ def average_checkpoints(checkpoints) -> Checkpoint:
 
 
 METRICS_HEADER = "step\tlr\tloss_total\tloss_mt\tloss_pos\tloss_ner\ttokens_per_sec"
+_CKPT_NAME = re.compile(r"ckpt_(\d+)\.bin")
 
 
 def _epoch_seed(seed: int, epoch: int) -> int:
@@ -317,7 +319,7 @@ class Trainer:
         self.state = TrainState()
         self._log_lines: list[str] = [METRICS_HEADER]
         self._saved_paths: list[Path] = []
-        self._saved_step: Optional[int] = None  # step of the last checkpoint this run saved
+        self._saved_step: Optional[int] = None  # step of the last checkpoint in _saved_paths
         self.batches_per_epoch = len(make_batches(pairs, cfg.max_tokens, _epoch_seed(cfg.seed, 0)))
 
     def _epoch_batches(self, epoch: int) -> list[Batch]:
@@ -336,6 +338,25 @@ class Trainer:
         self.state.opt_step = ck.step
         self.state.micro_step = ck.step * self.cfg.accum_steps
         self.model.zero_grad()
+        # Continue the run directory's checkpoint set and log as they stood
+        # at the resumed step, so rotation and averaged.bin match a run that
+        # was never interrupted.
+        if self.out_dir is not None:
+            saved = {}
+            for p in self.out_dir.glob("ckpt_*.bin"):
+                match = _CKPT_NAME.fullmatch(p.name)
+                if match and int(match[1]) <= ck.step:
+                    saved[int(match[1])] = p
+            self._saved_paths = [saved[step] for step in sorted(saved)]
+            self._saved_step = max(saved, default=None)
+        if self.log_path is not None and self.log_path.exists():
+            lines = read_text(self.log_path).splitlines()
+            steps = [line.split("\t", 1)[0] for line in lines[1:]]
+            if lines[:1] != [METRICS_HEADER] or not all(s.isdigit() for s in steps):
+                raise DataError(f"{self.log_path} is not a metrics log")
+            self._log_lines = [METRICS_HEADER] + [
+                line for line, s in zip(lines[1:], steps) if int(s) <= ck.step
+            ]
 
     def _checkpoint(self) -> Checkpoint:
         return Checkpoint(

@@ -4,13 +4,14 @@ Each test prints `[acceptance] <criterion>: PASS/FAIL` so the suite doubles
 as a human-readable report (`pytest tests/test_acceptance.py -v -s`).
 """
 
+import itertools
+import math
 import time
 from types import SimpleNamespace
 
 import numpy as np
 
 from ctxformer import attention as A
-from ctxformer import bench as B
 from ctxformer import config as C
 from ctxformer import data as D
 from ctxformer import inference as I
@@ -449,37 +450,110 @@ def test_training_mechanics():
 # ---------------------------------------------------------------------------
 
 
-def test_complexity_validation():
+def _matmul_macs(a, b) -> int:
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    return math.prod(batch) * a.shape[-2] * a.shape[-1] * b.shape[-1]
+
+
+def _depthwise_macs(s, w, dilation: int = 1) -> int:
+    # a tap that lands on the left zero padding does no work
+    t_len, channels = s.shape[-2:]
+    taps = w.shape[-2]
+    per_channel = sum(max(0, t_len - j * dilation) for j in range(taps))
+    return math.prod(s.shape[:-2]) * channels * per_channel
+
+
+def _count_attention_halves(monkeypatch) -> dict:
+    """Count, from the shape of each call, the multiply-adds of the two
+    halves of `multi_head_forward`: the matmuls made inside
+    `scaled_dot_product_attention` (dot-product half) and the depthwise
+    convolutions, or any matmul, made inside `local_conv` (conv half)."""
+    counts = {"self_attention": 0, "depthwise_separable_convolution": 0}
+    inside = []
+
+    def scoped(fn, row):
+        def wrapper(*args, **kwargs):
+            inside.append(row)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        return wrapper
+
+    def counted(fn, macs):
+        def wrapper(*args, **kwargs):
+            if inside:
+                counts[inside[-1]] += macs(*args, **kwargs)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        A, "scaled_dot_product_attention",
+        scoped(A.scaled_dot_product_attention, "self_attention"),
+    )
+    monkeypatch.setattr(A, "local_conv", scoped(A.local_conv, "depthwise_separable_convolution"))
+    monkeypatch.setattr(A, "matmul", counted(A.matmul, _matmul_macs))
+    monkeypatch.setattr(
+        A, "depthwise_causal_dilated_conv1d",
+        counted(A.depthwise_causal_dilated_conv1d, _depthwise_macs),
+    )
+    return counts
+
+
+def test_complexity_validation(monkeypatch):
+    """The dot-product and conv halves of a hybrid h=8 layer scale as the
+    self-attention (n^2*d) and depthwise (F*n*d) rows of the table."""
     failures = []
-    rows = B.bench_table([64, 128, 256], [64, 128], [3, 7])
-    checks = B.scaling_checks(rows, threshold=0.25)
-    self_n = [c for c in checks if c.layer_type == "self_attention" and c.variable == "n"]
-    depth_d = [
-        c
-        for c in checks
-        if c.layer_type == "depthwise_separable_convolution" and c.variable == "d"
-    ]
-    depth_f = [
-        c
-        for c in checks
-        if c.layer_type == "depthwise_separable_convolution" and c.variable == "f"
-    ]
+    counts = _count_attention_halves(monkeypatch)
+    grid = {"n": (64, 128, 256), "d": (64, 128), "f": (3, 7)}
+    measured = {}
+    for n, d, f in itertools.product(*grid.values()):
+        rng = np.random.default_rng((n, d, f))
+        params = rand_multi_head(rng, d, 8, taps=f)
+        x = T.Tensor(rng.normal(size=(n, d)))
+        counts.update(dict.fromkeys(counts, 0))
+        with T.no_grad():
+            A.multi_head_forward(x, x, params)
+        measured[(n, d, f)] = dict(counts)
+    # one step per grid point and variable: that variable to its next grid value
+    steps = []
+    for row in counts:
+        for axis, variable in enumerate(grid):
+            values = grid[variable]
+            for low, after in zip(values, values[1:]):
+                for point in measured:
+                    if point[axis] != low:
+                        continue
+                    high = point[:axis] + (after,) + point[axis + 1 :]
+                    if not measured[point][row]:
+                        failures.append(f"{row}: no work counted at n, d, F = {point}")
+                        continue
+                    predicted = (
+                        A.complexity_estimate(row, *high).per_layer_ops
+                        / A.complexity_estimate(row, *point).per_layer_ops
+                    )
+                    ratio = measured[high][row] / measured[point][row]
+                    steps.append((row, variable, low, after, ratio, predicted))
+    self_n = [s for s in steps if s[:2] == ("self_attention", "n")]
+    depth_d = [s for s in steps if s[:2] == ("depthwise_separable_convolution", "d")]
+    depth_f = [s for s in steps if s[:2] == ("depthwise_separable_convolution", "f")]
     if not self_n or not depth_d or not depth_f:
         failures.append("missing scaling pairs in the grid")
-    for c in self_n:
-        if abs(c.measured_ratio - 4.0) / 4.0 > 0.25:
-            failures.append(f"self-attention n {c.low}->{c.high}: x{c.measured_ratio:.2f}")
-    for c in depth_d:
-        if abs(c.measured_ratio - 2.0) / 2.0 > 0.25:
-            failures.append(f"depthwise d {c.low}->{c.high}: x{c.measured_ratio:.2f}")
-    for c in depth_f:
-        if abs(c.measured_ratio - c.predicted_ratio) / c.predicted_ratio > 0.25:
-            failures.append(f"depthwise f {c.low}->{c.high}: x{c.measured_ratio:.2f}")
-    for c in checks:
-        if c.flagged:
-            failures.append(
-                f"{c.layer_type} {c.variable} {c.low}->{c.high} deviates {c.deviation:.2f}"
-            )
+    for _, _, low, high, ratio, _ in self_n:
+        if abs(ratio - 4.0) / 4.0 > 0.25:
+            failures.append(f"self-attention n {low}->{high}: x{ratio:.2f}")
+    for _, _, low, high, ratio, _ in depth_d:
+        if abs(ratio - 2.0) / 2.0 > 0.25:
+            failures.append(f"depthwise d {low}->{high}: x{ratio:.2f}")
+    for _, _, low, high, ratio, predicted in depth_f:
+        if abs(ratio - predicted) / predicted > 0.25:
+            failures.append(f"depthwise f {low}->{high}: x{ratio:.2f}")
+    for row, variable, low, high, ratio, predicted in steps:
+        deviation = abs(ratio - predicted) / predicted
+        if deviation > 0.25:
+            failures.append(f"{row} {variable} {low}->{high} deviates {deviation:.2f}")
     _report("complexity scaling within 25% of table exponents", failures)
 
 

@@ -364,18 +364,49 @@ def test_cli_config_error_exit_code(tmp_path):
     assert not (tmp_path / "x").exists()  # no partial output on invalid config
 
 
-def test_cli_bench_table(capsys):
-    assert main(["bench", "--n-list", "32,64", "--d-list", "16", "--f-list", "3,7"]) == 0
-    out = capsys.readouterr().out
-    for layer in (
-        "self_attention",
-        "recurrent",
-        "convolution",
-        "depthwise_separable_convolution",
-    ):
-        assert layer in out
-    assert "scaling checks" in out
+def _non_utf8(path):
+    path.write_bytes(b"the fox \xff sees a dog\n")
+    return path
 
 
-def test_cli_bench_bad_list():
-    assert main(["bench", "--n-list", "abc", "--d-list", "16", "--f-list", "3"]) == 2
+def test_cli_eval_non_utf8_hypothesis_exits_3(tmp_path, capsys):
+    hyp = _non_utf8(tmp_path / "hyp.txt")
+    ref = tmp_path / "ref.txt"
+    ref.write_text("the fox sees a dog\n")
+    assert main(["eval", str(hyp), str(ref)]) == 3
+    assert str(hyp) in capsys.readouterr().err
+
+
+def test_cli_train_non_utf8_corpus_exits_3(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    train = _non_utf8(data / "train.txt")
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run")]) == 3
+    assert str(train) in capsys.readouterr().err
+
+
+def test_cli_translate_non_utf8_input_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(
+        "[run]\nn_pairs = 40\n\n[model]\nd_model = 16\nh = 2\nkernel_sizes = 3,3,3\n\n"
+        "[train]\ntotal_steps = 2\nwarmup_steps = 1\ncheckpoint_every = 2\nmax_tokens = 256\n"
+    )
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert main(["gen", "--config", str(cfg), "--out", str(data)]) == 0
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(run)]) == 0
+    inp = _non_utf8(tmp_path / "in.txt")
+    code = main(
+        ["translate", "--config", str(cfg), "--data", str(data), str(inp),
+         "--checkpoint", str(run / "averaged.bin"), "--out", str(tmp_path / "hyp.txt")]
+    )
+    assert code == 3
+    assert str(inp) in capsys.readouterr().err
+    assert not (tmp_path / "hyp.txt").exists()
+
+
+def test_cli_gen_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"[run]\nn_pairs = 10\n# \xff\n")
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert str(cfg) in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()

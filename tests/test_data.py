@@ -1,4 +1,4 @@
-"""Synthetic corpus, BPE, and batching: determinism and oracle checks."""
+"""Synthetic corpus and batching: determinism and oracle checks."""
 
 import collections
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ctxformer import data as D
-from ctxformer.errors import ConfigError, DataError
+from ctxformer.errors import DataError
 
 
 # ---------------------------------------------------------------- corpus
@@ -83,96 +83,6 @@ def test_vocab_reserved_ids():
     assert v.encode(["zzz-not-a-word"]) == [D.UNK_ID]
     # bijective over its own tokens
     assert v.decode(v.encode(v.tokens)) == v.tokens
-
-
-# ------------------------------------------------------------------- BPE
-
-
-def test_bpe_forced_merge():
-    model = D.bpe_train(["aaaa"], 1)
-    assert model.merges == [("a", "a")]
-
-
-def test_bpe_zero_merges_is_character_segmentation():
-    model = D.bpe_train(["abc ab"], 0)
-    assert model.merges == []
-    assert D.bpe_segment("abc", model) == ["a", "b", "c</w>"]
-
-
-def test_bpe_train_matches_frequency_oracle():
-    texts = ["low lower lowest", "low low new newer"]
-    n_merges = 5
-    model = D.bpe_train(texts, n_merges)
-
-    # oracle: independent greedy frequency counting
-    freqs = collections.Counter()
-    for line in texts:
-        for w in line.split():
-            freqs[tuple(w[:-1]) + (w[-1] + "</w>",)] += 1
-    expected = []
-    for _ in range(n_merges):
-        counts = collections.Counter()
-        for sym, f in freqs.items():
-            for pair in zip(sym, sym[1:]):
-                counts[pair] += f
-        if not counts:
-            break
-        top = max(counts.values())
-        pair = min(p for p, c in counts.items() if c == top)
-        expected.append(pair)
-        merged = collections.Counter()
-        for sym, f in freqs.items():
-            out, i = [], 0
-            while i < len(sym):
-                if i + 1 < len(sym) and (sym[i], sym[i + 1]) == pair:
-                    out.append(sym[i] + sym[i + 1])
-                    i += 2
-                else:
-                    out.append(sym[i])
-                    i += 1
-            merged[tuple(out)] += f
-        freqs = merged
-    assert model.merges == expected
-
-
-def test_bpe_encode_empty_string():
-    model = D.bpe_train(["ab"], 1)
-    vocab = D.bpe_vocabulary(["ab"], model)
-    assert D.bpe_encode("", model, vocab) == []
-
-
-def test_bpe_roundtrip_on_generated_sentences():
-    _, lines = D.generate_corpus(13, 1000)
-    texts = [D.parse_record(l)[0] for l in lines]
-    sentences = [" ".join(words) for words in texts]
-    model = D.bpe_train(sentences, 24)
-    vocab = D.bpe_vocabulary(sentences, model)
-    for s in sentences:
-        assert D.bpe_decode(D.bpe_encode(s, model, vocab), vocab) == s
-
-
-def test_bpe_segmentation_matches_hand_application():
-    # lower: l o w e r</w> -> lo w e r</w> -> low e r</w> -> low er</w>
-    model = D.BpeModel(merges=[("l", "o"), ("lo", "w"), ("e", "r</w>")])
-    assert D.bpe_segment("lower", model) == ["low", "er</w>"]
-    assert D.bpe_segment("low", model) == ["lo", "w</w>"]  # w</w> is a distinct symbol
-
-
-def test_bpe_unseen_character_maps_to_unk():
-    model = D.bpe_train(["ab ab"], 1)
-    vocab = D.bpe_vocabulary(["ab ab"], model)
-    ids = D.bpe_encode("aq", model, vocab)
-    assert D.UNK_ID in ids
-
-
-def test_bpe_rejects_negative_merges():
-    with pytest.raises(ConfigError):
-        D.bpe_train(["ab"], -1)
-
-
-def test_bpe_rejects_empty_corpus():
-    with pytest.raises(DataError):
-        D.bpe_train([], 3)
 
 
 # ---------------------------------------------------------------- batching

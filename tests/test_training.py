@@ -399,7 +399,7 @@ def test_truncated_container_raises_data_error_at_every_length(tmp_path):
 # ------------------------------------------------------------------ trainer
 
 
-def _toy_training_setup(tmp_path, total_steps, seed=1, out=None):
+def _toy_training_setup(tmp_path, total_steps, seed=1, out=None, keep_last=3):
     pairs, _ = D.generate_corpus(29, 120)
     model = small_model(seed=23, dtype=np.float32, dropout=0.05, residual_dropout=0.05)
     cfg = TR.TrainConfig(
@@ -408,7 +408,7 @@ def _toy_training_setup(tmp_path, total_steps, seed=1, out=None):
         accum_steps=1,
         seed=seed,
         checkpoint_every=5,
-        keep_last=3,
+        keep_last=keep_last,
         max_tokens=128,
     )
     trainer = TR.Trainer(
@@ -446,6 +446,41 @@ def test_trainer_resume_reproduces_trajectory(tmp_path):
     tail_a = ["\t".join(l.split("\t")[:-1]) for l in lines_a[6:]]
     tail_c = ["\t".join(l.split("\t")[:-1]) for l in lines_c[1:]]
     assert tail_a == tail_c
+
+
+@pytest.mark.parametrize("keep_last", [2, 3])
+def test_trainer_resume_in_place_matches_uninterrupted_run(tmp_path, keep_last):
+    # keep_last=2 rotates ckpt_0000005.bin away at step 15; keep_last=3
+    # averages it into averaged.bin
+    straight = tmp_path / "straight"
+    _toy_training_setup(tmp_path, total_steps=15, out=straight, keep_last=keep_last)[0].run()
+
+    resumed = tmp_path / "resumed"
+    _toy_training_setup(tmp_path, total_steps=5, out=resumed, keep_last=keep_last)[0].run()
+    trainer, _ = _toy_training_setup(tmp_path, total_steps=15, out=resumed, keep_last=keep_last)
+    trainer.resume_from(resumed / "ckpt_0000005.bin")
+    trainer.run()
+
+    names = [p.name for p in sorted(straight.glob("ckpt_*.bin"))]
+    assert names == [p.name for p in sorted(resumed.glob("ckpt_*.bin"))]
+    assert len(names) == min(keep_last, 3)
+    assert (straight / "averaged.bin").read_bytes() == (resumed / "averaged.bin").read_bytes()
+
+    def without_wall_clock(run):
+        lines = (run / "metrics.log").read_text().splitlines()
+        return ["\t".join(l.split("\t")[:-1]) for l in lines]
+
+    assert len(without_wall_clock(resumed)) == 16
+    assert without_wall_clock(straight) == without_wall_clock(resumed)
+
+
+def test_trainer_resume_rejects_a_log_that_is_not_a_metrics_log(tmp_path):
+    out = tmp_path / "run"
+    _toy_training_setup(tmp_path, total_steps=5, out=out)[0].run()
+    (out / "metrics.log").write_text("not\ta log\n")
+    trainer, _ = _toy_training_setup(tmp_path, total_steps=10, out=out)
+    with pytest.raises(DataError, match="metrics.log"):
+        trainer.resume_from(out / "ckpt_0000005.bin")
 
 
 def test_trainer_saves_the_last_step_off_the_cadence(tmp_path):
