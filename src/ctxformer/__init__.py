@@ -11,7 +11,6 @@ evaluation, all verified against brute-force oracles.
 from .attention import (
     ConvHeadParams,
     MultiHeadParams,
-    SelfHeadParams,
     adaptive_query,
     causal_mask,
     complexity_estimate,

@@ -8,10 +8,11 @@ projected sequence acts as a context query, and a per-position sigmoid
 gate scores each local representation against that context. Head outputs
 are concatenated (dot-product heads first) and linearly recombined.
 
-Each head family runs as one: its per-head weights are joined once per
-call (`stack_dot_heads`, `stack_conv_heads`), the projected inputs are
-split into a leading head axis (n, ..., T, width), and the single-head
-functions below run once on those head-stacked tensors.
+Each head family is stored head-stacked, one leaf per weight with a
+leading head axis, and runs as one: a single projection onto every head
+(`head_columns`), the projected inputs split into a leading head axis
+(n, ..., T, width), and the single-head functions below run once on those
+head-stacked tensors.
 
 Also hosts the per-layer complexity model, checked on the real halves by
 `test_complexity_validation`.
@@ -30,7 +31,6 @@ from .tensor import (
     Tensor,
     concat,
     depthwise_causal_dilated_conv1d,
-    drop_connect,
     dropout,
     masked_fill,
     matmul,
@@ -38,7 +38,6 @@ from .tensor import (
     reshape,
     sigmoid,
     softmax,
-    stack,
     transpose,
     transpose_last,
     tsum,
@@ -49,29 +48,19 @@ from .tensor import (
 
 
 @dataclass
-class SelfHeadParams:
-    """Per-head query/key/value projections for a dot-product head."""
-
-    w_q: Tensor  # (d, d_k)
-    w_k: Tensor  # (d, d_k)
-    w_v: Tensor  # (d, d_v)
-
-
-@dataclass
 class ConvHeadParams:
-    """Parameters of one convolutional word-context head.
+    """Parameters of convolutional word-context heads.
 
     w_in projects the model width down to the head width; w_a holds the
     (pre-softmax) kernel weights over the temporal window; w_s and w_q
-    build the adaptive context query. The same fields with a leading head
-    axis, and w_in's columns side by side, describe n heads run as one
-    (see `stack_conv_heads`).
+    build the adaptive context query. n heads run as one hold the same
+    fields with a leading head axis, head j in slice j of each.
     """
 
-    w_in: Tensor  # (d, d_h); stacked: (d, n * d_h)
-    w_a: Tensor  # (F, d_h), softmax-normalized along F at use time; stacked: (n, F, d_h)
-    w_s: Tensor  # (d_h, d_h); stacked: (n, d_h, d_h)
-    w_q: Tensor  # (d_h,); stacked: (n, d_h)
+    w_in: Tensor  # (d, d_h); n heads: (n, d, d_h)
+    w_a: Tensor  # (F, d_h), softmax-normalized along F at use time; n heads: (n, F, d_h)
+    w_s: Tensor  # (d_h, d_h); n heads: (n, d_h, d_h)
+    w_q: Tensor  # (d_h,); n heads: (n, d_h)
     dilation: int = 1
 
     def __post_init__(self):
@@ -84,56 +73,36 @@ class ConvHeadParams:
 
 @dataclass
 class MultiHeadParams:
-    """Head bundle and output mix: H/2 dot-product heads and H/2 conv heads
-    (hybrid), or H dot-product heads and no conv heads (all dot-product)."""
+    """One attention sublayer: n dot-product heads, n head-stacked conv heads
+    (hybrid) or none (all dot-product), and the output mix.
 
-    h_total: int
-    self_heads: list
-    conv_heads: list
+    Head j of a family is slice j of each of its leaves; the head counts
+    are the leaves' leading extents.
+    """
+
+    w_q: Tensor  # (n, d, d_k)
+    w_k: Tensor  # (n, d, d_k)
+    w_v: Tensor  # (n, d, d_v)
+    conv: Optional[ConvHeadParams]  # head-stacked, or None for all dot-product
     w_o: Tensor  # (d, d)
 
     def __post_init__(self):
-        if self.h_total % 2 != 0 or self.h_total < 2:
-            raise ConfigError(f"head count must be even and >= 2, got {self.h_total}")
-        half = self.h_total // 2
-        split = (len(self.self_heads), len(self.conv_heads))
-        if split not in ((half, half), (self.h_total, 0)):
+        n_dot = self.w_q.shape[0]
+        n_conv = 0 if self.conv is None else self.conv.w_in.shape[0]
+        if (n_dot + n_conv) % 2 != 0 or n_dot + n_conv < 2:
+            raise ConfigError(f"head count must be even and >= 2, got {n_dot + n_conv}")
+        if n_conv not in (0, n_dot):
             raise ConfigError(
-                f"need {half} heads of each family or {self.h_total} dot-product heads "
-                f"alone, got {split[0]} dot-product and {split[1]} conv"
+                f"need as many conv heads as dot-product heads, or none; got "
+                f"{n_dot} dot-product and {n_conv} conv"
             )
 
 
-def _same_shapes(heads, fields: tuple, family: str) -> None:
-    first = heads[0]
-    for hp in heads[1:]:
-        for f in fields:
-            if getattr(hp, f).shape != getattr(first, f).shape:
-                raise DimensionError(
-                    f"{family} heads run as one and need equal shapes; {f} has "
-                    f"{getattr(hp, f).shape} and {getattr(first, f).shape}"
-                )
-
-
-def stack_dot_heads(heads: list) -> tuple:
-    """The q, k and v projections of dot-product heads, each (d, n * d_k),
-    head j in columns j * d_k ... (j + 1) * d_k - 1."""
-    _same_shapes(heads, ("w_q", "w_k", "w_v"), "dot-product")
-    return tuple(concat([getattr(hp, f) for hp in heads], axis=-1) for f in ("w_q", "w_k", "w_v"))
-
-
-def stack_conv_heads(heads: list) -> ConvHeadParams:
-    """Conv heads of one kernel size and dilation as one head-stacked bundle."""
-    _same_shapes(heads, ("w_in", "w_a", "w_s", "w_q"), "conv")
-    if len({cp.dilation for cp in heads}) != 1:
-        raise ConfigError("conv heads run as one and need one dilation")
-    return ConvHeadParams(
-        w_in=concat([cp.w_in for cp in heads], axis=-1),
-        w_a=stack([cp.w_a for cp in heads]),
-        w_s=stack([cp.w_s for cp in heads]),
-        w_q=stack([cp.w_q for cp in heads]),
-        dilation=heads[0].dilation,
-    )
+def head_columns(w: Tensor) -> Tensor:
+    """Head-stacked weights (n, d, w) as the (d, n * w) matrix that projects
+    onto every head at once, head j in columns j * w ... (j + 1) * w - 1."""
+    n, d, width = w.shape
+    return reshape(transpose(w, (1, 0, 2)), (d, n * width))
 
 
 def _split_heads(x: Tensor, n: int) -> Tensor:
@@ -211,7 +180,7 @@ def local_conv(s: Tensor, params: ConvHeadParams, kernel_dropconnect=None) -> Te
     kernel = softmax(params.w_a, axis=-2)
     if kernel_dropconnect is not None:
         p, rng = kernel_dropconnect
-        kernel = drop_connect(kernel, p, rng, training=True)
+        kernel = dropout(kernel, p, rng, training=True)
     return depthwise_causal_dilated_conv1d(s, kernel, params.dilation)
 
 
@@ -252,7 +221,6 @@ def dynamic_conv_head(
     params: ConvHeadParams,
     causal_query: bool = False,
     kernel_dropconnect=None,
-    capture: Optional[dict] = None,
 ) -> Tensor:
     """Gate local-context features by their relevance to the context query.
 
@@ -260,13 +228,10 @@ def dynamic_conv_head(
     scalar word-context relevance; the head output sigmoid(score_t) *
     local_t keeps the local representation as the value carrier so the
     head still emits (..., T, d_h) for concatenation. With head-stacked
-    params (see `stack_conv_heads`) s_proj and the output are
-    (n, ..., T, d_h), and `capture` gets head 0.
+    params s_proj and the output are (n, ..., T, d_h).
     """
     d_h = s_proj.shape[-1]
     local = local_conv(s_proj, params, kernel_dropconnect)
-    if capture is not None:
-        capture["conv_local"] = local.data[0] if params.w_a.ndim == 3 else local.data
     query = adaptive_query(s_proj, params, causal=causal_query)
     if not causal_query:
         query = reshape(query, query.shape[:-1] + (1, d_h))  # broadcast over T
@@ -280,10 +245,9 @@ def dynamic_conv_head(
 def dot_product_family(
     query_seq: Tensor,
     key_seq: Tensor,
-    heads: list,
+    params: MultiHeadParams,
     mask: Optional[np.ndarray] = None,
     attn_dropout=None,
-    capture: Optional[dict] = None,
 ) -> Tensor:
     """Dot-product heads run as one, (..., T_q, n * d_v), head j in block j.
 
@@ -291,35 +255,28 @@ def dot_product_family(
     `scaled_dot_product_attention` over a leading head axis. Dropout masks
     are drawn head-major, as a loop over the heads would draw them.
     """
-    w_q, w_k, w_v = stack_dot_heads(heads)
-    n = len(heads)
-    q = _split_heads(matmul(query_seq, w_q), n)
-    k = _split_heads(matmul(key_seq, w_k), n)
-    v = _split_heads(matmul(key_seq, w_v), n)
-    out = scaled_dot_product_attention(q, k, v, mask, attn_dropout)
-    if capture is not None:
-        capture["self_head"] = out.data[0]
-    return _merge_heads(out)
+    n = params.w_q.shape[0]
+    q = _split_heads(matmul(query_seq, head_columns(params.w_q)), n)
+    k = _split_heads(matmul(key_seq, head_columns(params.w_k)), n)
+    v = _split_heads(matmul(key_seq, head_columns(params.w_v)), n)
+    return _merge_heads(scaled_dot_product_attention(q, k, v, mask, attn_dropout))
 
 
 def conv_family(
     seq: Tensor,
-    heads: list,
+    params: ConvHeadParams,
     causal_query: bool = False,
     kernel_dropconnect=None,
-    capture: Optional[dict] = None,
 ) -> Tensor:
-    """Conv word-context heads run as one, (..., T, n * d_h), head j in block j.
+    """Head-stacked conv word-context heads run as one, (..., T, n * d_h),
+    head j in block j.
 
     One input projection, then one `dynamic_conv_head` on head-stacked
     tensors. DropConnect masks are drawn head-major, as a loop over the
     heads would draw them.
     """
-    stacked = stack_conv_heads(heads)
-    s_proj = _split_heads(matmul(seq, stacked.w_in), len(heads))
-    return _merge_heads(
-        dynamic_conv_head(s_proj, stacked, causal_query, kernel_dropconnect, capture)
-    )
+    s_proj = _split_heads(matmul(seq, head_columns(params.w_in)), params.w_in.shape[0])
+    return _merge_heads(dynamic_conv_head(s_proj, params, causal_query, kernel_dropconnect))
 
 
 def multi_head_forward(
@@ -330,25 +287,22 @@ def multi_head_forward(
     causal_conv: bool = False,
     attn_dropout=None,
     kernel_dropconnect=None,
-    capture: Optional[dict] = None,
 ) -> Tensor:
     """Hybrid multi-head layer: H/2 dot-product heads on (query_seq,
     key_seq), H/2 conv word-context heads on query_seq, concatenated
     (dot-product heads first) and mixed by the output matrix.
     """
     d_model = params.w_o.shape[0]
-    head_widths = sum(hp.w_v.shape[-1] for hp in params.self_heads) + sum(
-        cp.w_in.shape[-1] for cp in params.conv_heads
-    )
+    head_widths = params.w_v.shape[0] * params.w_v.shape[-1]
+    if params.conv is not None:
+        head_widths += params.conv.w_in.shape[0] * params.conv.w_in.shape[-1]
     if head_widths != d_model:
         raise DimensionError(
             f"concatenated head width {head_widths} != model width {d_model}"
         )
-    outs = [dot_product_family(query_seq, key_seq, params.self_heads, mask, attn_dropout, capture)]
-    if params.conv_heads:
-        outs.append(
-            conv_family(query_seq, params.conv_heads, causal_conv, kernel_dropconnect, capture)
-        )
+    outs = [dot_product_family(query_seq, key_seq, params, mask, attn_dropout)]
+    if params.conv is not None:
+        outs.append(conv_family(query_seq, params.conv, causal_conv, kernel_dropconnect))
     return matmul(concat(outs, axis=-1), params.w_o)
 
 

@@ -88,12 +88,8 @@ def _load_config(args):
 def _read_split(rc, split: str):
     from .config import corpus_paths
     from .data import read_corpus
-    from .errors import DataError
 
-    path = corpus_paths(rc)[split]
-    if not path.exists():
-        raise DataError(f"missing corpus file: {path}")
-    return read_corpus(path)
+    return read_corpus(corpus_paths(rc)[split])
 
 
 def _build_vocabs(train_records):

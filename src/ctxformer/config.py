@@ -134,8 +134,6 @@ def preset_run_config(name: str) -> RunConfig:
 def _coerce(raw: str, fieldname: str, current):
     raw = raw.strip()
     try:
-        if isinstance(current, bool):
-            return raw.lower() in ("1", "true", "yes", "on")
         if isinstance(current, int):
             return int(raw)
         if isinstance(current, float):
@@ -163,6 +161,22 @@ def _apply_section(target, name: str, section, skip=()) -> None:
         setattr(target, key, _coerce(raw, key, getattr(target, key)))
 
 
+def _read_config_file(path) -> dict[str, dict[str, str]]:
+    """The sections of an INI config file as {section: {key: value}}; a file
+    that is missing or does not parse raises ConfigError naming it."""
+    parser = configparser.ConfigParser()
+    try:
+        found = parser.read(path, encoding="utf-8")
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from exc
+    except configparser.Error as exc:
+        raise ConfigError(f"config file {path} does not parse: {exc}") from exc
+    if not found:
+        raise ConfigError(f"config file not found: {path}")
+    return sections
+
+
 def load_run_config(
     config_path=None,
     preset: str | None = None,
@@ -175,31 +189,22 @@ def load_run_config(
     config. Validation runs before the config is returned, so commands
     never act on an invalid configuration.
     """
-    parser = None
-    if config_path is not None:
-        parser = configparser.ConfigParser()
-        try:
-            found = parser.read(config_path, encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config file {config_path} is not valid UTF-8: {exc}") from exc
-        if not found:
-            raise ConfigError(f"config file not found: {config_path}")
+    sections = {} if config_path is None else _read_config_file(config_path)
     chosen = preset
-    if chosen is None and parser is not None and parser.has_option("run", "preset"):
-        chosen = parser.get("run", "preset")
+    if chosen is None:
+        chosen = sections.get("run", {}).get("preset")
     rc = preset_run_config(chosen if chosen is not None else "toy")
-    if parser is not None:
-        for section_name, target, skip in (
-            ("run", rc, ("preset",)),
-            ("model", rc.model, ()),
-            ("train", rc.train, ()),
-            ("decode", rc.decode, ()),
-        ):
-            if parser.has_section(section_name):
-                _apply_section(target, section_name, parser[section_name], skip)
-        unknown = set(parser.sections()) - {"run", "model", "train", "decode"}
-        if unknown:
-            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    for section_name, target, skip in (
+        ("run", rc, ("preset",)),
+        ("model", rc.model, ()),
+        ("train", rc.train, ()),
+        ("decode", rc.decode, ()),
+    ):
+        if section_name in sections:
+            _apply_section(target, section_name, sections[section_name], skip)
+    unknown = set(sections) - {"run", "model", "train", "decode"}
+    if unknown:
+        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     if seed is not None:
         rc.seed = seed
     if out is not None:

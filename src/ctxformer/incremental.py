@@ -20,11 +20,13 @@ decoder layer the cache holds:
   mean-pooled heads mixed by their rows of the output matrix, one (d,)
   vector per layer.
 
-The step is plain numpy and builds no graph. The head weights are stacked
-once per cache, one matrix per head family and sublayer, and never stored
-on the model, so `load_state` or an optimizer step cannot leave a stale
-copy behind. The full-prefix `Seq2SeqModel.decode` stays the training path
-and the reference the step is tested against.
+The step is plain numpy and builds no graph. It reads the model's
+head-stacked weights directly; what it derives from them (the joined
+q|k|v|w_in projection, the softmaxed kernels, everything computed from the
+memory) is built once per cache and never stored on the model, so a new
+cache after `load_state` or an optimizer step sees the new weights. The
+full-prefix `Seq2SeqModel.decode` stays the training path and the reference
+the step is tested against.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as tn
-from .attention import conv_family, stack_conv_heads, stack_dot_heads
+from .attention import conv_family, head_columns
 from .errors import DataError, DimensionError
 from .model import LAYER_NORM_EPS
 
@@ -96,22 +98,19 @@ class _LayerState:
 
 
 def _stack_layer(layer, memory: tn.Tensor) -> _LayerWeights:
-    mha, xmha = layer.mha, layer.xmha
-    self_q, self_k, self_v = (w.data for w in stack_dot_heads(mha.self_heads))
-    conv = stack_conv_heads(mha.conv_heads)
+    mha, xmha, conv = layer.mha, layer.xmha, layer.mha.conv
     n_conv, taps, d_h = conv.w_a.shape
     width = (taps - 1) * conv.dilation + 1
 
     mem = memory.data
-    n_cross = len(xmha.self_heads)
-    cross_q, cross_k, cross_v = (w.data for w in stack_dot_heads(xmha.self_heads))
-    d_k = cross_q.shape[1] // n_cross
+    n_cross, _, d_k = xmha.w_q.shape
+    cross_q, cross_k, cross_v = (head_columns(w).data for w in (xmha.w_q, xmha.w_k, xmha.w_v))
     t_src = mem.shape[0]
     keys = (mem @ cross_k).reshape(t_src, n_cross, d_k)
     values = (mem @ cross_v).reshape(t_src, n_cross, d_k)
     n_cols = n_cross * d_k
-    if xmha.conv_heads:
-        pooled = conv_family(memory, xmha.conv_heads).data.mean(axis=0)
+    if xmha.conv is not None:
+        pooled = conv_family(memory, xmha.conv).data.mean(axis=0)
         cross_conv = pooled @ xmha.w_o.data[n_cols:]
     else:
         cross_conv = np.zeros(xmha.w_o.shape[1], dtype=mem.dtype)
@@ -120,11 +119,13 @@ def _stack_layer(layer, memory: tn.Tensor) -> _LayerWeights:
         return params.gamma.data, params.beta.data
 
     return _LayerWeights(
-        n_dot=len(mha.self_heads),
+        n_dot=mha.w_q.shape[0],
         d_k=d_k,
         n_conv=n_conv,
         d_h=d_h,
-        self_in=np.concatenate([self_q, self_k, self_v, conv.w_in.data], axis=1),
+        self_in=np.concatenate(
+            [head_columns(w).data for w in (mha.w_q, mha.w_k, mha.w_v, conv.w_in)], axis=1
+        ),
         kernel=_softmax(conv.w_a.data, axis=1),
         taps=(width - 1) - conv.dilation * np.arange(taps),
         w_s=conv.w_s.data,

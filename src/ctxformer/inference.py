@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tn
+from .attention import ConvHeadParams, local_conv, scaled_dot_product_attention
 from .data import BOS_ID, EOS_ID, NER_TAGS, POS_TAGS
 from .errors import ConfigError, DataError, NumericsError
 
@@ -221,8 +222,9 @@ def cosine_probe(
     """Cosine similarity of two word representations inside one sentence.
 
     `layer` selects raw embeddings, the first dot-product head's output, or
-    the first conv head's local-context output (all taken in the first base
-    encoder layer). Same word and position gives exactly 1.
+    the first conv head's local-context output (both heads of the first
+    base encoder layer, run alone on the embeddings). Same word and
+    position gives exactly 1.
     """
     if layer not in PROBE_LAYERS:
         raise ConfigError(f"unknown probe layer {layer!r}; expected one of {PROBE_LAYERS}")
@@ -233,10 +235,22 @@ def cosine_probe(
     except ValueError as exc:
         raise DataError(f"word not found in sentence: {exc}") from exc
     ids = np.asarray(vocab.encode(words) + [EOS_ID], dtype=np.int64)
-    capture: dict = {}
+    model._check_length(ids, "source")
+    mha = model.enc_layers[0].mha
     with tn.no_grad():
-        model.encode(ids, capture=capture)
-    reps = capture[layer]
+        x = model.embed(ids, model.src_embed)
+        if layer == "embedding":
+            reps = x.data
+        elif layer == "self_head":
+            q, k, v = (tn.matmul(x, tn.Tensor(w.data[0])) for w in (mha.w_q, mha.w_k, mha.w_v))
+            reps = scaled_dot_product_attention(q, k, v).data
+        else:
+            conv = mha.conv
+            head = ConvHeadParams(
+                *(tn.Tensor(w.data[0]) for w in (conv.w_in, conv.w_a, conv.w_s, conv.w_q)),
+                conv.dilation,
+            )
+            reps = local_conv(tn.matmul(x, head.w_in), head).data
     vec_a, vec_b = reps[idx_a], reps[idx_b]
     norm_a, norm_b = float(np.linalg.norm(vec_a)), float(np.linalg.norm(vec_b))
     if norm_a == 0.0 or norm_b == 0.0:

@@ -20,7 +20,6 @@ from . import tensor as tn
 from .attention import (
     ConvHeadParams,
     MultiHeadParams,
-    SelfHeadParams,
     causal_mask,
     conv_family,
     dot_product_family,
@@ -202,7 +201,6 @@ def encoder_layer(
     x: Tensor,
     layer: EncoderLayerParams,
     reg: _Regularizers = _Regularizers(),
-    capture: Optional[dict] = None,
 ) -> Tensor:
     attn = multi_head_forward(
         x,
@@ -212,7 +210,6 @@ def encoder_layer(
         causal_conv=False,
         attn_dropout=reg.attn,
         kernel_dropconnect=reg.kernel,
-        capture=capture,
     )
     x = _sublayer(x, attn, layer.ln1, reg)
     return _sublayer(x, _feed_forward(x, layer.ffn, reg), layer.ln2, reg)
@@ -224,10 +221,9 @@ def base_encoder_layer(
     head_w: Tensor,
     head_b: Tensor,
     reg: _Regularizers = _Regularizers(),
-    capture: Optional[dict] = None,
 ) -> tuple[Tensor, Tensor]:
     """Encoder layer plus the auxiliary tag logits computed from its output."""
-    y = encoder_layer(x, layer, reg, capture)
+    y = encoder_layer(x, layer, reg)
     aux_logits = tn.add(tn.matmul(y, head_w), head_b)
     return y, aux_logits
 
@@ -243,9 +239,9 @@ def _cross_attention(
     features are mean-pooled over source positions and broadcast to every
     decoder position, so decoder causality is untouched.
     """
-    outs = [dot_product_family(y, memory, params.self_heads, None, reg.attn)]
-    if params.conv_heads:
-        gated = conv_family(memory, params.conv_heads, False, reg.kernel)
+    outs = [dot_product_family(y, memory, params, None, reg.attn)]
+    if params.conv is not None:
+        gated = conv_family(memory, params.conv, False, reg.kernel)
         pooled = tn.tmean(gated, axis=-2, keepdims=True)
         outs.append(tn.broadcast_to(pooled, pooled.shape[:-2] + (y.shape[-2], pooled.shape[-1])))
     return tn.matmul(tn.concat(outs, axis=-1), params.w_o)
@@ -278,9 +274,15 @@ def decoder_layer(
 class Seq2SeqModel:
     """Full translation model with auxiliary tag heads.
 
-    Parameters live both in structured per-layer views and in a flat
-    name -> Tensor map (the checkpoint naming convention); both alias the
-    same Tensor objects.
+    The structured per-layer params hold the autodiff leaves: each head
+    family is one head-stacked leaf per weight. The flat name -> Tensor map
+    `params` (the checkpoint naming convention) names one entry per head:
+    `enc.0.mha.self.3.v` is a Tensor whose `.data` and `.grad` are views of
+    head 3's slice of the family leaf and of its grad. Every other entry is
+    the leaf itself. Every parameter's grad is a buffer allocated at build,
+    and a parameter's `.data` and `.grad` are never rebound, only written
+    in place (backward, Adam, `zero_grad`, `load_state`), so the views
+    stay views.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
@@ -294,62 +296,62 @@ class Seq2SeqModel:
 
     # -- construction ----------------------------------------------------
 
-    def _param(self, name: str, shape, fan_in: Optional[int] = None) -> Tensor:
+    def _draw(self, shape, fan_in: Optional[int]) -> np.ndarray:
         if fan_in is None:  # zeros (biases, layer-norm shifts)
-            data = np.zeros(shape, dtype=self.dtype)
-        else:
-            bound = 1.0 / math.sqrt(fan_in)
-            data = self._rng.uniform(-bound, bound, size=shape).astype(self.dtype)
+            return np.zeros(shape, dtype=self.dtype)
+        bound = 1.0 / math.sqrt(fan_in)
+        return self._rng.uniform(-bound, bound, size=shape).astype(self.dtype)
+
+    def _leaf(self, data: np.ndarray) -> Tensor:
         t = Tensor(data, requires_grad=True)
-        self.params[name] = t
+        t.grad = np.zeros(data.shape, data.dtype)
         return t
+
+    def _param(self, name: str, shape, fan_in: Optional[int] = None) -> Tensor:
+        self.params[name] = self._leaf(self._draw(shape, fan_in))
+        return self.params[name]
 
     def _ones(self, name: str, shape) -> Tensor:
-        t = Tensor(np.ones(shape, dtype=self.dtype), requires_grad=True)
-        self.params[name] = t
-        return t
+        self.params[name] = self._leaf(np.ones(shape, dtype=self.dtype))
+        return self.params[name]
 
-    def _self_head(self, prefix: str, d: int, d_k: int) -> SelfHeadParams:
-        return SelfHeadParams(
-            w_q=self._param(f"{prefix}.q", (d, d_k), d),
-            w_k=self._param(f"{prefix}.k", (d, d_k), d),
-            w_v=self._param(f"{prefix}.v", (d, d_k), d),
-        )
+    def _heads(self, prefix: str, n: int, fields: dict) -> list:
+        """One head-stacked leaf per field, from {name: (one head's shape, fan_in)}.
 
-    def _conv_head(self, prefix: str, d: int, d_h: int, taps: int, dilation: int) -> ConvHeadParams:
-        return ConvHeadParams(
-            w_in=self._param(f"{prefix}.w_in", (d, d_h), d),
-            w_a=self._param(f"{prefix}.w_a", (taps, d_h), taps),
-            w_s=self._param(f"{prefix}.w_s", (d_h, d_h), d_h),
-            w_q=self._param(f"{prefix}.w_q", (d_h,), d_h),
-            dilation=dilation,
-        )
+        Head j's slices are drawn in field order before head j + 1's, the
+        order of one leaf per head, and are registered as
+        `{prefix}.{j}.{name}` views.
+        """
+        leaves = [
+            self._leaf(np.zeros((n,) + shape, dtype=self.dtype)) for shape, _ in fields.values()
+        ]
+        for j in range(n):
+            for (name, (shape, fan_in)), leaf in zip(fields.items(), leaves):
+                leaf.data[j] = self._draw(shape, fan_in)
+                view = Tensor(leaf.data[j], requires_grad=True)
+                view.grad = leaf.grad[j]
+                self.params[f"{prefix}.{j}.{name}"] = view
+        return leaves
 
-    def _hybrid_mha(self, prefix: str, taps: int, dilation: int) -> MultiHeadParams:
-        cfg = self.config
-        d, h = cfg.d_model, cfg.h
-        d_h = d // h
-        return MultiHeadParams(
-            h_total=h,
-            self_heads=[self._self_head(f"{prefix}.self.{j}", d, d_h) for j in range(h // 2)],
-            conv_heads=[
-                self._conv_head(f"{prefix}.conv.{j}", d, d_h, taps, dilation)
-                for j in range(h // 2)
-            ],
-            w_o=self._param(f"{prefix}.w_o", (d, d), d),
+    def _mha(self, prefix: str, n_dot: int, conv: Optional[tuple]) -> MultiHeadParams:
+        """n_dot dot-product heads, then as many conv heads of (taps, dilation)
+        unless `conv` is None, then the output mix."""
+        d = self.config.d_model
+        d_h = d // self.config.h
+        w_q, w_k, w_v = self._heads(
+            f"{prefix}.self", n_dot, {f: ((d, d_h), d) for f in ("q", "k", "v")}
         )
-
-    def _all_self_mha(self, prefix: str) -> MultiHeadParams:
-        # cross_conv="off" fallback: every cross-attention head is dot-product.
-        cfg = self.config
-        d, h = cfg.d_model, cfg.h
-        d_h = d // h
-        return MultiHeadParams(
-            h_total=h,
-            self_heads=[self._self_head(f"{prefix}.self.{j}", d, d_h) for j in range(h)],
-            conv_heads=[],
-            w_o=self._param(f"{prefix}.w_o", (d, d), d),
-        )
+        conv_heads = None
+        if conv is not None:
+            taps, dilation = conv
+            fields = {
+                "w_in": ((d, d_h), d),
+                "w_a": ((taps, d_h), taps),
+                "w_s": ((d_h, d_h), d_h),
+                "w_q": ((d_h,), d_h),
+            }
+            conv_heads = ConvHeadParams(*self._heads(f"{prefix}.conv", n_dot, fields), dilation)
+        return MultiHeadParams(w_q, w_k, w_v, conv_heads, self._param(f"{prefix}.w_o", (d, d), d))
 
     def _ffn(self, prefix: str) -> FeedForwardParams:
         d = self.config.d_model
@@ -378,7 +380,7 @@ class Seq2SeqModel:
             taps, dil = cfg.kernel_sizes[i], cfg.block_dilation(i)
             self.enc_layers.append(
                 EncoderLayerParams(
-                    mha=self._hybrid_mha(f"enc.{i}.mha", taps, dil),
+                    mha=self._mha(f"enc.{i}.mha", cfg.h // 2, (taps, dil)),
                     ln1=self._ln(f"enc.{i}.ln1"),
                     ffn=self._ffn(f"enc.{i}.ffn"),
                     ln2=self._ln(f"enc.{i}.ln2"),
@@ -392,12 +394,12 @@ class Seq2SeqModel:
         for i in range(cfg.n_blocks):
             taps, dil = cfg.kernel_sizes[i], cfg.block_dilation(i)
             if cfg.cross_conv == "memory":
-                xmha = self._hybrid_mha(f"dec.{i}.xmha", taps, dil)
-            else:
-                xmha = self._all_self_mha(f"dec.{i}.xmha")
+                xmha = self._mha(f"dec.{i}.xmha", cfg.h // 2, (taps, dil))
+            else:  # every cross-attention head is dot-product
+                xmha = self._mha(f"dec.{i}.xmha", cfg.h, None)
             self.dec_layers.append(
                 DecoderLayerParams(
-                    mha=self._hybrid_mha(f"dec.{i}.mha", taps, dil),
+                    mha=self._mha(f"dec.{i}.mha", cfg.h // 2, (taps, dil)),
                     ln1=self._ln(f"dec.{i}.ln1"),
                     xmha=xmha,
                     ln2=self._ln(f"dec.{i}.ln2"),
@@ -440,7 +442,6 @@ class Seq2SeqModel:
         src_ids: np.ndarray,
         training: bool = False,
         rng=None,
-        capture: Optional[dict] = None,
     ) -> EncoderOutput:
         """Base layer 1 (POS head), base layer 2 (NER head), then the
         remaining standard layers; all three outputs share one pass."""
@@ -448,10 +449,8 @@ class Seq2SeqModel:
         self._check_length(src_ids, "source")
         reg = _Regularizers.from_config(self.config, training, rng)
         x = self.embed(src_ids, self.src_embed, training, rng)
-        if capture is not None:
-            capture["embedding"] = x.data
         x, pos_logits = base_encoder_layer(
-            x, self.enc_layers[0], self.pos_head_w, self.pos_head_b, reg, capture
+            x, self.enc_layers[0], self.pos_head_w, self.pos_head_b, reg
         )
         x, ner_logits = base_encoder_layer(
             x, self.enc_layers[1], self.ner_head_w, self.ner_head_b, reg
@@ -463,8 +462,8 @@ class Seq2SeqModel:
     def start_decoding(self, memory: Tensor):
         """An empty `DecoderCache` for one sentence's (T_src, d) memory.
 
-        It stacks the decoder's head weights and computes everything that
-        depends only on the memory: the cross-attention keys and values and
+        It joins the decoder's q|k|v|w_in projections and computes everything
+        that depends only on the memory: the cross-attention keys and values and
         the conv half of cross-attention. Build a new one after the
         parameters change.
         """
@@ -537,11 +536,11 @@ class Seq2SeqModel:
                 raise DataError(
                     f"parameter {name}: checkpoint shape {arr.shape} != {t.data.shape}"
                 )
-            t.data = arr.copy()
+            t.data[...] = arr
 
     def zero_grad(self) -> None:
         for t in self.params.values():
-            t.zero_grad()
+            t.grad[...] = 0
 
     def parameter_count(self) -> int:
         return sum(t.size for t in self.params.values())

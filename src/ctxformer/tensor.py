@@ -77,13 +77,11 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         # The first write copies: g may be a view that other nodes also hold.
+        # A grad buffer that exists is added to in place, never rebound.
         if self.grad is None:
             self.grad = np.array(g, dtype=self.data.dtype)
         else:
             self.grad += g
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar; visits nodes exactly once.
@@ -315,19 +313,6 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
                 idx[axis] = slice(offset, offset + ext)
                 p._accumulate(g[tuple(idx)])
             offset += ext
-
-    return _make(data, tuple(parts), bwd)
-
-
-def stack(parts: Sequence[Tensor]) -> Tensor:
-    """Join same-shaped tensors along a new leading axis."""
-    parts = [as_tensor(p) for p in parts]
-    data = np.stack([p.data for p in parts])
-
-    def bwd(g):
-        for i, p in enumerate(parts):
-            if p.requires_grad:
-                p._accumulate(g[i])
 
     return _make(data, tuple(parts), bwd)
 
@@ -645,11 +630,6 @@ def dropout(x, p: float, rng: np.random.Generator, training: bool) -> Tensor:
             x._accumulate(g * mask)
 
     return _make(data, (x,), bwd)
-
-
-def drop_connect(w, p: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Dropout applied to a weight tensor before use (conv-kernel regularizer)."""
-    return dropout(w, p, rng, training)
 
 
 # -- verification ---------------------------------------------------------------

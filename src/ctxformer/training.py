@@ -297,7 +297,9 @@ class Trainer:
 
     Writes one tab-separated metrics line per optimizer step; the trailing
     tokens/sec column is wall-clock and therefore the only nondeterministic
-    field in the log.
+    field in the log. The log is streamed: `run` writes the header and the
+    lines a resume kept when it starts, then appends each line as it is
+    logged, so a crash keeps every line before it.
     """
 
     def __init__(
@@ -379,8 +381,16 @@ class Trainer:
             old.unlink(missing_ok=True)
             Path(str(old) + ".manifest").unlink(missing_ok=True)
 
+    def _write_log(self, lines: list[str], mode: str) -> None:
+        if self.log_path is not None:
+            with open(self.log_path, mode, encoding="utf-8") as f:
+                f.write("".join(line + "\n" for line in lines))
+
     def run(self) -> list[str]:
         cfg = self.cfg
+        if self.log_path is not None:
+            self.log_path.parent.mkdir(parents=True, exist_ok=True)
+        self._write_log(self._log_lines, "w")
         epoch = self.state.micro_step // self.batches_per_epoch
         index = self.state.micro_step % self.batches_per_epoch
         batches = self._epoch_batches(epoch)
@@ -400,12 +410,14 @@ class Trainer:
                 tps = window_tokens / max(now - window_start, 1e-9)
                 window_tokens = 0
                 window_start = now
-                self._log_lines.append(
+                line = (
                     f"{metrics['step']}\t{metrics['lr']:.10e}"
                     f"\t{metrics['loss_total']:.8f}\t{metrics['loss_mt']:.8f}"
                     f"\t{metrics['loss_pos']:.8f}\t{metrics['loss_ner']:.8f}"
                     f"\t{tps:.1f}"
                 )
+                self._log_lines.append(line)
+                self._write_log([line], "a")
                 if self.state.opt_step % cfg.checkpoint_every == 0:
                     self._save_cadence_checkpoint()
         if self.out_dir is not None and self.state.opt_step != self._saved_step:
@@ -414,7 +426,4 @@ class Trainer:
             tail = self._saved_paths[-cfg.keep_last :]
             averaged = average_checkpoints([load_checkpoint(p) for p in tail])
             save_checkpoint(self.out_dir / "averaged.bin", averaged)
-        if self.log_path is not None:
-            self.log_path.parent.mkdir(parents=True, exist_ok=True)
-            self.log_path.write_text("\n".join(self._log_lines) + "\n")
         return self._log_lines

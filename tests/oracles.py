@@ -86,10 +86,9 @@ def adaptive_query_prefix_oracle(s, w_s, w_q):
     )
 
 
-def dynamic_head_oracle(s_proj, cp, causal):
-    w_a, w_s, w_q = cp.w_a.data, cp.w_s.data, cp.w_q.data
+def dynamic_head_oracle(s_proj, w_a, w_s, w_q, dilation, causal):
     d_h = s_proj.shape[1]
-    local = local_conv_oracle(s_proj, w_a, cp.dilation)
+    local = local_conv_oracle(s_proj, w_a, dilation)
     if causal:
         query = adaptive_query_prefix_oracle(s_proj, w_s, w_q)
     else:
@@ -99,14 +98,27 @@ def dynamic_head_oracle(s_proj, cp, causal):
     return gate[:, None] * local
 
 
+def dot_heads(params):
+    """(w_q, w_k, w_v) arrays of each head of a head-stacked bundle."""
+    return list(zip(params.w_q.data, params.w_k.data, params.w_v.data))
+
+
+def conv_heads(params):
+    """(w_in, w_a, w_s, w_q) arrays of each conv head; none if it has none."""
+    if params.conv is None:
+        return []
+    c = params.conv
+    return list(zip(c.w_in.data, c.w_a.data, c.w_s.data, c.w_q.data))
+
+
 def multi_head_oracle(x, params, mask=None, causal_conv=False):
     outs = []
-    for hp in params.self_heads:
+    for w_q, w_k, w_v in dot_heads(params):
+        outs.append(sdpa_oracle(x @ w_q, x @ w_k, x @ w_v, mask))
+    for w_in, w_a, w_s, w_q in conv_heads(params):
         outs.append(
-            sdpa_oracle(x @ hp.w_q.data, x @ hp.w_k.data, x @ hp.w_v.data, mask)
+            dynamic_head_oracle(x @ w_in, w_a, w_s, w_q, params.conv.dilation, causal_conv)
         )
-    for cp in params.conv_heads:
-        outs.append(dynamic_head_oracle(x @ cp.w_in.data, cp, causal_conv))
     return np.concatenate(outs, axis=-1) @ params.w_o.data
 
 
@@ -124,12 +136,10 @@ def encoder_layer_oracle(x, layer):
 
 def cross_attention_oracle(y, memory, params):
     outs = []
-    for hp in params.self_heads:
-        outs.append(
-            sdpa_oracle(y @ hp.w_q.data, memory @ hp.w_k.data, memory @ hp.w_v.data)
-        )
-    for cp in params.conv_heads:
-        gated = dynamic_head_oracle(memory @ cp.w_in.data, cp, causal=False)
+    for w_q, w_k, w_v in dot_heads(params):
+        outs.append(sdpa_oracle(y @ w_q, memory @ w_k, memory @ w_v))
+    for w_in, w_a, w_s, w_q in conv_heads(params):
+        gated = dynamic_head_oracle(memory @ w_in, w_a, w_s, w_q, params.conv.dilation, False)
         pooled = gated.mean(axis=0)
         outs.append(np.broadcast_to(pooled, (y.shape[0], pooled.shape[0])).copy())
     return np.concatenate(outs, axis=-1) @ params.w_o.data

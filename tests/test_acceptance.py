@@ -20,8 +20,9 @@ from ctxformer import training as TR
 from ctxformer.model import ModelConfig, Seq2SeqModel
 
 import oracles as O
-from test_attention import rand_conv_params, rand_multi_head
+from test_attention import oracle_head, rand_conv_params, rand_multi_head
 from test_inference import StubModel, exhaustive_best, greedy_oracle
+from test_model import fd_check_in_place
 from test_tensor import _fd_cases
 
 
@@ -83,34 +84,27 @@ def test_gradient_suite():
         tgt_out = rng.integers(4, 16, size=3)
         pos = rng.integers(0, 6, size=4)
         ner = rng.integers(0, 3, size=4)
-        picks = [
-            ("enc.0.mha.conv.0.w_a", model.enc_layers[0].mha.conv_heads[0], "w_a"),
-            ("enc.0.mha.self.0.q", model.enc_layers[0].mha.self_heads[0], "w_q"),
-            ("dec.0.mha.conv.0.w_q", model.dec_layers[0].mha.conv_heads[0], "w_q"),
-            ("dec.0.xmha.conv.0.w_s", model.dec_layers[0].xmha.conv_heads[0], "w_s"),
-            ("enc.2.ffn.w1", model.enc_layers[2].ffn, "w1"),
-            ("src_embed", model, "src_embed"),
-        ]
-        for name, holder, attr in picks:
-            original = model.params[name]
 
-            def f(x, holder=holder, attr=attr, name=name, original=original):
-                setattr(holder, attr, x)
-                model.params[name] = x
-                mt, p, n = model.forward_train(src, tgt_in, training=False)
-                loss = T.add(
-                    T.cross_entropy(mt, tgt_out),
-                    T.add(
-                        T.mul(T.cross_entropy(p, pos), 0.3),
-                        T.mul(T.cross_entropy(n, ner), 0.3),
-                    ),
-                )
-                setattr(holder, attr, original)
-                model.params[name] = original
-                return loss
+        def loss():
+            mt, p, n = model.forward_train(src, tgt_in, training=False)
+            return T.add(
+                T.cross_entropy(mt, tgt_out),
+                T.add(
+                    T.mul(T.cross_entropy(p, pos), 0.3),
+                    T.mul(T.cross_entropy(n, ner), 0.3),
+                ),
+            )
 
-            report = T.finite_difference_check(
-                f,
+        for name in (
+            "enc.0.mha.conv.0.w_a",
+            "enc.0.mha.self.0.q",
+            "dec.0.mha.conv.0.w_q",
+            "dec.0.xmha.conv.0.w_s",
+            "enc.2.ffn.w1",
+            "src_embed",
+        ):
+            report = fd_check_in_place(
+                loss,
                 model.params[name],
                 h=1e-4,
                 tol=1e-3,
@@ -172,7 +166,7 @@ def test_oracle_equivalence_suite():
         s = rng.normal(size=(t_len, d_h))
         cp = rand_conv_params(rng, 2 * d_h, d_h, taps=3)
         got = A.dynamic_conv_head(T.Tensor(s), cp, causal_query=causal).data
-        if np.max(np.abs(got - O.dynamic_head_oracle(s, cp, causal))) > 1e-10:
+        if np.max(np.abs(got - oracle_head(s, cp, causal))) > 1e-10:
             failures.append(f"conv head trial {trial}")
 
     for trial in range(100):
@@ -267,10 +261,11 @@ def test_head_split_regression():
     for i, taps in enumerate((3, 5, 7, 11, 15)):
         for stack, layers in (("enc", model.enc_layers), ("dec", model.dec_layers)):
             mha = layers[i].mha
-            if len(mha.self_heads) != 8 or len(mha.conv_heads) != 8:
-                failures.append(f"{stack}.{i}: split {len(mha.self_heads)}/{len(mha.conv_heads)}")
-            if mha.conv_heads[0].w_a.shape[0] != taps:
-                failures.append(f"{stack}.{i}: taps {mha.conv_heads[0].w_a.shape[0]} != {taps}")
+            split = (mha.w_q.shape[0], mha.conv.w_in.shape[0])
+            if split != (8, 8):
+                failures.append(f"{stack}.{i}: split {split[0]}/{split[1]}")
+            if mha.conv.w_a.shape[1] != taps:
+                failures.append(f"{stack}.{i}: taps {mha.conv.w_a.shape[1]} != {taps}")
     if rc.train.accum_steps != 10 or rc.decode.beam_size != 5 or rc.decode.alpha != 0.5:
         failures.append("training/decoding constants drifted")
     if rc.model.dropout != 0.25 or rc.model.residual_dropout != 0.10 or rc.model.embed_dropout != 0.10:

@@ -31,21 +31,35 @@ def rand_conv_params(rng, d, d_h, taps=3, dilation=1):
     )
 
 
-def rand_self_params(rng, d, d_k):
-    return A.SelfHeadParams(
-        w_q=T.Tensor(rng.normal(size=(d, d_k))),
-        w_k=T.Tensor(rng.normal(size=(d, d_k))),
-        w_v=T.Tensor(rng.normal(size=(d, d_k))),
-    )
+def rand_head_bundle(rng, d, d_k, n, n_conv=0, taps=3):
+    """n dot-product heads and n_conv conv heads, each head drawn in turn
+    (q, k, v, then w_in, w_a, w_s, w_q), stored head-stacked."""
+    dot = np.array([[rng.normal(size=(d, d_k)) for _ in range(3)] for _ in range(n)])
+    dot = dot.reshape(n, 3, d, d_k)
+    w_q, w_k, w_v = (T.Tensor(np.ascontiguousarray(dot[:, i])) for i in range(3))
+    convs = [rand_conv_params(rng, d, d_k, taps) for _ in range(n_conv)]
+    conv = None
+    if convs:
+        conv = A.ConvHeadParams(
+            *(T.Tensor(np.stack([getattr(cp, f).data for cp in convs]))
+              for f in ("w_in", "w_a", "w_s", "w_q"))
+        )
+    return A.MultiHeadParams(w_q, w_k, w_v, conv, T.Tensor(rng.normal(size=(d, d))))
 
 
 def rand_multi_head(rng, d, h, taps=3):
-    d_h = d // h
-    return A.MultiHeadParams(
-        h_total=h,
-        self_heads=[rand_self_params(rng, d, d_h) for _ in range(h // 2)],
-        conv_heads=[rand_conv_params(rng, d, d_h, taps) for _ in range(h // 2)],
-        w_o=T.Tensor(rng.normal(size=(d, d))),
+    return rand_head_bundle(rng, d, d // h, h // 2, h // 2, taps)
+
+
+def oracle_head(s, cp, causal):
+    return dynamic_head_oracle(s, cp.w_a.data, cp.w_s.data, cp.w_q.data, cp.dilation, causal)
+
+
+def conv_head(conv, j):
+    """Head j of a head-stacked conv bundle as its own single-head bundle."""
+    return A.ConvHeadParams(
+        *(T.Tensor(w.data[j]) for w in (conv.w_in, conv.w_a, conv.w_s, conv.w_q)),
+        conv.dilation,
     )
 
 
@@ -222,7 +236,7 @@ def test_dynamic_head_single_position_matches_composed_oracle():
     s = rng.normal(size=(1, 4))
     cp = rand_conv_params(rng, 4, 4)
     out = A.dynamic_conv_head(T.Tensor(s), cp)
-    assert np.max(np.abs(out.data - dynamic_head_oracle(s, cp, False))) < 1e-10
+    assert np.max(np.abs(out.data - oracle_head(s, cp, False))) < 1e-10
 
 
 def test_dynamic_head_matches_composed_oracle():
@@ -232,7 +246,7 @@ def test_dynamic_head_matches_composed_oracle():
             s = rng.normal(size=(6, 4))
             cp = rand_conv_params(rng, 8, 4, taps=3, dilation=2)
             out = A.dynamic_conv_head(T.Tensor(s), cp, causal_query=causal)
-            assert np.max(np.abs(out.data - dynamic_head_oracle(s, cp, causal))) < 1e-10
+            assert np.max(np.abs(out.data - oracle_head(s, cp, causal))) < 1e-10
 
 
 def test_dynamic_head_causal_query_blocks_future():
@@ -272,11 +286,10 @@ def test_multi_head_block_structure_with_dead_conv_heads():
     rng = np.random.default_rng(19)
     d = 8
     params = rand_multi_head(rng, d, 2)
-    params.conv_heads[0].w_in.data[:] = 0.0  # local context = 0 -> head emits 0
+    params.conv.w_in.data[:] = 0.0  # local context = 0 -> head emits 0
     x = rng.normal(size=(4, d))
     out = A.multi_head_forward(T.Tensor(x), T.Tensor(x), params)
-    hp = params.self_heads[0]
-    self_out = sdpa_oracle(x @ hp.w_q.data, x @ hp.w_k.data, x @ hp.w_v.data)
+    self_out = sdpa_oracle(x @ params.w_q.data[0], x @ params.w_k.data[0], x @ params.w_v.data[0])
     stacked = np.concatenate([self_out, np.zeros((4, d // 2))], axis=-1)
     assert np.max(np.abs(out.data - stacked @ params.w_o.data)) < 1e-10
 
@@ -321,22 +334,12 @@ def test_multi_head_causal_modes_block_future():
 def test_multi_head_rejects_odd_head_count():
     rng = np.random.default_rng(23)
     with pytest.raises(ConfigError):
-        A.MultiHeadParams(
-            h_total=3,
-            self_heads=[rand_self_params(rng, 6, 2)],
-            conv_heads=[rand_conv_params(rng, 6, 2)],
-            w_o=T.Tensor(np.eye(6)),
-        )
+        rand_head_bundle(rng, 6, 2, 3)
 
 
 def test_multi_head_accepts_all_dot_product_heads():
     rng = np.random.default_rng(26)
-    params = A.MultiHeadParams(
-        h_total=4,
-        self_heads=[rand_self_params(rng, 8, 2) for _ in range(4)],
-        conv_heads=[],
-        w_o=T.Tensor(rng.normal(size=(8, 8))),
-    )
+    params = rand_head_bundle(rng, 8, 2, 4)
     x = rng.normal(size=(5, 8))
     out = A.multi_head_forward(T.Tensor(x), T.Tensor(x), params)
     assert np.max(np.abs(out.data - multi_head_oracle(x, params))) < 1e-10
@@ -346,12 +349,7 @@ def test_multi_head_accepts_all_dot_product_heads():
 def test_multi_head_rejects_uneven_split(n_dot, n_conv):
     rng = np.random.default_rng(27)
     with pytest.raises(ConfigError):
-        A.MultiHeadParams(
-            h_total=4,
-            self_heads=[rand_self_params(rng, 8, 2) for _ in range(n_dot)],
-            conv_heads=[rand_conv_params(rng, 8, 2) for _ in range(n_conv)],
-            w_o=T.Tensor(rng.normal(size=(8, 8))),
-        )
+        rand_head_bundle(rng, 8, 2, n_dot, n_conv)
 
 
 @pytest.mark.parametrize("causal", [False, True])
@@ -360,38 +358,32 @@ def test_fused_training_forward_matches_per_head_composition(causal):
     # from one rng; the fused heads must draw the masks a head loop draws.
     rng = np.random.default_rng(28)
     params = rand_multi_head(rng, 16, 8, taps=5)
-    for cp in params.conv_heads:
-        cp.dilation = 2
+    params.conv.dilation = 2
     x = T.Tensor(rng.normal(size=(3, 6, 16)))
     mask = A.causal_mask(6) if causal else None
-    fused_stream, fused_capture = np.random.default_rng(7), {}
+    fused_stream = np.random.default_rng(7)
     fused = A.multi_head_forward(
-        x, x, params, mask, causal, (0.3, fused_stream), (0.2, fused_stream), fused_capture
+        x, x, params, mask, causal, (0.3, fused_stream), (0.2, fused_stream)
     ).data
 
-    stream, capture = np.random.default_rng(7), {}
+    stream = np.random.default_rng(7)
     outs = []
-    for hp in params.self_heads:
-        q, k, v = (T.matmul(x, w) for w in (hp.w_q, hp.w_k, hp.w_v))
+    for j in range(4):
+        q, k, v = (T.matmul(x, T.Tensor(w.data[j])) for w in (params.w_q, params.w_k, params.w_v))
         outs.append(A.scaled_dot_product_attention(q, k, v, mask, (0.3, stream)))
-    for j, cp in enumerate(params.conv_heads):
-        outs.append(
-            A.dynamic_conv_head(
-                T.matmul(x, cp.w_in), cp, causal, (0.2, stream), capture if j == 0 else None
-            )
-        )
+    for j in range(4):
+        cp = conv_head(params.conv, j)
+        outs.append(A.dynamic_conv_head(T.matmul(x, cp.w_in), cp, causal, (0.2, stream)))
     composed = T.matmul(T.concat(outs, axis=-1), params.w_o).data
     assert np.max(np.abs(fused - composed)) < 1e-10
     assert fused_stream.bit_generator.state == stream.bit_generator.state
-    assert np.max(np.abs(fused_capture["self_head"] - outs[0].data)) < 1e-12
-    assert np.max(np.abs(fused_capture["conv_local"] - capture["conv_local"])) < 1e-12
 
 
 def test_multi_head_split_is_half_and_half():
     rng = np.random.default_rng(24)
     params = rand_multi_head(rng, 16, 16, taps=3)
-    assert len(params.self_heads) == 8
-    assert len(params.conv_heads) == 8
+    assert params.w_q.shape[0] == 8
+    assert params.conv.w_in.shape[0] == 8
 
 
 def test_multi_head_batched_matches_per_sequence():

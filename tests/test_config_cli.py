@@ -36,9 +36,9 @@ def test_paper_preset_head_split_is_eight_eight():
     model = Seq2SeqModel(rc.model, seed=0)
     for i in range(5):
         mha = model.enc_layers[i].mha
-        assert len(mha.self_heads) == 8
-        assert len(mha.conv_heads) == 8
-        assert mha.conv_heads[0].w_a.shape[0] == (3, 5, 7, 11, 15)[i]
+        assert mha.w_q.shape[0] == 8
+        assert mha.conv.w_in.shape[0] == 8
+        assert mha.conv.w_a.shape[1] == (3, 5, 7, 11, 15)[i]
 
 
 def test_toy_preset_validates():
@@ -410,3 +410,49 @@ def test_cli_gen_non_utf8_config_exits_2(tmp_path, capsys):
     assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     assert str(cfg) in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["n_pairs = 10\n", "[run]\nn_pairs = 10\nn_pairs = 12\n", "[run]\nn_pairs = 1%\n"],
+    ids=["no-section-header", "duplicated-key", "bad-interpolation"],
+)
+def test_cli_gen_unparsable_config_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("missing", ["hyp", "ref"])
+def test_cli_eval_missing_file_exits_3(tmp_path, capsys, missing):
+    files = {"hyp": tmp_path / "hyp.txt", "ref": tmp_path / "ref.txt"}
+    for name, path in files.items():
+        if name != missing:
+            path.write_text("the fox sees a dog\n")
+    assert main(["eval", str(files["hyp"]), str(files["ref"])]) == 3
+    err = capsys.readouterr().err
+    assert str(files[missing]) in err and "Traceback" not in err
+
+
+def test_cli_translate_missing_input_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(
+        "[run]\nn_pairs = 40\n\n[model]\nd_model = 16\nh = 2\nkernel_sizes = 3,3,3\n\n"
+        "[train]\ntotal_steps = 2\nwarmup_steps = 1\ncheckpoint_every = 2\nmax_tokens = 256\n"
+    )
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert main(["gen", "--config", str(cfg), "--out", str(data)]) == 0
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(run)]) == 0
+    capsys.readouterr()
+    inp = tmp_path / "missing.txt"
+    code = main(
+        ["translate", "--config", str(cfg), "--data", str(data), str(inp),
+         "--checkpoint", str(run / "averaged.bin"), "--out", str(tmp_path / "hyp.txt")]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert str(inp) in err and "Traceback" not in err
+    assert not (tmp_path / "hyp.txt").exists()

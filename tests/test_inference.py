@@ -7,11 +7,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from ctxformer import attention as A
 from ctxformer import data as D
 from ctxformer import inference as I
 from ctxformer import tensor as T
 from ctxformer.errors import ConfigError, DataError
-from ctxformer.model import ModelConfig, Seq2SeqModel
+from ctxformer.model import ModelConfig, Seq2SeqModel, sinusoidal_positions
+
+from oracles import local_conv_oracle
 
 
 class StubCache:
@@ -275,19 +278,21 @@ def test_probe_within_unit_interval():
         assert -1.0 - 1e-12 <= sim <= 1.0 + 1e-12
 
 
-def test_probe_matches_scalar_loop_oracle():
-    model = probe_model()
-    vocab = D.source_vocabulary()
-    capture = {}
-    ids = np.asarray(vocab.encode(SENTENCE) + [D.EOS_ID])
-    with T.no_grad():
-        model.encode(ids, capture=capture)
-    reps = capture["conv_local"]
-    a, b = reps[2], reps[5]  # fox, river
+def _cosine_loop(a, b):
     dot = sum(float(x) * float(y) for x, y in zip(a, b))
     na = math.sqrt(sum(float(x) ** 2 for x in a))
     nb = math.sqrt(sum(float(y) ** 2 for y in b))
-    expected = dot / (na * nb)
+    return dot / (na * nb)
+
+
+def test_probe_matches_scalar_loop_oracle():
+    model = probe_model()
+    vocab = D.source_vocabulary()
+    ids = np.asarray(vocab.encode(SENTENCE) + [D.EOS_ID])
+    x = model.src_embed.data[ids] * math.sqrt(8) + sinusoidal_positions(len(ids), 8)
+    conv = model.enc_layers[0].mha.conv
+    reps = local_conv_oracle(x @ conv.w_in.data[0], conv.w_a.data[0], conv.dilation)
+    expected = _cosine_loop(reps[2], reps[5])  # fox, river
     sim = I.cosine_probe("fox", "river", SENTENCE, model, vocab, "conv_local")
     assert abs(sim - expected) < 1e-10
 
@@ -305,13 +310,24 @@ def test_probe_rejects_unknown_layer():
 
 
 def test_probe_capture_shapes():
+    # The probe reads head 0 of encoder layer 0's head-stacked families.
     model = probe_model()
     vocab = D.source_vocabulary()
-    capture = {}
     ids = np.asarray(vocab.encode(SENTENCE) + [D.EOS_ID])
-    with T.no_grad():
-        model.encode(ids, capture=capture)
     t_len = len(SENTENCE) + 1
-    assert capture["embedding"].shape == (t_len, 8)
-    assert capture["self_head"].shape == (t_len, 4)
-    assert capture["conv_local"].shape == (t_len, 4)
+    mha = model.enc_layers[0].mha
+    with T.no_grad():
+        x = model.embed(ids, model.src_embed)
+        s_proj = T.matmul(x, A.head_columns(mha.conv.w_in)).data
+        s_proj = s_proj.reshape(t_len, -1, 4).transpose(1, 0, 2)
+        reps = {
+            "embedding": x.data,
+            "self_head": A.dot_product_family(x, x, mha).data[:, :4],
+            "conv_local": A.local_conv(T.Tensor(s_proj), mha.conv).data[0],
+        }
+    assert reps["embedding"].shape == (t_len, 8)
+    assert reps["self_head"].shape == (t_len, 4)
+    assert reps["conv_local"].shape == (t_len, 4)
+    for layer in I.PROBE_LAYERS:
+        sim = I.cosine_probe("fox", "river", SENTENCE, model, vocab, layer)
+        assert abs(sim - _cosine_loop(reps[layer][2], reps[layer][5])) < 1e-12

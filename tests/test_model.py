@@ -16,6 +16,7 @@ from oracles import (
     encoder_layer_oracle,
     layer_norm_oracle,
 )
+from test_attention import conv_head
 
 
 def tiny_config(**overrides):
@@ -266,6 +267,31 @@ def test_forward_train_batched_matches_single():
 # ---------------------------------------------------------- gradient check
 
 
+def fd_check_in_place(loss, param, h, tol, max_entries, rng):
+    """`T.finite_difference_check` on a model parameter perturbed where it
+    lives, through `param.data`: the same coordinate sampling and error
+    metric, for parameters that are views of a head-stacked leaf."""
+    param.grad[...] = 0.0
+    loss().backward()
+    auto = param.grad.reshape(-1).copy()
+    flat = param.data.reshape(-1)
+    indices = np.arange(flat.size)
+    if max_entries < flat.size:
+        indices = rng.choice(flat.size, size=max_entries, replace=False)
+    worst = 0.0
+    with T.no_grad():
+        for i in indices:
+            orig = flat[i]
+            flat[i] = orig + h
+            up = loss().item()
+            flat[i] = orig - h
+            down = loss().item()
+            flat[i] = orig
+            fd = (up - down) / (2.0 * h)
+            worst = max(worst, abs(fd - auto[i]) / max(1.0, abs(fd), abs(auto[i])))
+    return T.FiniteDifferenceReport(worst, tol, worst <= tol, len(indices))
+
+
 def test_full_model_gradient_check_sampled():
     model = tiny_model(seed=10)
     rng = np.random.default_rng(8)
@@ -275,44 +301,15 @@ def test_full_model_gradient_check_sampled():
     pos = rng.integers(0, 6, size=4)
     ner = rng.integers(0, 3, size=4)
 
-    def loss_through(name):
-        original = model.params[name]
-
-        def f(x):
-            model.params[name] = x
-            holder = _rebind(model, name, x)
-            mt, p, n = model.forward_train(src, tgt_in, training=False)
-            loss = T.add(
-                T.cross_entropy(mt, tgt_out),
-                T.add(
-                    T.mul(T.cross_entropy(p, pos), 0.3),
-                    T.mul(T.cross_entropy(n, ner), 0.3),
-                ),
-            )
-            model.params[name] = original
-            _rebind(model, name, original)
-            return loss
-
-        return f
-
-    def _rebind(model, name, tensor):
-        # structured views alias the flat dict; rebuild the alias for `name`
-        for obj, attr in _locate(model, name):
-            setattr(obj, attr, tensor)
-        return tensor
-
-    def _locate(model, name):
-        mapping = {
-            "src_embed": [(model, "src_embed")],
-            "enc.0.mha.conv.0.w_a": [(model.enc_layers[0].mha.conv_heads[0], "w_a")],
-            "enc.0.mha.self.0.q": [(model.enc_layers[0].mha.self_heads[0], "w_q")],
-            "dec.0.mha.conv.0.w_q": [(model.dec_layers[0].mha.conv_heads[0], "w_q")],
-            "dec.1.xmha.conv.0.w_s": [(model.dec_layers[1].xmha.conv_heads[0], "w_s")],
-            "out_proj.w": [(model, "out_proj_w")],
-            "enc.1.ln2.gamma": [(model.enc_layers[1].ln2, "gamma")],
-            "ner_head.w": [(model, "ner_head_w")],
-        }
-        return mapping[name]
+    def loss():
+        mt, p, n = model.forward_train(src, tgt_in, training=False)
+        return T.add(
+            T.cross_entropy(mt, tgt_out),
+            T.add(
+                T.mul(T.cross_entropy(p, pos), 0.3),
+                T.mul(T.cross_entropy(n, ner), 0.3),
+            ),
+        )
 
     for name in (
         "enc.0.mha.conv.0.w_a",
@@ -322,15 +319,76 @@ def test_full_model_gradient_check_sampled():
         "enc.1.ln2.gamma",
         "ner_head.w",
     ):
-        report = T.finite_difference_check(
-            loss_through(name),
-            model.params[name],
-            h=1e-4,
-            tol=1e-3,
-            max_entries=6,
+        report = fd_check_in_place(
+            loss, model.params[name], h=1e-4, tol=1e-3, max_entries=6,
             rng=np.random.default_rng(99),
         )
         assert report.passed, f"{name}: {report}"
+
+
+def _family_leaf(model, name):
+    """The head-stacked leaf behind per-head name `name`, and the head index."""
+    stack, i, sub, family, j, field = name.split(".")
+    mha = getattr((model.enc_layers if stack == "enc" else model.dec_layers)[int(i)], sub)
+    if family == "self":
+        return getattr(mha, "w_" + field), int(j)
+    return getattr(mha.conv, field), int(j)
+
+
+@pytest.mark.parametrize("cross_conv", ["memory", "off"])
+def test_every_per_head_name_is_a_live_view_of_its_family_leaf(cross_conv):
+    model = tiny_model(seed=15, d_model=16, h=4, cross_conv=cross_conv)
+    names = [n for n in model.params if ".self." in n or ".conv." in n]
+    # A hybrid sublayer names 2 dot heads x 3 weights and 2 conv heads x 4;
+    # an all-dot cross-attention names 4 dot heads x 3.
+    per_block = 14 + 14 + (14 if cross_conv == "memory" else 12)
+    assert len(names) == 3 * per_block
+    rng = np.random.default_rng(16)
+    src = rng.integers(4, 16, size=(2, 5))
+    tgt_in = rng.integers(4, 16, size=(2, 4))
+
+    def outputs(net=model):
+        with T.no_grad():
+            return np.concatenate([o.data.reshape(-1) for o in net.forward_train(src, tgt_in, False)])
+
+    def is_head_slice(view, stacked, j):
+        # the same memory, shape and layout as slice j of the stacked array
+        return (
+            view.flags.c_contiguous
+            and view.shape == stacked[j].shape
+            and np.shares_memory(view, stacked)
+            and view.ctypes.data == stacked[j].ctypes.data
+        )
+
+    def check_views():
+        for name in names:
+            leaf, j = _family_leaf(model, name)
+            assert is_head_slice(model.params[name].data, leaf.data, j), name
+            assert is_head_slice(model.params[name].grad, leaf.grad, j), name
+
+    check_views()
+    base = outputs()
+    for name in names:
+        flat = model.params[name].data.reshape(-1)
+        orig = flat[0]
+        flat[0] = orig + 0.5
+        assert not np.array_equal(outputs(), base), name
+        flat[0] = orig
+    assert np.array_equal(outputs(), base)
+
+    mt, p, n = model.forward_train(src, tgt_in, False)
+    T.add(T.add(T.tsum(mt), T.tsum(p)), T.tsum(n)).backward()
+    check_views()
+    assert all(np.abs(model.params[name].grad).max() > 0 for name in names)
+
+    other = tiny_model(seed=17, d_model=16, h=4, cross_conv=cross_conv)
+    model.load_state(other.state_arrays())
+    check_views()
+    assert np.array_equal(outputs(), outputs(other))
+    model.zero_grad()
+    check_views()
+    for name in names:
+        assert not _family_leaf(model, name)[0].grad.any(), name
 
 
 @pytest.mark.parametrize(
@@ -392,10 +450,12 @@ def test_training_cross_attention_matches_per_head_composition():
 
     stream = np.random.default_rng(5)
     outs = []
-    for hp in xmha.self_heads:
-        q, k, v = T.matmul(y, hp.w_q), T.matmul(memory, hp.w_k), T.matmul(memory, hp.w_v)
+    for j in range(4):
+        w_q, w_k, w_v = (T.Tensor(w.data[j]) for w in (xmha.w_q, xmha.w_k, xmha.w_v))
+        q, k, v = T.matmul(y, w_q), T.matmul(memory, w_k), T.matmul(memory, w_v)
         outs.append(A.scaled_dot_product_attention(q, k, v, None, (0.3, stream)))
-    for cp in xmha.conv_heads:
+    for j in range(4):
+        cp = conv_head(xmha.conv, j)
         gated = A.dynamic_conv_head(T.matmul(memory, cp.w_in), cp, False, (0.2, stream))
         pooled = T.tmean(gated, axis=-2, keepdims=True)
         outs.append(T.broadcast_to(pooled, (2, 4, pooled.shape[-1])))

@@ -295,15 +295,6 @@ def test_dropout_rejects_p_one():
         T.dropout(T.Tensor(np.zeros(3)), 1.0, np.random.default_rng(0), training=True)
 
 
-def test_drop_connect_same_contract():
-    rng = np.random.default_rng(12)
-    w = np.ones((4, 4))
-    out = T.drop_connect(T.Tensor(w), 0.5, rng, training=True)
-    assert set(np.unique(out.data)).issubset({0.0, 2.0})
-    out2 = T.drop_connect(T.Tensor(w), 0.5, rng, training=False)
-    assert np.array_equal(out2.data, w)
-
-
 # ---------------------------------------------------------------- backward
 
 
@@ -404,7 +395,6 @@ def _fd_cases(rng):
     cm = rng.normal(size=(5, d))
     keep = rng.random(size=(5, d)) > 0.3
     keep[:, 0] = True  # no fully masked rows
-    cs = rng.normal(size=(2, 5, d))
     cp = rng.normal(size=(2, 2, 5))
     w_heads = rng.normal(size=(2, 3, 2))
     ch = rng.normal(size=(2, 5, 2))
@@ -434,7 +424,6 @@ def _fd_cases(rng):
         "broadcast": lambda x: T.tsum(
             T.mul(T.broadcast_to(T.tsum(x, axis=-1, keepdims=True), (5, d)), 0.3)
         ),
-        "stack": lambda x: T.tsum(T.mul(T.stack([x, T.mul(x, x)]), cs)),
         "permute": lambda x: T.tsum(T.mul(T.transpose(T.reshape(x, (5, 2, 2)), (1, 2, 0)), cp)),
         "conv_heads": lambda x: T.tsum(
             T.mul(

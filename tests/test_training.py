@@ -231,7 +231,7 @@ def test_aux_head_values_do_not_change_translation_trajectory():
     finals = []
     for head_seed in (0, 1):
         model = small_model(seed=17)
-        model.params["pos_head.w"].data = np.random.default_rng(head_seed).normal(
+        model.params["pos_head.w"].data[...] = np.random.default_rng(head_seed).normal(
             size=model.params["pos_head.w"].data.shape
         )
         state = TR.TrainState()
@@ -472,6 +472,24 @@ def test_trainer_resume_in_place_matches_uninterrupted_run(tmp_path, keep_last):
 
     assert len(without_wall_clock(resumed)) == 16
     assert without_wall_clock(straight) == without_wall_clock(resumed)
+
+
+def test_trainer_streams_metrics_log_before_a_crash(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    trainer, _ = _toy_training_setup(tmp_path, total_steps=10, out=out)
+    real_step = TR.train_step
+
+    def crash_at_step_3(batch, model, state, cfg):
+        if state.opt_step == 2:
+            raise RuntimeError("crash during optimizer step 3")
+        return real_step(batch, model, state, cfg)
+
+    monkeypatch.setattr(TR, "train_step", crash_at_step_3)
+    with pytest.raises(RuntimeError, match="step 3"):
+        trainer.run()
+    lines = (out / "metrics.log").read_text().splitlines()
+    assert lines[0] == TR.METRICS_HEADER
+    assert [line.split("\t")[0] for line in lines[1:]] == ["1", "2"]
 
 
 def test_trainer_resume_rejects_a_log_that_is_not_a_metrics_log(tmp_path):
