@@ -62,9 +62,13 @@ def save_arrays(path, named: dict[str, np.ndarray]) -> None:
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
-    """Read a container; a truncated or malformed one raises DataError."""
+    """Read a container; an unreadable, truncated or malformed one raises
+    DataError."""
     path = Path(path)
-    blob = path.read_bytes()
+    try:
+        blob = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
     offset = 0
 
     def take(n: int, what: str) -> int:

@@ -163,19 +163,23 @@ def cmd_translate(args) -> int:
     from .data import read_text
     from .inference import beam_search
 
-    model, src_vocab, tgt_vocab = _load_trained_model(rc, args)
     text = read_text(args.input)
+    model, src_vocab, tgt_vocab = _load_trained_model(rc, args)
     sentences = [line.split() for line in text.splitlines() if line.strip()]
-    out_lines = []
+    out_lines, n_finished, n_tokens = [], 0, 0
     for words in sentences:
         result = beam_search(src_vocab.encode(words), model, rc.decode)
         out_lines.append(" ".join(tgt_vocab.decode(result.tokens)))
-        if not result.finished:
-            print(f"warning: decode budget exhausted for: {' '.join(words)}", file=sys.stderr)
+        n_finished += result.finished
+        n_tokens += len(result.tokens)
     out_path = Path(args.out) if args.out is not None else Path(rc.out_dir) / "translations.txt"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text("\n".join(out_lines) + ("\n" if out_lines else ""), encoding="utf-8")
-    print(f"translated {len(out_lines)} sentences to {out_path}")
+    n = len(out_lines)
+    print(
+        f"translated {n} sentences to {out_path}: {n_finished} finished, "
+        f"{n - n_finished} budget exhausted, mean length {n_tokens / max(n, 1):.2f} tokens"
+    )
     return 0
 
 

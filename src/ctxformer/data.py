@@ -210,14 +210,17 @@ def write_corpus(path, lines) -> None:
 
 
 def read_text(path) -> str:
-    """The contents of a UTF-8 text file; a missing file, or bytes that do
-    not decode, raise DataError naming the file."""
+    """The contents of a UTF-8 text file; a file that is missing, cannot be
+    read (a directory, no permission) or does not decode raises DataError
+    naming the file."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise DataError(f"missing file: {path}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not valid UTF-8: {exc}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def read_corpus(path):

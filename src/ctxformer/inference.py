@@ -55,7 +55,7 @@ class BeamResult:
     tokens: list  # generated ids, begin/end markers stripped
     log_prob: float
     score: float  # length-normalized ranking score
-    finished: bool  # False: budget exhausted before the end marker (warning)
+    finished: bool  # False: budget exhausted before the end marker
 
 
 def length_penalty(length: int, alpha: float) -> float:

@@ -6,6 +6,12 @@ each operation optionally records its inputs and a chain-rule closure so
 Gradients accumulate additively into `.grad`, which is what gradient
 accumulation over micro-batches relies on.
 
+A model's dtype flows through every node and every grad: a float32 model
+computes in float32 end to end, a float64 one in float64. A Python scalar
+operand (an `int` or `float`, `np.float64` included) takes the dtype of the
+Tensor it meets in `add`, `mul` and `div`, so `x * math.sqrt(d)` on a
+float32 `x` stays float32.
+
 All operations are deterministic for a fixed seed and BLAS thread count.
 """
 
@@ -130,10 +136,10 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return add(self, mul(other, -1.0))
+        return add(self, -other)
 
     def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
+        return add(-self, other)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -152,6 +158,17 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as Tensors; a Python scalar takes the other one's dtype."""
+    if isinstance(b, (int, float)) and not isinstance(a, (int, float)):
+        a = as_tensor(a)
+        return a, Tensor(a.data.dtype.type(b))
+    if isinstance(a, (int, float)) and not isinstance(b, (int, float)):
+        b = as_tensor(b)
+        return Tensor(b.data.dtype.type(a)), b
+    return as_tensor(a), as_tensor(b)
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
@@ -183,7 +200,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     data = a.data + b.data
 
     def bwd(g):
@@ -196,7 +213,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     data = a.data * b.data
 
     def bwd(g):
@@ -209,7 +226,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     data = a.data / b.data
 
     def bwd(g):
@@ -622,7 +639,8 @@ def dropout(x, p: float, rng: np.random.Generator, training: bool) -> Tensor:
     if not training or p == 0.0:
         return x
     scale = 1.0 / (1.0 - p)
-    mask = (rng.random(x.data.shape) >= p).astype(x.data.dtype) * x.data.dtype.type(scale)
+    keep = rng.random(x.data.shape, dtype=x.data.dtype) >= p
+    mask = keep.astype(x.data.dtype) * x.data.dtype.type(scale)
     data = x.data * mask
 
     def bwd(g):

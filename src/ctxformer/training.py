@@ -218,7 +218,12 @@ STEP_KEY = "__step__"
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    named = {STEP_KEY: np.array([ckpt.step], dtype=np.float32)}
+    """Write parameters, moments and the step; the container stores float32,
+    so a step it cannot hold exactly (past 2**24) is refused, not rounded."""
+    step = np.array([ckpt.step], dtype=np.float32)
+    if ckpt.step < 0 or float(step[0]) != ckpt.step:
+        raise DataError(f"step {ckpt.step} cannot be stored exactly as a float32 step record")
+    named = {STEP_KEY: step}
     named.update(ckpt.params)
     named.update({f"adam.m.{k}": arr for k, arr in ckpt.m.items()})
     named.update({f"adam.v.{k}": arr for k, arr in ckpt.v.items()})
@@ -229,7 +234,12 @@ def load_checkpoint(path) -> Checkpoint:
     named = ckpt_io.load_arrays(path)
     if STEP_KEY not in named:
         raise DataError(f"{path}: missing step record")
-    step = int(named.pop(STEP_KEY)[0])
+    record = named.pop(STEP_KEY).reshape(-1)
+    if record.size != 1 or not np.isfinite(record[0]) or record[0] < 0 or record[0] % 1:
+        raise DataError(
+            f"{path}: step record must be one finite non-negative integer, got {record.tolist()}"
+        )
+    step = int(record[0])
     params, m, v = {}, {}, {}
     for name, arr in named.items():
         if name.startswith("adam.m."):

@@ -456,3 +456,79 @@ def test_cli_translate_missing_input_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(inp) in err and "Traceback" not in err
     assert not (tmp_path / "hyp.txt").exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A corpus and a 2-step model decoding at most 3 tokens per sentence."""
+    root = tmp_path_factory.mktemp("tiny_run")
+    cfg = root / "t.cfg"
+    cfg.write_text(
+        "[run]\nn_pairs = 40\n\n[model]\nd_model = 16\nh = 2\nkernel_sizes = 3,3,3\n\n"
+        "[train]\ntotal_steps = 2\nwarmup_steps = 1\ncheckpoint_every = 2\nmax_tokens = 256\n\n"
+        "[decode]\nmax_decode_len = 3\n"
+    )
+    data, run = root / "data", root / "run"
+    assert main(["gen", "--config", str(cfg), "--out", str(data)]) == 0
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(run)]) == 0
+    text = root / "text.txt"
+    text.write_text("the fox sees a dog\n")
+    return {"cfg": cfg, "data": data, "ckpt": run / "averaged.bin", "text": text}
+
+
+def _directory_argv(which, run, directory):
+    text = str(run["text"])
+    trained = ["--config", str(run["cfg"]), "--data", str(run["data"])]
+    return {
+        "hyp": ["eval", directory, text],
+        "ref": ["eval", text, directory],
+        "corpus": ["eval", text, text, "--corpus", directory, *trained,
+                   "--checkpoint", str(run["ckpt"])],
+        "translate-input": ["translate", directory, *trained, "--checkpoint", str(run["ckpt"])],
+        "checkpoint": ["translate", text, *trained, "--checkpoint", directory],
+    }[which]
+
+
+@pytest.mark.parametrize("which", ["hyp", "ref", "corpus", "translate-input", "checkpoint"])
+def test_cli_directory_given_as_a_file_exits_3(tmp_path, capsys, tiny_run, which):
+    directory = tmp_path / "a_directory"
+    directory.mkdir()
+    capsys.readouterr()
+    argv = _directory_argv(which, tiny_run, str(directory)) + ["--out", str(tmp_path / "o.txt")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(directory) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "eos_bias, summary",
+    [
+        (-1e4, "0 finished, 3 budget exhausted, mean length 3.00 tokens"),
+        (1e4, "3 finished, 0 budget exhausted, mean length 0.00 tokens"),
+    ],
+    ids=["never-ends", "ends-at-once"],
+)
+def test_cli_translate_prints_one_decoding_summary(tmp_path, capsys, tiny_run, eos_bias, summary):
+    from ctxformer.data import EOS_ID
+    from ctxformer.training import load_checkpoint, save_checkpoint
+
+    ckpt = load_checkpoint(tiny_run["ckpt"])
+    ckpt.params["out_proj.b"][EOS_ID] = eos_bias
+    path = tmp_path / "eos.bin"
+    save_checkpoint(path, ckpt)
+    inp = tmp_path / "in.txt"
+    inp.write_text("the fox sees a dog\na dog runs\n\nthe cat sleeps\n")
+    out = tmp_path / "hyp.txt"
+    capsys.readouterr()
+    code = main(
+        ["translate", str(inp), "--config", str(tiny_run["cfg"]), "--data",
+         str(tiny_run["data"]), "--checkpoint", str(path), "--out", str(out)]
+    )
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"translated 3 sentences to {out}: {summary}"]
+    assert captured.err == ""
+    lengths = [len(line.split()) for line in out.read_text().splitlines()]
+    assert lengths == ([3, 3, 3] if eos_bias < 0 else [0, 0, 0])

@@ -1,13 +1,17 @@
 """Model assembly: positions, embedding, layer recomposition, causality."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from ctxformer import attention as A
+from ctxformer import data as D
 from ctxformer import model as M
 from ctxformer import tensor as T
+from ctxformer import training as TR
+from ctxformer.config import preset_run_config
 from ctxformer.errors import ConfigError, DataError
 
 from oracles import (
@@ -518,3 +522,86 @@ def test_state_roundtrip():
         assert np.array_equal(other.params[name].data, arrays[name])
     with pytest.raises(DataError):
         other.load_state({"src_embed": arrays["src_embed"]})
+
+
+# ------------------------------------------------------------ dtype flow
+
+
+def _paper_split_config():
+    """The paper preset's 16-head split, kernels and dropouts (DropConnect
+    included) at a width small enough for a unit test."""
+    paper = preset_run_config("paper").model
+    return dataclasses.replace(paper, d_model=32, vocab_src=16, vocab_tgt=16, max_len=16)
+
+
+DTYPE_FLOW_CONFIGS = {
+    "hybrid": lambda: tiny_config(d_model=16, dropout=0.1, residual_dropout=0.1),
+    "cross-conv-off": lambda: tiny_config(d_model=16, h=4, cross_conv="off", dropout=0.1),
+    "paper-split-dropconnect": _paper_split_config,
+}
+
+
+def _train_step_dtypes(config, dtype, monkeypatch):
+    """The dtypes of every graph node, every gradient handed to a node and
+    every leaf grad of one train step (accumulated, so grads are kept)."""
+    rng = np.random.default_rng(4)
+    pairs = [
+        D.TaggedPair(
+            src=list(rng.integers(4, 16, size=5)),
+            tgt=list(rng.integers(4, 16, size=6)),
+            pos_tags=list(rng.integers(0, 6, size=5)),
+            ner_tags=list(rng.integers(0, 3, size=5)),
+        )
+        for _ in range(3)
+    ]
+    model = M.Seq2SeqModel(config, seed=2, dtype=dtype)
+    nodes, passed = set(), set()
+    make, accumulate = T._make, T.Tensor._accumulate
+
+    def recording_make(data, parents, backward_fn):
+        nodes.add(data.dtype)
+        return make(data, parents, backward_fn)
+
+    def recording_accumulate(self, g):
+        passed.add(np.asarray(g).dtype)
+        accumulate(self, g)
+
+    with monkeypatch.context() as m:
+        m.setattr(T, "_make", recording_make)
+        m.setattr(T.Tensor, "_accumulate", recording_accumulate)
+        TR.train_step(D.collate(pairs), model, TR.TrainState(), TR.TrainConfig(accum_steps=2))
+    leaves = {p.grad.dtype for p in model.params.values()}
+    assert nodes and passed and leaves
+    return nodes, passed, leaves
+
+
+@pytest.mark.parametrize("name", sorted(DTYPE_FLOW_CONFIGS))
+def test_train_step_keeps_the_model_dtype_in_every_node_and_grad(name, monkeypatch):
+    config = DTYPE_FLOW_CONFIGS[name]()
+    for dtype in (np.float32, np.float64):
+        nodes, passed, leaves = _train_step_dtypes(config, dtype, monkeypatch)
+        assert nodes == {np.dtype(dtype)}, f"{dtype.__name__} model built {nodes} nodes"
+        assert passed == {np.dtype(dtype)}, f"{dtype.__name__} model passed {passed} grads"
+        assert leaves == {np.dtype(dtype)}, f"{dtype.__name__} model holds {leaves} grads"
+
+
+def test_float32_encoder_memory_and_decoder_cache_stay_float32():
+    model = M.Seq2SeqModel(tiny_config(d_model=16, h=4), seed=3, dtype=np.float32)
+    with T.no_grad():
+        memory = model.encode(np.array([5, 6, 7, 8, 2])).memory
+        assert memory.dtype == np.float32
+        cache = model.start_decoding(memory)
+        cache.select([0, 0, 0])
+        ids = np.array([[1], [5], [6]])
+        for _ in range(3):
+            logits = model.decode(ids, memory, cache=cache)
+            assert logits.dtype == np.float32
+            cache.select([1, 0, 2])
+    arrays = []
+    for part in cache._layers + cache._states:
+        for f in dataclasses.fields(part):
+            value = getattr(part, f.name)
+            arrays.extend(value if isinstance(value, tuple) else [value])
+    floats = [a for a in arrays if isinstance(a, np.ndarray) and a.dtype.kind == "f"]
+    assert len(floats) > 30
+    assert {a.dtype for a in floats} == {np.dtype(np.float32)}

@@ -295,6 +295,54 @@ def test_dropout_rejects_p_one():
         T.dropout(T.Tensor(np.zeros(3)), 1.0, np.random.default_rng(0), training=True)
 
 
+def test_dropout_draws_its_uniforms_in_the_activation_dtype():
+    # float64 keeps the default float64 stream; float32 draws float32 uniforms.
+    for dtype in (np.float64, np.float32):
+        x = T.Tensor(np.ones((7, 9), dtype=dtype), requires_grad=True)
+        out = T.dropout(x, 0.3, np.random.default_rng(5), training=True)
+        keep = np.random.default_rng(5).random((7, 9), dtype=dtype) >= 0.3
+        assert out.dtype == dtype
+        assert np.array_equal(out.data, np.where(keep, dtype(1.0 / 0.7), 0))
+        T.tsum(out).backward()
+        assert x.grad.dtype == dtype and np.array_equal(x.grad, out.data)
+
+
+# ---------------------------------------------------------------- dtype
+
+
+def test_python_scalars_take_the_tensor_operand_dtype():
+    """add/mul/div and the operator sugar keep the Tensor's dtype whichever
+    side the int, float or np.float64 scalar is on."""
+    for dtype in (np.float32, np.float64):
+        for c in (3, 0.1, np.float64(0.1)):
+            x = T.Tensor(np.array([1.5, -2.0, 4.0], dtype=dtype), requires_grad=True)
+            c_ = dtype(c)
+            outs = {
+                "add": (T.add(x, c), x.data + c_),
+                "radd": (T.add(c, x), c_ + x.data),
+                "mul": (T.mul(x, c), x.data * c_),
+                "rmul": (T.mul(c, x), c_ * x.data),
+                "div": (T.div(x, c), x.data / c_),
+                "rdiv": (T.div(c, x), c_ / x.data),
+                "+": (x + c, x.data + c_),
+                "r+": (c + x, c_ + x.data),
+                "*": (x * c, x.data * c_),
+                "r*": (c * x, c_ * x.data),
+                "/": (x / c, x.data / c_),
+                "-": (x - c, x.data - c_),
+                "r-": (c - x, c_ - x.data),
+                "neg": (-x, -x.data),
+            }
+            for name, (out, expected) in outs.items():
+                assert out.dtype == dtype, f"{name} {dtype.__name__} {c!r}: {out.dtype}"
+                assert np.array_equal(out.data, expected), name
+            loss = T.tsum(outs["add"][0])
+            for out, _ in list(outs.values())[1:]:
+                loss = T.add(loss, T.tsum(out))
+            loss.backward()
+            assert x.grad.dtype == dtype
+
+
 # ---------------------------------------------------------------- backward
 
 

@@ -335,6 +335,37 @@ def test_checkpoint_roundtrip(tmp_path):
     assert "__step__ 1" in manifest
 
 
+@pytest.mark.parametrize(
+    "record",
+    [[np.nan], [np.inf], [], [2.5], [-1.0], [3.0, 4.0]],
+    ids=["nan", "inf", "empty", "fractional", "negative", "two-values"],
+)
+def test_load_rejects_a_step_record_that_is_not_one_natural_number(tmp_path, record):
+    path = tmp_path / "bad_step.bin"
+    save_arrays(path, {TR.STEP_KEY: np.array(record), "w": np.ones(3)})
+    with pytest.raises(DataError, match="step record") as info:
+        TR.load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
+def test_save_refuses_a_step_float32_cannot_hold_exactly(tmp_path):
+    params = {"w": np.ones(3, np.float32)}
+    exact = tmp_path / "exact.bin"
+    TR.save_checkpoint(exact, TR.Checkpoint(step=2**24, params=params, m={}, v={}))
+    assert TR.load_checkpoint(exact).step == 2**24
+    for step in (2**24 + 1, -1):
+        path = tmp_path / f"step_{step}.bin"
+        with pytest.raises(DataError, match=str(step)):
+            TR.save_checkpoint(path, TR.Checkpoint(step=step, params=params, m={}, v={}))
+        assert not path.exists()
+
+
+def test_unreadable_container_raises_data_error_naming_it(tmp_path):
+    with pytest.raises(DataError, match="cannot read") as info:
+        load_arrays(tmp_path)
+    assert str(tmp_path) in str(info.value)
+
+
 def test_zero_dim_array_keeps_its_shape_through_a_round_trip(tmp_path):
     path = tmp_path / "scalars.bin"
     save_arrays(path, {"scalar": np.array(2.5), "row": np.array([1.0, 2.0])})
