@@ -20,7 +20,8 @@ decoder layer the cache holds:
   mean-pooled heads mixed by their rows of the output matrix, one (d,)
   vector per layer.
 
-The step is plain numpy and builds no graph. It reads the model's
+The step is plain numpy and builds no graph, with no kernels of its own: it
+runs the array kernels of `tensor` that the graph ops run. It reads the model's
 head-stacked weights directly; what it derives from them (the joined
 q|k|v|w_in projection, the softmaxed kernels, everything computed from the
 memory) is built once per cache and never stored on the model, so a new
@@ -40,23 +41,6 @@ from . import tensor as tn
 from .attention import conv_family, head_columns
 from .errors import DataError, DimensionError
 from .model import LAYER_NORM_EPS
-
-
-def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))  # the two branches of tensor.sigmoid, never overflowing
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    d = x.shape[-1]  # sum / d is what ndarray.mean computes, without its overhead
-    mu = x.sum(axis=-1, keepdims=True) / d
-    var = ((x - mu) ** 2).sum(axis=-1, keepdims=True) / d
-    return gamma * ((x - mu) * (1.0 / np.sqrt(var + LAYER_NORM_EPS))) + beta
 
 
 @dataclass
@@ -126,7 +110,7 @@ def _stack_layer(layer, memory: tn.Tensor) -> _LayerWeights:
         self_in=np.concatenate(
             [head_columns(w).data for w in (mha.w_q, mha.w_k, mha.w_v, conv.w_in)], axis=1
         ),
-        kernel=_softmax(conv.w_a.data, axis=1),
+        kernel=tn.softmax_array(conv.w_a.data, axis=1),
         taps=(width - 1) - conv.dilation * np.arange(taps),
         w_s=conv.w_s.data,
         w_q=conv.w_q.data,
@@ -168,7 +152,7 @@ def _self_attention(x: np.ndarray, w: _LayerWeights, st: _LayerState) -> np.ndar
         [st.values, proj[:, 2 * cols : 3 * cols].reshape(b, n_dot, 1, d_k)], axis=2
     )
     scores = (q @ st.keys.swapaxes(-1, -2)) * (1.0 / math.sqrt(d_k))
-    dot_out = (_softmax(scores) @ st.values).reshape(b, cols)
+    dot_out = (tn.softmax_array(scores) @ st.values).reshape(b, cols)
 
     s = proj[:, 3 * cols :].reshape(b, n_conv, d_h)
     st.window = np.concatenate([st.window[:, :, 1:], s[:, :, None, :]], axis=2)
@@ -182,7 +166,7 @@ def _self_attention(x: np.ndarray, w: _LayerWeights, st: _LayerState) -> np.ndar
     st.q_sum = st.q_sum * decay + weight
     st.q_acc = st.q_acc * decay[..., None] + weight[..., None] * projected
     query = st.q_acc / st.q_sum[..., None]
-    gate = _sigmoid((local * query).sum(axis=-1) * (1.0 / math.sqrt(d_h)))
+    gate = tn.sigmoid_array((local * query).sum(axis=-1) * (1.0 / math.sqrt(d_h)))
     conv_out = (gate[..., None] * local).reshape(b, n_conv * d_h)
     return np.concatenate([dot_out, conv_out], axis=-1) @ w.self_out
 
@@ -192,13 +176,19 @@ def _cross_attention(y: np.ndarray, w: _LayerWeights) -> np.ndarray:
     b = y.shape[0]
     q = (y @ w.cross_q).reshape(b, w.n_cross, w.d_k).transpose(1, 0, 2)
     scores = (q @ w.cross_keys) * (1.0 / math.sqrt(w.d_k))  # (n_cross, B, T_src)
-    ctx = (_softmax(scores) @ w.cross_values).transpose(1, 0, 2).reshape(b, -1)
+    ctx = (tn.softmax_array(scores) @ w.cross_values).transpose(1, 0, 2).reshape(b, -1)
     return ctx @ w.cross_out + w.cross_conv
 
 
 def _feed_forward(y: np.ndarray, ffn: tuple) -> np.ndarray:
     w1, b1, w2, b2 = ffn
     return np.maximum(y @ w1 + b1, 0) @ w2 + b2
+
+
+def _add_norm(x: np.ndarray, sublayer_out: np.ndarray, ln: tuple) -> np.ndarray:
+    """The residual sum through the layer norm `ln` = (gamma, beta)."""
+    gamma, beta = ln
+    return gamma * tn.standardize(x + sublayer_out, LAYER_NORM_EPS)[0] + beta
 
 
 class DecoderCache:
@@ -259,9 +249,9 @@ class DecoderCache:
         tokens = tn.embedding(self._embed, ids[:, 0]).data  # validates the ids
         x = tokens * self._scale + self._positions[self.length]
         for w, st in zip(self._layers, self._states):
-            x = _layer_norm(x + _self_attention(x, w, st), *w.ln1)
-            x = _layer_norm(x + _cross_attention(x, w), *w.ln2)
-            x = _layer_norm(x + _feed_forward(x, w.ffn), *w.ln3)
+            x = _add_norm(x, _self_attention(x, w, st), w.ln1)
+            x = _add_norm(x, _cross_attention(x, w), w.ln2)
+            x = _add_norm(x, _feed_forward(x, w.ffn), w.ln3)
         self.length += 1
         out_w, out_b = self._out
         return x @ out_w + out_b

@@ -3,7 +3,10 @@
 Beam search ranks finished hypotheses by log-probability divided by the
 length penalty ((5 + |Y|) / 6)^alpha, where |Y| counts generated tokens
 including the end marker. Expansion ties break deterministically by token
-id, then hypothesis index, so decoding is reproducible bit for bit.
+id, then hypothesis index, so decoding is reproducible bit for bit. The beam
+state is arrays: a token matrix and a float64 log-probability vector for
+the live hypotheses, ranked with one `lexsort` per step, and a list of
+finished (tokens, log_prob) pairs in the order they finished.
 
 Decoding is incremental. The source is encoded once and
 `model.start_decoding` builds a decoder cache from the memory: per decoder
@@ -41,13 +44,8 @@ class DecodeConfig:
             raise ConfigError(f"beam_size must be >= 1, got {self.beam_size}")
         if self.max_decode_len < 1:
             raise ConfigError(f"max_decode_len must be >= 1, got {self.max_decode_len}")
-
-
-@dataclass
-class Hypothesis:
-    tokens: tuple  # generated ids (no begin marker; end marker kept when finished)
-    log_prob: float
-    finished: bool
+        if not math.isfinite(self.alpha):
+            raise ConfigError(f"alpha must be finite, got {self.alpha}")
 
 
 @dataclass
@@ -62,64 +60,44 @@ def length_penalty(length: int, alpha: float) -> float:
     return ((5.0 + length) / 6.0) ** alpha
 
 
-def _log_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 def beam_search(src_ids, model, config: DecodeConfig) -> BeamResult:
     """Decode one source sentence; deterministic for a fixed checkpoint."""
     config.validate()
     src = np.asarray(list(src_ids) + [EOS_ID], dtype=np.int64)
     budget = min(config.max_decode_len, model.config.max_len - 1)
+    # Live hypotheses: generated ids (B, steps) and float64 log-probabilities
+    # (B,); finished ones leave as (tokens, log_prob), end marker kept.
+    tokens = np.zeros((1, 0), dtype=np.int64)
+    log_probs = np.zeros(1)
+    finished: list[tuple[tuple, float]] = []
     with tn.no_grad():
         memory = model.encode(src).memory
         cache = model.start_decoding(memory)
-        active = [Hypothesis(tokens=(), log_prob=0.0, finished=False)]
-        finished: list[Hypothesis] = []
+        last = np.full((1, 1), BOS_ID, dtype=np.int64)
         for _ in range(budget):
-            last = np.array(
-                [[h.tokens[-1] if h.tokens else BOS_ID] for h in active], dtype=np.int64
-            )
             logits = model.decode(last, memory, cache=cache).data[:, -1, :]
-            logp = _log_softmax_rows(logits)
-            n_active, vocab = logp.shape
-            scores = np.array([h.log_prob for h in active])[:, None] + logp
-            flat = scores.reshape(-1)
-            hyp_idx = np.repeat(np.arange(n_active), vocab)
-            tok_idx = np.tile(np.arange(vocab), n_active)
-            order = np.lexsort((hyp_idx, tok_idx, -flat))
-            keep = order[: config.beam_size]
-            next_active, parents = [], []
-            for pos in keep:
-                h = active[hyp_idx[pos]]
-                token = int(tok_idx[pos])
-                cand = Hypothesis(
-                    tokens=h.tokens + (token,),
-                    log_prob=float(flat[pos]),
-                    finished=token == EOS_ID,
-                )
-                if cand.finished:
-                    finished.append(cand)
-                else:
-                    next_active.append(cand)
-                    parents.append(hyp_idx[pos])
-            active = next_active
-            if not active:
+            flat = (log_probs[:, None] + tn.log_softmax_array(logits)).reshape(-1)
+            hyp_idx, tok_idx = np.divmod(np.arange(flat.size), logits.shape[-1])
+            keep = np.lexsort((hyp_idx, tok_idx, -flat))[: config.beam_size]
+            parents, chosen, kept = hyp_idx[keep], tok_idx[keep], flat[keep]
+            grown = np.concatenate([tokens[parents], chosen[:, None]], axis=1)
+            ends = chosen == EOS_ID
+            finished += zip(map(tuple, grown[ends].tolist()), kept[ends].tolist())
+            alive = ~ends
+            if not alive.any():
                 break
-            cache.select(parents)
-    pool = finished if finished else active
-    best, best_score = None, -math.inf
-    for h in pool:
-        score = h.log_prob / length_penalty(len(h.tokens), config.alpha)
-        if score > best_score or (score == best_score and h.tokens < best.tokens):
-            best, best_score = h, score
-    tokens = [t for t in best.tokens if t != EOS_ID]
+            tokens, log_probs = grown[alive], kept[alive]
+            cache.select(parents[alive])
+            last = tokens[:, -1:]
+    pool = finished or list(zip(map(tuple, tokens.tolist()), log_probs.tolist()))
+    scored = [(lp / length_penalty(len(toks), config.alpha), toks, lp) for toks, lp in pool]
+    # Highest score first, then the lexicographically smallest token string.
+    best_score, best_tokens, best_log_prob = min(scored, key=lambda c: (-c[0], c[1]))
     return BeamResult(
-        tokens=tokens,
-        log_prob=best.log_prob,
+        tokens=[t for t in best_tokens if t != EOS_ID],
+        log_prob=best_log_prob,
         score=best_score,
-        finished=best.finished,
+        finished=bool(finished),
     )
 
 

@@ -65,6 +65,8 @@ class ModelConfig:
             )
         if self.h < 2 or self.h % 2 != 0:
             raise ConfigError(f"head count must be even and >= 2, got {self.h}")
+        if self.d_model < 1:
+            raise ConfigError(f"d_model must be positive, got {self.d_model}")
         if self.d_model % self.h != 0:
             raise ConfigError(
                 f"model width {self.d_model} not divisible by head count {self.h}"
@@ -82,6 +84,8 @@ class ModelConfig:
             raise ConfigError(
                 f"dilations has {len(self.dilations)} entries for {self.n_blocks} blocks"
             )
+        if self.dilations is not None and min(self.dilations) < 1:
+            raise ConfigError(f"dilations must be >= 1, got {self.dilations}")
         if self.cross_conv not in ("memory", "off"):
             raise ConfigError(f"cross_conv must be 'memory' or 'off', got {self.cross_conv!r}")
         for name in ("vocab_src", "vocab_tgt"):

@@ -12,6 +12,10 @@ operand (an `int` or `float`, `np.float64` included) takes the dtype of the
 Tensor it meets in `add`, `mul` and `div`, so `x * math.sqrt(d)` on a
 float32 `x` stays float32.
 
+Softmax, log-softmax, sigmoid and the layer-norm standardisation are one
+array kernel each (`softmax_array`, `log_softmax_array`, `sigmoid_array`,
+`standardize`), run by the graph ops and by graph-free decoding alike.
+
 All operations are deterministic for a fixed seed and BLAS thread count.
 """
 
@@ -82,8 +86,9 @@ class Tensor:
     # -- gradient machinery --------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
-        # The first write copies: g may be a view that other nodes also hold.
-        # A grad buffer that exists is added to in place, never rebound.
+        # The one place a grad takes its node's dtype. The first write copies:
+        # g may be a view that other nodes also hold. A grad buffer that
+        # exists is added to in place, never rebound.
         if self.grad is None:
             self.grad = np.array(g, dtype=self.data.dtype)
         else:
@@ -205,9 +210,9 @@ def add(a, b) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape).astype(a.data.dtype, copy=False))
+            a._accumulate(_unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape).astype(b.data.dtype, copy=False))
+            b._accumulate(_unbroadcast(g, b.data.shape))
 
     return _make(data, (a, b), bwd)
 
@@ -218,9 +223,9 @@ def mul(a, b) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape).astype(a.data.dtype, copy=False))
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape).astype(b.data.dtype, copy=False))
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
     return _make(data, (a, b), bwd)
 
@@ -231,10 +236,10 @@ def div(a, b) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.data.shape).astype(a.data.dtype, copy=False))
+            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
         if b.requires_grad:
             gb = -g * a.data / (b.data * b.data)
-            b._accumulate(_unbroadcast(gb, b.data.shape).astype(b.data.dtype, copy=False))
+            b._accumulate(_unbroadcast(gb, b.data.shape))
 
     return _make(data, (a, b), bwd)
 
@@ -250,14 +255,15 @@ def relu(x) -> Tensor:
     return _make(data, (x,), bwd)
 
 
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), from exp(-|x|) so that no exponent overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
-    d = x.data
-    data = np.empty_like(d)
-    pos = d >= 0
-    data[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    data[~pos] = ex / (1.0 + ex)
+    data = sigmoid_array(x.data)
 
     def bwd(g):
         if x.requires_grad:
@@ -342,13 +348,9 @@ def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
     data = x.data.sum(axis=axis, keepdims=keepdims)
 
     def bwd(g):
-        if not x.requires_grad:
-            return
-        if axis is None:
-            x._accumulate(np.broadcast_to(g, x.data.shape).astype(x.data.dtype, copy=False))
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            x._accumulate(np.broadcast_to(gg, x.data.shape).astype(x.data.dtype, copy=False))
+        if x.requires_grad:
+            gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+            x._accumulate(np.broadcast_to(gg, x.data.shape))
 
     return _make(np.asarray(data), (x,), bwd)
 
@@ -382,10 +384,10 @@ def matmul(a, b) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             ga = g @ np.swapaxes(b.data, -1, -2)
-            a._accumulate(_unbroadcast(ga, a.data.shape).astype(a.data.dtype, copy=False))
+            a._accumulate(_unbroadcast(ga, a.data.shape))
         if b.requires_grad:
             gb = np.swapaxes(a.data, -1, -2) @ g
-            b._accumulate(_unbroadcast(gb, b.data.shape).astype(b.data.dtype, copy=False))
+            b._accumulate(_unbroadcast(gb, b.data.shape))
 
     return _make(data, (a, b), bwd)
 
@@ -412,14 +414,33 @@ def _matmul_flat(a: Tensor, b: Tensor) -> Tensor:
 # -- normalization and probability -------------------------------------------
 
 
+def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Max-shifted softmax; -inf entries map to exactly zero weight."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def log_softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
+def standardize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(x - mean) / sqrt(var + eps) over the last axis, and 1 / sqrt(var + eps).
+
+    Each mean is sum / width: bitwise ndarray.mean, without its overhead."""
+    d = x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) / d
+    inv_std = 1.0 / np.sqrt((centered**2).sum(axis=-1, keepdims=True) / d + eps)
+    return centered * inv_std, inv_std
+
+
 def softmax(x, axis: int = -1) -> Tensor:
     """Shift-invariant softmax; -inf entries map to exactly zero weight."""
     x = as_tensor(x)
     if not (-x.data.ndim <= axis < x.data.ndim):
         raise DimensionError(f"softmax axis {axis} out of range for rank {x.data.ndim}")
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = softmax_array(x.data, axis)
 
     def bwd(g):
         if x.requires_grad:
@@ -431,9 +452,7 @@ def softmax(x, axis: int = -1) -> Tensor:
 
 def log_softmax(x, axis: int = -1) -> Tensor:
     x = as_tensor(x)
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - lse
+    data = log_softmax_array(x.data, axis)
 
     def bwd(g):
         if x.requires_grad:
@@ -450,7 +469,7 @@ def masked_fill(x, keep_mask: np.ndarray, value: float) -> Tensor:
 
     def bwd(g):
         if x.requires_grad:
-            x._accumulate(_unbroadcast(np.where(keep, g, 0.0), x.data.shape).astype(x.data.dtype, copy=False))
+            x._accumulate(_unbroadcast(np.where(keep, g, 0.0), x.data.shape))
 
     return _make(data, (x,), bwd)
 
@@ -466,19 +485,15 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
             f"layer_norm affine params must have shape ({d},), got "
             f"{gamma.data.shape} and {beta.data.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv_std
+    xhat, inv_std = standardize(x.data, eps)
     data = gamma.data * xhat + beta.data
 
     def bwd(g):
+        reduce_axes = tuple(range(g.ndim - 1))
         if gamma.requires_grad:
-            reduce_axes = tuple(range(g.ndim - 1))
-            gamma._accumulate((g * xhat).sum(axis=reduce_axes).astype(gamma.data.dtype, copy=False))
+            gamma._accumulate((g * xhat).sum(axis=reduce_axes))
         if beta.requires_grad:
-            reduce_axes = tuple(range(g.ndim - 1))
-            beta._accumulate(g.sum(axis=reduce_axes).astype(beta.data.dtype, copy=False))
+            beta._accumulate(g.sum(axis=reduce_axes))
         if x.requires_grad:
             gx_hat = g * gamma.data
             m1 = gx_hat.mean(axis=-1, keepdims=True)
@@ -609,9 +624,7 @@ def cross_entropy(logits, targets: np.ndarray, ignore_id: int = -1) -> Tensor:
             f"target id {int(flat_targets[pos])} at flat position {pos} "
             f"outside vocabulary of size {vocab}"
         )
-    shifted = flat_logits - flat_logits.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = shifted - lse
+    logp = log_softmax_array(flat_logits)
     rows = np.nonzero(valid)[0]
     picked = logp[rows, flat_targets[rows]]
     data = np.asarray(-picked.sum() / n_valid, dtype=logits.data.dtype)
@@ -623,7 +636,7 @@ def cross_entropy(logits, targets: np.ndarray, ignore_id: int = -1) -> Tensor:
         grad[rows, flat_targets[rows]] -= 1.0
         grad[~valid] = 0.0
         grad *= float(g) / n_valid
-        logits._accumulate(grad.reshape(logits.data.shape).astype(logits.data.dtype, copy=False))
+        logits._accumulate(grad.reshape(logits.data.shape))
 
     return _make(data, (logits,), bwd)
 

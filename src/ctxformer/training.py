@@ -56,8 +56,10 @@ class TrainConfig:
             )
         if self.checkpoint_every < 1 or self.keep_last < 1:
             raise ConfigError("checkpoint cadence values must be >= 1")
-        if not (0.0 <= self.betas[0] < 1.0 and 0.0 <= self.betas[1] < 1.0):
-            raise ConfigError(f"betas must be in [0, 1), got {self.betas}")
+        if len(self.betas) != 2 or not all(0.0 <= b < 1.0 for b in self.betas):
+            raise ConfigError(f"betas must be two values in [0, 1), got {self.betas}")
+        if self.max_tokens < 1:
+            raise ConfigError(f"max_tokens must be >= 1, got {self.max_tokens}")
 
 
 # ----------------------------------------------------------------- schedule
@@ -202,12 +204,15 @@ class Checkpoint:
     v: dict[str, np.ndarray]
 
     def validate(self) -> None:
-        for name in self.m:
-            if name not in self.params:
-                raise DataError(f"moment entry {name} has no matching parameter")
-        for name, arr in self.params.items():
-            for space, table in (("m", self.m), ("v", self.v)):
-                if table and table[name].shape != arr.shape:
+        """No optimizer moments at all, or m and v each one per parameter."""
+        if not self.m and not self.v:
+            return
+        for space, table in (("m", self.m), ("v", self.v)):
+            if table.keys() != self.params.keys():
+                odd = sorted(table.keys() ^ self.params.keys())[0]
+                raise DataError(f"optimizer moments {space} do not match the parameters at {odd}")
+            for name, arr in self.params.items():
+                if table[name].shape != arr.shape:
                     raise DataError(
                         f"optimizer moment {space}.{name} shape {table[name].shape} "
                         f"!= parameter shape {arr.shape}"
@@ -249,7 +254,10 @@ def load_checkpoint(path) -> Checkpoint:
         else:
             params[name] = arr
     ckpt = Checkpoint(step=step, params=params, m=m, v=v)
-    ckpt.validate()
+    try:
+        ckpt.validate()
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     return ckpt
 
 

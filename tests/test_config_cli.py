@@ -357,6 +357,49 @@ def test_cli_translate_truncated_checkpoint_exits_3(tmp_path, capsys):
     assert "truncated" in err and "Traceback" not in err
 
 
+def test_cli_train_resume_from_moments_without_v_exits_3(tmp_path, capsys):
+    from ctxformer.checkpoint import save_arrays
+    from ctxformer.training import STEP_KEY
+
+    cfg = _toy_flags(tmp_path)
+    data = tmp_path / "data"
+    assert main(["gen", "--config", str(cfg), "--out", str(data)]) == 0
+    ckpt = tmp_path / "m_only.bin"
+    save_arrays(ckpt, {STEP_KEY: np.array([1.0]), "w": np.ones(3), "adam.m.w": np.zeros(3)})
+    capsys.readouterr()
+    code = main(
+        ["train", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "run"),
+         "--resume", str(ckpt)]
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("data error:") and str(ckpt) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("[train]\nbetas = 0.9\n", "betas"),
+        ("[train]\nbetas =\n", "betas"),
+        ("[train]\nbetas = 0.9, 0.98, 0.5\n", "betas"),
+        ("[model]\nd_model = 0\n", "d_model"),
+        ("[model]\nd_model = -8\n", "d_model"),
+        ("[train]\nmax_tokens = 0\n", "max_tokens"),
+        ("[model]\ndilations = 0,1,1\n", "dilations"),
+        ("[decode]\nalpha = nan\n", "alpha"),
+    ],
+    ids=["one-beta", "no-beta", "three-betas", "zero-width", "negative-width",
+         "zero-max-tokens", "zero-dilation", "nan-alpha"],
+)
+def test_cli_gen_rejects_values_that_would_fail_later(tmp_path, capsys, text, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_cli_config_error_exit_code(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[model]\nh = 3\n")

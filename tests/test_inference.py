@@ -185,6 +185,65 @@ def test_beam_on_real_model_shapes():
     assert D.EOS_ID not in result.tokens
 
 
+class TieStub(StubModel):
+    """Logits 0 or -1 by the parity of token id plus prefix length, the same
+    row for every hypothesis of a step, so candidates tie exactly across
+    tokens and hypotheses. The end marker is barred (-inf) except when the
+    prefix has `eos_step` tokens. Records the prefixes expanded per step."""
+
+    def __init__(self, eos_step, eos_logit):
+        super().__init__(vocab=8)
+        self.eos_step, self.eos_logit = eos_step, eos_logit
+        self.expanded = []
+
+    def _row(self, prefix):
+        row = -((np.arange(self.vocab) + len(prefix)) % 2).astype(np.float64)
+        row[D.EOS_ID] = self.eos_logit if len(prefix) == self.eos_step else -np.inf
+        return row
+
+    def decode(self, next_tokens, memory, cache):
+        logits = super().decode(next_tokens, memory, cache)
+        self.expanded.append([tuple(p) for p in cache.prefixes])
+        return logits
+
+
+def list_beam_search(stub, beam_size, budget, alpha):
+    """Beam search over Python lists: all candidates sorted by (-score,
+    token id, hypothesis index). Returns the best (tokens, log_prob, score)
+    and the prefixes expanded per step."""
+    live, finished, expanded = [((), 0.0)], [], []
+    for _ in range(budget):
+        expanded.append([(D.BOS_ID,) + toks for toks, _ in live])
+        candidates = []
+        for i, (toks, lp) in enumerate(live):
+            logp = _log_softmax(stub._row([D.BOS_ID, *toks]))
+            candidates += [(-(lp + float(logp[t])), t, i) for t in range(stub.vocab)]
+        kept = [(live[i][0] + (t,), -neg) for neg, t, i in sorted(candidates)[:beam_size]]
+        finished += [h for h in kept if h[0][-1] == D.EOS_ID]
+        live = [h for h in kept if h[0][-1] != D.EOS_ID]
+        if not live:
+            break
+    ranked = [(lp / I.length_penalty(len(toks), alpha), toks, lp) for toks, lp in finished or live]
+    score, tokens, log_prob = min(ranked, key=lambda r: (-r[0], r[1]))
+    return (tokens, log_prob, score), expanded
+
+
+@pytest.mark.parametrize("beam_size", [2, 3, 6])
+@pytest.mark.parametrize(
+    "eos_step, eos_logit",
+    [(2, 0.0), (4, 0.5), (9, 0.0)],
+    ids=["eos-tied-early", "eos-on-top", "eos-barred"],
+)
+def test_exact_ties_break_by_token_id_then_hypothesis_index(beam_size, eos_step, eos_logit):
+    stub = TieStub(eos_step, eos_logit)
+    result = I.beam_search([4], stub, I.DecodeConfig(beam_size=beam_size, max_decode_len=5))
+    (tokens, log_prob, score), expanded = list_beam_search(stub, beam_size, 5, 0.5)
+    assert stub.expanded == expanded
+    assert result.finished == (tokens[-1] == D.EOS_ID)
+    assert tuple(result.tokens) + ((D.EOS_ID,) if result.finished else ()) == tokens
+    assert abs(result.log_prob - log_prob) < 1e-12 and abs(result.score - score) < 1e-12
+
+
 def test_decode_config_validation():
     with pytest.raises(ConfigError):
         I.DecodeConfig(beam_size=0).validate()

@@ -219,6 +219,86 @@ def test_layer_norm_rejects_nonpositive_eps():
         T.layer_norm(T.Tensor(np.zeros(3)), T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)), eps=0.0)
 
 
+# ------------------------------------------------------ shared array kernels
+# The graph ops, the decoder cache and beam search all run these kernels;
+# each must stay bitwise equal to the formula it replaced.
+
+
+def two_branch_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def mean_standardize(x, eps):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    return (x - mu) * (1.0 / np.sqrt(var + eps))
+
+
+def shifted_softmax(x, axis):
+    e = np.exp(x - np.max(x, axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def shifted_log_softmax(x, axis):
+    shifted = x - np.max(x, axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
+def _kernel_inputs(dtype):
+    rng = np.random.default_rng(41)
+    for shape in [(7,), (3, 16), (2, 5, 64), (4, 129), (2, 300)]:
+        for scale in (0.01, 1.0, 40.0):
+            yield (rng.normal(size=shape) * scale + rng.normal()).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_kernels_are_bitwise_the_formulas_they_replace(dtype):
+    for x in _kernel_inputs(dtype):
+        got = T.sigmoid_array(x)
+        assert got.dtype == dtype and np.array_equal(got, two_branch_sigmoid(x))
+        xhat, inv_std = T.standardize(x, 1e-5)
+        assert xhat.dtype == dtype and np.array_equal(xhat, mean_standardize(x, 1e-5))
+        assert np.array_equal(xhat, (x - x.mean(axis=-1, keepdims=True)) * inv_std)
+        for axis in range(-x.ndim, 0):
+            got = T.softmax_array(x, axis)
+            assert got.dtype == dtype and np.array_equal(got, shifted_softmax(x, axis))
+            got = T.log_softmax_array(x, axis)
+            assert got.dtype == dtype and np.array_equal(got, shifted_log_softmax(x, axis))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_graph_ops_run_the_shared_kernels(dtype):
+    rng = np.random.default_rng(42)
+    x = rng.normal(size=(3, 9)).astype(dtype)
+    gamma, beta = rng.normal(size=9).astype(dtype), rng.normal(size=9).astype(dtype)
+    assert np.array_equal(T.sigmoid(T.Tensor(x)).data, two_branch_sigmoid(x))
+    assert np.array_equal(T.softmax(T.Tensor(x), axis=0).data, shifted_softmax(x, 0))
+    assert np.array_equal(T.log_softmax(T.Tensor(x)).data, shifted_log_softmax(x, -1))
+    ln = T.layer_norm(T.Tensor(x), T.Tensor(gamma), T.Tensor(beta), eps=1e-5).data
+    assert np.array_equal(ln, gamma * mean_standardize(x, 1e-5) + beta)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_kernel_of_huge_inputs_does_not_overflow(dtype):
+    x = np.array([-1e4, -100.0, 0.0, 100.0, 1e4], dtype=dtype)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        out = T.sigmoid_array(x)
+    assert out[0] == 0.0 and out[2] == 0.5 and out[-1] == 1.0
+
+
+def test_softmax_kernel_gives_masked_entries_exactly_zero_weight():
+    x = np.array([[0.5, -np.inf, 2.0, -np.inf], [-np.inf, -np.inf, -np.inf, 3.0]])
+    out = T.softmax_array(x)
+    assert np.all(out[np.isinf(x)] == 0.0)
+    assert out[1, 3] == 1.0
+    assert np.array_equal(out[0, [0, 2]], shifted_softmax(np.array([0.5, 2.0]), -1))
+
+
 # ---------------------------------------------------------------- cross entropy
 
 

@@ -360,6 +360,22 @@ def test_save_refuses_a_step_float32_cannot_hold_exactly(tmp_path):
         assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "moments, offender",
+    [
+        ({"adam.m.w": np.zeros(3), "adam.v.w": np.zeros(3)}, "moments m .* at u"),
+        ({"adam.m.w": np.zeros(3), "adam.m.u": np.zeros(2)}, "moments v .* at u"),
+    ],
+    ids=["moments-miss-a-parameter", "m-without-v"],
+)
+def test_load_rejects_moment_tables_that_do_not_cover_every_parameter(tmp_path, moments, offender):
+    path = tmp_path / "moments.bin"
+    save_arrays(path, {TR.STEP_KEY: np.array([2.0]), "w": np.ones(3), "u": np.ones(2), **moments})
+    with pytest.raises(DataError, match=offender) as info:
+        TR.load_checkpoint(path)
+    assert str(path) in str(info.value)
+
+
 def test_unreadable_container_raises_data_error_naming_it(tmp_path):
     with pytest.raises(DataError, match="cannot read") as info:
         load_arrays(tmp_path)
