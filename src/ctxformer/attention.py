@@ -2,8 +2,8 @@
 
 Half the heads are scaled dot-product attention over projected
 query/key/value; the other half are convolutional word-context heads: a
-depthwise causal dilated convolution with softmax-normalized kernel
-columns builds local context, an adaptive softmax-weighted summary of the
+depthwise causal convolution with softmax-normalized kernel columns
+builds local context (Eq. 2), an adaptive softmax-weighted summary of the
 projected sequence acts as a context query, and a per-position sigmoid
 gate scores each local representation against that context. Head outputs
 are concatenated (dot-product heads first) and linearly recombined.
@@ -30,7 +30,7 @@ from .errors import ConfigError, DataError, DimensionError
 from .tensor import (
     Tensor,
     concat,
-    depthwise_causal_dilated_conv1d,
+    depthwise_causal_conv1d,
     dropout,
     masked_fill,
     matmul,
@@ -61,20 +61,17 @@ class ConvHeadParams:
     w_a: Tensor  # (F, d_h), softmax-normalized along F at use time; n heads: (n, F, d_h)
     w_s: Tensor  # (d_h, d_h); n heads: (n, d_h, d_h)
     w_q: Tensor  # (d_h,); n heads: (n, d_h)
-    dilation: int = 1
 
     def __post_init__(self):
         taps = self.w_a.shape[-2]
         if taps < 1 or taps % 2 == 0:
             raise ConfigError(f"conv head kernel size must be odd and >= 1, got {taps}")
-        if self.dilation < 1:
-            raise ConfigError(f"dilation must be >= 1, got {self.dilation}")
 
 
 @dataclass
 class MultiHeadParams:
-    """One attention sublayer: n dot-product heads, n head-stacked conv heads
-    (hybrid) or none (all dot-product), and the output mix.
+    """One attention sublayer: n >= 1 dot-product heads, n head-stacked conv
+    heads, and the output mix.
 
     Head j of a family is slice j of each of its leaves; the head counts
     are the leaves' leading extents.
@@ -83,18 +80,15 @@ class MultiHeadParams:
     w_q: Tensor  # (n, d, d_k)
     w_k: Tensor  # (n, d, d_k)
     w_v: Tensor  # (n, d, d_v)
-    conv: Optional[ConvHeadParams]  # head-stacked, or None for all dot-product
+    conv: ConvHeadParams  # head-stacked
     w_o: Tensor  # (d, d)
 
     def __post_init__(self):
-        n_dot = self.w_q.shape[0]
-        n_conv = 0 if self.conv is None else self.conv.w_in.shape[0]
-        if (n_dot + n_conv) % 2 != 0 or n_dot + n_conv < 2:
-            raise ConfigError(f"head count must be even and >= 2, got {n_dot + n_conv}")
-        if n_conv not in (0, n_dot):
+        n_dot, n_conv = self.w_q.shape[0], self.conv.w_in.shape[0]
+        if n_dot < 1 or n_conv != n_dot:
             raise ConfigError(
-                f"need as many conv heads as dot-product heads, or none; got "
-                f"{n_dot} dot-product and {n_conv} conv"
+                f"need as many conv heads as dot-product heads, at least one each; "
+                f"got {n_dot} dot-product and {n_conv} conv"
             )
 
 
@@ -161,7 +155,7 @@ def scaled_dot_product_attention(
     weights = softmax(scores, axis=-1)
     if attn_dropout is not None:
         p, rng = attn_dropout
-        weights = dropout(weights, p, rng, training=True)
+        weights = dropout(weights, p, rng)
     return matmul(weights, v)
 
 
@@ -169,19 +163,19 @@ def scaled_dot_product_attention(
 
 
 def local_conv(s: Tensor, params: ConvHeadParams, kernel_dropconnect=None) -> Tensor:
-    """Depthwise causal dilated convolution with a softmax-normalized kernel.
+    """Depthwise causal convolution with a softmax-normalized kernel.
 
-    Each kernel column is a probability distribution over the temporal
+    Each kernel column is a probability distribution over the F-position
     window, so every output element is a convex combination of the current
-    and past inputs of its channel (zero-padded on the left).
+    and F - 1 previous inputs of its channel (zero-padded on the left).
     `kernel_dropconnect` is an optional (p, rng) pair zeroing kernel taps
     during training.
     """
     kernel = softmax(params.w_a, axis=-2)
     if kernel_dropconnect is not None:
         p, rng = kernel_dropconnect
-        kernel = dropout(kernel, p, rng, training=True)
-    return depthwise_causal_dilated_conv1d(s, kernel, params.dilation)
+        kernel = dropout(kernel, p, rng)
+    return depthwise_causal_conv1d(s, kernel)
 
 
 # ---------------------------------------------------------------- Eq. (3)
@@ -280,30 +274,29 @@ def conv_family(
 
 
 def multi_head_forward(
-    query_seq: Tensor,
-    key_seq: Tensor,
+    x: Tensor,
     params: MultiHeadParams,
     mask: Optional[np.ndarray] = None,
     causal_conv: bool = False,
     attn_dropout=None,
     kernel_dropconnect=None,
 ) -> Tensor:
-    """Hybrid multi-head layer: H/2 dot-product heads on (query_seq,
-    key_seq), H/2 conv word-context heads on query_seq, concatenated
-    (dot-product heads first) and mixed by the output matrix.
+    """Hybrid multi-head self-attention over x: H/2 dot-product heads and
+    H/2 conv word-context heads, concatenated (dot-product heads first) and
+    mixed by the output matrix.
     """
     d_model = params.w_o.shape[0]
-    head_widths = params.w_v.shape[0] * params.w_v.shape[-1]
-    if params.conv is not None:
-        head_widths += params.conv.w_in.shape[0] * params.conv.w_in.shape[-1]
+    head_widths = (
+        params.w_v.shape[0] * params.w_v.shape[-1]
+        + params.conv.w_in.shape[0] * params.conv.w_in.shape[-1]
+    )
     if head_widths != d_model:
         raise DimensionError(
             f"concatenated head width {head_widths} != model width {d_model}"
         )
-    outs = [dot_product_family(query_seq, key_seq, params, mask, attn_dropout)]
-    if params.conv is not None:
-        outs.append(conv_family(query_seq, params.conv, causal_conv, kernel_dropconnect))
-    return matmul(concat(outs, axis=-1), params.w_o)
+    dot = dot_product_family(x, x, params, mask, attn_dropout)
+    conv = conv_family(x, params.conv, causal_conv, kernel_dropconnect)
+    return matmul(concat([dot, conv], axis=-1), params.w_o)
 
 
 # ------------------------------------------------------ Table of complexities

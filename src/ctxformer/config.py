@@ -18,6 +18,12 @@ one section per constituent config:
     [decode]
     beam_size = 5
 
+The keys of a section are the fields of its config, and a key that is not
+one (a misspelt or removed option) is a config error. The model has one
+attention layout, H/2 dot-product and H/2 word-context heads in every
+sublayer, so `[model]` sets sizes, kernel sizes and dropout rates but not
+the layout; the tag heads are sized by `POS_TAGS` and `NER_TAGS`.
+
 The `paper` preset pins the published recipe (5 blocks, 16 heads, kernel
 sizes 3,5,7,11,15, dropout 0.25 with 0.10 residual/embedding dropout,
 gradient accumulation 10, beam 5 with length-penalty exponent 0.5); the
@@ -31,6 +37,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .data import MIN_SENTENCE_LEN
 from .errors import ConfigError
 from .inference import DecodeConfig
 from .model import ModelConfig
@@ -56,8 +63,11 @@ class RunConfig:
             raise ConfigError(f"unknown preset {self.preset!r}; expected one of {PRESETS}")
         if self.n_pairs < 1:
             raise ConfigError(f"n_pairs must be >= 1, got {self.n_pairs}")
-        if self.max_sentence_len < 1:
-            raise ConfigError(f"max_sentence_len must be >= 1, got {self.max_sentence_len}")
+        if self.max_sentence_len < MIN_SENTENCE_LEN:
+            raise ConfigError(
+                f"max_sentence_len must be >= {MIN_SENTENCE_LEN}, the grammar's shortest "
+                f"sentence, got {self.max_sentence_len}"
+            )
         self.model.validate()
         self.train.validate()
         self.decode.validate()
@@ -138,7 +148,7 @@ def _coerce(raw: str, fieldname: str, current):
             return int(raw)
         if isinstance(current, float):
             return float(raw)
-        if isinstance(current, tuple) or current is None:
+        if isinstance(current, tuple):
             parts = [p.strip() for p in raw.split(",") if p.strip()]
             if current and isinstance(current[0], float):
                 return tuple(float(p) for p in parts)

@@ -26,6 +26,9 @@ IGNORE_ID = -1  # cross-entropy skip marker for positions without a label
 POS_TAGS = ("ADJ", "ADV", "DET", "NOUN", "PROPN", "VERB")
 NER_TAGS = ("LOC", "O", "PER")
 
+# The grammar's shortest sentence: determiner noun verb determiner noun.
+MIN_SENTENCE_LEN = 5
+
 # -- source lexicon, one syntactic slot per word --------------------------
 
 DETERMINERS = ("the", "a", "every")
@@ -164,6 +167,11 @@ def generate_corpus(grammar_seed: int, n_pairs: int, max_len: int = 12):
     """Sample tagged pairs; returns (pairs, corpus-format text lines)."""
     if n_pairs < 1:
         raise ConfigError(f"n_pairs must be >= 1, got {n_pairs}")
+    if max_len < MIN_SENTENCE_LEN:
+        raise ConfigError(
+            f"max_sentence_len must be >= {MIN_SENTENCE_LEN}, the grammar's shortest "
+            f"sentence, got {max_len}"
+        )
     rng = np.random.default_rng((grammar_seed, 0x5EED))
     src_vocab, tgt_vocab = source_vocabulary(), target_vocabulary()
     pairs, lines = [], []

@@ -8,9 +8,9 @@ decoder layer the cache holds:
 
 - the keys and values of the masked self-attention's dot-product heads,
   one row appended per step;
-- the projected inputs that each conv head's causal dilated window still
-  reads: the last (F - 1) * dilation + 1 positions, zeros before the first
-  position, which is the zero padding of the full-prefix convolution;
+- the projected inputs that each conv head's causal window of F taps
+  still reads: the last F positions, zeros before the first position,
+  which is the zero padding of the full-prefix convolution;
 - the causal adaptive query as a running prefix softmax (max, sum of exp,
   exp-weighted sum of projections), updated with the online-softmax
   recurrence;
@@ -47,23 +47,21 @@ from .model import LAYER_NORM_EPS
 class _LayerWeights:
     """One decoder layer's head-stacked weights and what it reads of the memory."""
 
-    n_dot: int  # dot-product heads of the self-attention
+    n_dot: int  # dot-product heads of each attention sublayer
     d_k: int  # width of every dot-product head, self- and cross-attention alike
     n_conv: int  # conv heads of the self-attention, each d_h wide
     d_h: int
     self_in: np.ndarray  # (d, 3 * n_dot * d_k + n_conv * d_h): q | k | v | w_in
     kernel: np.ndarray  # (n_conv, F, d_h), softmax-normalized over the taps
-    taps: np.ndarray  # (F,) window rows of positions t, t - dilation, ...
     w_s: np.ndarray  # (n_conv, d_h, d_h)
     w_q: np.ndarray  # (n_conv, d_h)
     self_out: np.ndarray  # (d, d)
     ln1: tuple
-    n_cross: int  # dot-product heads of the cross-attention
-    cross_q: np.ndarray  # (d, n_cross * d_k)
-    cross_keys: np.ndarray  # (n_cross, d_k, T_src)
-    cross_values: np.ndarray  # (n_cross, T_src, d_k)
-    cross_out: np.ndarray  # (n_cross * d_k, d): the dot-head rows of the output matrix
-    cross_conv: np.ndarray  # (d,): the conv half's contribution, zero without conv heads
+    cross_q: np.ndarray  # (d, n_dot * d_k)
+    cross_keys: np.ndarray  # (n_dot, d_k, T_src)
+    cross_values: np.ndarray  # (n_dot, T_src, d_k)
+    cross_out: np.ndarray  # (n_dot * d_k, d): the dot-head rows of the output matrix
+    pooled_conv: np.ndarray  # (d,): the conv half of cross-attention, already mixed
     ln2: tuple
     ffn: tuple  # (w1, b1, w2, b2)
     ln3: tuple
@@ -75,7 +73,7 @@ class _LayerState:
 
     keys: np.ndarray  # (B, n_dot, length, d_k)
     values: np.ndarray  # (B, n_dot, length, d_k)
-    window: np.ndarray  # (B, n_conv, (F - 1) * dilation + 1, d_h), newest last
+    window: np.ndarray  # (B, n_conv, F, d_h), newest last
     q_max: np.ndarray  # (B, n_conv) running max of the adaptive-query scores
     q_sum: np.ndarray  # (B, n_conv) sum of exp(score - q_max)
     q_acc: np.ndarray  # (B, n_conv, d_h) sum of exp(score - q_max) * projection
@@ -83,27 +81,22 @@ class _LayerState:
 
 def _stack_layer(layer, memory: tn.Tensor) -> _LayerWeights:
     mha, xmha, conv = layer.mha, layer.xmha, layer.mha.conv
-    n_conv, taps, d_h = conv.w_a.shape
-    width = (taps - 1) * conv.dilation + 1
+    n_conv, _, d_h = conv.w_a.shape
 
     mem = memory.data
-    n_cross, _, d_k = xmha.w_q.shape
+    n_dot, _, d_k = xmha.w_q.shape
     cross_q, cross_k, cross_v = (head_columns(w).data for w in (xmha.w_q, xmha.w_k, xmha.w_v))
     t_src = mem.shape[0]
-    keys = (mem @ cross_k).reshape(t_src, n_cross, d_k)
-    values = (mem @ cross_v).reshape(t_src, n_cross, d_k)
-    n_cols = n_cross * d_k
-    if xmha.conv is not None:
-        pooled = conv_family(memory, xmha.conv).data.mean(axis=0)
-        cross_conv = pooled @ xmha.w_o.data[n_cols:]
-    else:
-        cross_conv = np.zeros(xmha.w_o.shape[1], dtype=mem.dtype)
+    keys = (mem @ cross_k).reshape(t_src, n_dot, d_k)
+    values = (mem @ cross_v).reshape(t_src, n_dot, d_k)
+    n_cols = n_dot * d_k
+    pooled = conv_family(memory, xmha.conv).data.mean(axis=0)
 
     def ln(params):
         return params.gamma.data, params.beta.data
 
     return _LayerWeights(
-        n_dot=mha.w_q.shape[0],
+        n_dot=n_dot,
         d_k=d_k,
         n_conv=n_conv,
         d_h=d_h,
@@ -111,17 +104,15 @@ def _stack_layer(layer, memory: tn.Tensor) -> _LayerWeights:
             [head_columns(w).data for w in (mha.w_q, mha.w_k, mha.w_v, conv.w_in)], axis=1
         ),
         kernel=tn.softmax_array(conv.w_a.data, axis=1),
-        taps=(width - 1) - conv.dilation * np.arange(taps),
         w_s=conv.w_s.data,
         w_q=conv.w_q.data,
         self_out=mha.w_o.data,
         ln1=ln(layer.ln1),
-        n_cross=n_cross,
         cross_q=cross_q,
         cross_keys=keys.transpose(1, 2, 0),
         cross_values=values.transpose(1, 0, 2),
         cross_out=xmha.w_o.data[:n_cols],
-        cross_conv=cross_conv,
+        pooled_conv=pooled @ xmha.w_o.data[n_cols:],
         ln2=ln(layer.ln2),
         ffn=(layer.ffn.w1.data, layer.ffn.b1.data, layer.ffn.w2.data, layer.ffn.b2.data),
         ln3=ln(layer.ln3),
@@ -129,7 +120,7 @@ def _stack_layer(layer, memory: tn.Tensor) -> _LayerWeights:
 
 
 def _empty_state(w: _LayerWeights, dtype) -> _LayerState:
-    width = int(w.taps[0]) + 1
+    width = w.kernel.shape[1]
     return _LayerState(
         keys=np.zeros((1, w.n_dot, 0, w.d_k), dtype=dtype),
         values=np.zeros((1, w.n_dot, 0, w.d_k), dtype=dtype),
@@ -156,7 +147,7 @@ def _self_attention(x: np.ndarray, w: _LayerWeights, st: _LayerState) -> np.ndar
 
     s = proj[:, 3 * cols :].reshape(b, n_conv, d_h)
     st.window = np.concatenate([st.window[:, :, 1:], s[:, :, None, :]], axis=2)
-    local = (st.window[:, :, w.taps, :] * w.kernel).sum(axis=2)
+    local = (st.window[:, :, ::-1, :] * w.kernel).sum(axis=2)  # tap j reads position t - j
     # Causal adaptive query: one online-softmax update of the prefix state.
     score = (s * w.w_q).sum(axis=-1)
     projected = (s.transpose(1, 0, 2) @ w.w_s).transpose(1, 0, 2)
@@ -174,10 +165,10 @@ def _self_attention(x: np.ndarray, w: _LayerWeights, st: _LayerState) -> np.ndar
 def _cross_attention(y: np.ndarray, w: _LayerWeights) -> np.ndarray:
     """Encoder-decoder attention of the newest position of every hypothesis."""
     b = y.shape[0]
-    q = (y @ w.cross_q).reshape(b, w.n_cross, w.d_k).transpose(1, 0, 2)
-    scores = (q @ w.cross_keys) * (1.0 / math.sqrt(w.d_k))  # (n_cross, B, T_src)
+    q = (y @ w.cross_q).reshape(b, w.n_dot, w.d_k).transpose(1, 0, 2)
+    scores = (q @ w.cross_keys) * (1.0 / math.sqrt(w.d_k))  # (n_dot, B, T_src)
     ctx = (tn.softmax_array(scores) @ w.cross_values).transpose(1, 0, 2).reshape(b, -1)
-    return ctx @ w.cross_out + w.cross_conv
+    return ctx @ w.cross_out + w.pooled_conv
 
 
 def _feed_forward(y: np.ndarray, ffn: tuple) -> np.ndarray:

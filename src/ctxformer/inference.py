@@ -225,8 +225,7 @@ def cosine_probe(
         else:
             conv = mha.conv
             head = ConvHeadParams(
-                *(tn.Tensor(w.data[0]) for w in (conv.w_in, conv.w_a, conv.w_s, conv.w_q)),
-                conv.dilation,
+                *(tn.Tensor(w.data[0]) for w in (conv.w_in, conv.w_a, conv.w_s, conv.w_q))
             )
             reps = local_conv(tn.matmul(x, head.w_in), head).data
     vec_a, vec_b = reps[idx_a], reps[idx_b]

@@ -25,6 +25,7 @@ from .attention import (
     dot_product_family,
     multi_head_forward,
 )
+from .data import NER_TAGS, POS_TAGS
 from .errors import ConfigError, DataError
 from .tensor import Tensor
 
@@ -43,15 +44,11 @@ class ModelConfig:
     kernel_sizes: tuple = (3, 5, 7)
     vocab_src: int = 64
     vocab_tgt: int = 64
-    n_pos_tags: int = 6
-    n_ner_tags: int = 3
     dropout: float = 0.0
     residual_dropout: float = 0.0
     embed_dropout: float = 0.0
     dropconnect: float = 0.0
     max_len: int = 64
-    dilations: Optional[tuple] = None
-    cross_conv: str = "memory"  # "memory" = hybrid cross-attention, "off" = all dot-product
 
     def validate(self) -> None:
         if self.n_blocks < 3:
@@ -80,29 +77,16 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be in [0, 1), got {p}")
         if self.max_len < 1:
             raise ConfigError(f"max_len must be positive, got {self.max_len}")
-        if self.dilations is not None and len(self.dilations) != self.n_blocks:
-            raise ConfigError(
-                f"dilations has {len(self.dilations)} entries for {self.n_blocks} blocks"
-            )
-        if self.dilations is not None and min(self.dilations) < 1:
-            raise ConfigError(f"dilations must be >= 1, got {self.dilations}")
-        if self.cross_conv not in ("memory", "off"):
-            raise ConfigError(f"cross_conv must be 'memory' or 'off', got {self.cross_conv!r}")
         for name in ("vocab_src", "vocab_tgt"):
             if getattr(self, name) < 5:
                 raise ConfigError(f"{name} must cover the 4 reserved ids plus content")
-        if self.n_pos_tags < 1 or self.n_ner_tags < 1:
-            raise ConfigError("tag inventories must be nonempty")
-
-    def block_dilation(self, i: int) -> int:
-        return 1 if self.dilations is None else self.dilations[i]
 
 
 @dataclass
 class EncoderOutput:
     memory: Tensor  # (..., T_src, d)
-    pos_logits: Tensor  # (..., T_src, n_pos_tags), from base layer 1
-    ner_logits: Tensor  # (..., T_src, n_ner_tags), from base layer 2
+    pos_logits: Tensor  # (..., T_src, len(POS_TAGS)), from base layer 1
+    ner_logits: Tensor  # (..., T_src, len(NER_TAGS)), from base layer 2
 
 
 # -------------------------------------------------------------- positions
@@ -150,7 +134,7 @@ class EncoderLayerParams:
 class DecoderLayerParams:
     mha: MultiHeadParams  # masked hybrid self-attention
     ln1: LayerNormParams
-    xmha: MultiHeadParams  # encoder-decoder attention (conv half optional)
+    xmha: MultiHeadParams  # encoder-decoder attention; the conv half reads the memory
     ln2: LayerNormParams
     ffn: FeedForwardParams
     ln3: LayerNormParams
@@ -183,7 +167,7 @@ def _maybe_dropout(x: Tensor, pair) -> Tensor:
     if pair is None:
         return x
     p, rng = pair
-    return tn.dropout(x, p, rng, training=True)
+    return tn.dropout(x, p, rng)
 
 
 # ----------------------------------------------------------- layer forwards
@@ -207,7 +191,6 @@ def encoder_layer(
     reg: _Regularizers = _Regularizers(),
 ) -> Tensor:
     attn = multi_head_forward(
-        x,
         x,
         layer.mha,
         mask=None,
@@ -238,17 +221,16 @@ def _cross_attention(
     """Encoder-decoder attention.
 
     Dot-product heads attend the memory from decoder queries. The conv
-    heads (hybrid mode) read the memory with the full-sequence context
-    query, which is safe because the memory is fully observed; their gated
-    features are mean-pooled over source positions and broadcast to every
-    decoder position, so decoder causality is untouched.
+    heads read the memory with the full-sequence context query, which is
+    safe because the memory is fully observed; their gated features are
+    mean-pooled over source positions and broadcast to every decoder
+    position, so decoder causality is untouched.
     """
-    outs = [dot_product_family(y, memory, params, None, reg.attn)]
-    if params.conv is not None:
-        gated = conv_family(memory, params.conv, False, reg.kernel)
-        pooled = tn.tmean(gated, axis=-2, keepdims=True)
-        outs.append(tn.broadcast_to(pooled, pooled.shape[:-2] + (y.shape[-2], pooled.shape[-1])))
-    return tn.matmul(tn.concat(outs, axis=-1), params.w_o)
+    dot = dot_product_family(y, memory, params, None, reg.attn)
+    gated = conv_family(memory, params.conv, False, reg.kernel)
+    pooled = tn.tmean(gated, axis=-2, keepdims=True)
+    conv = tn.broadcast_to(pooled, pooled.shape[:-2] + (y.shape[-2], pooled.shape[-1]))
+    return tn.matmul(tn.concat([dot, conv], axis=-1), params.w_o)
 
 
 def decoder_layer(
@@ -259,7 +241,6 @@ def decoder_layer(
 ) -> Tensor:
     t_len = y.shape[-2]
     self_attn = multi_head_forward(
-        y,
         y,
         layer.mha,
         mask=causal_mask(t_len),
@@ -337,25 +318,22 @@ class Seq2SeqModel:
                 self.params[f"{prefix}.{j}.{name}"] = view
         return leaves
 
-    def _mha(self, prefix: str, n_dot: int, conv: Optional[tuple]) -> MultiHeadParams:
-        """n_dot dot-product heads, then as many conv heads of (taps, dilation)
-        unless `conv` is None, then the output mix."""
-        d = self.config.d_model
+    def _mha(self, prefix: str, taps: int) -> MultiHeadParams:
+        """H/2 dot-product heads, H/2 conv heads of `taps` taps, then the
+        output mix."""
+        d, n = self.config.d_model, self.config.h // 2
         d_h = d // self.config.h
         w_q, w_k, w_v = self._heads(
-            f"{prefix}.self", n_dot, {f: ((d, d_h), d) for f in ("q", "k", "v")}
+            f"{prefix}.self", n, {f: ((d, d_h), d) for f in ("q", "k", "v")}
         )
-        conv_heads = None
-        if conv is not None:
-            taps, dilation = conv
-            fields = {
-                "w_in": ((d, d_h), d),
-                "w_a": ((taps, d_h), taps),
-                "w_s": ((d_h, d_h), d_h),
-                "w_q": ((d_h,), d_h),
-            }
-            conv_heads = ConvHeadParams(*self._heads(f"{prefix}.conv", n_dot, fields), dilation)
-        return MultiHeadParams(w_q, w_k, w_v, conv_heads, self._param(f"{prefix}.w_o", (d, d), d))
+        fields = {
+            "w_in": ((d, d_h), d),
+            "w_a": ((taps, d_h), taps),
+            "w_s": ((d_h, d_h), d_h),
+            "w_q": ((d_h,), d_h),
+        }
+        conv = ConvHeadParams(*self._heads(f"{prefix}.conv", n, fields))
+        return MultiHeadParams(w_q, w_k, w_v, conv, self._param(f"{prefix}.w_o", (d, d), d))
 
     def _ffn(self, prefix: str) -> FeedForwardParams:
         d = self.config.d_model
@@ -380,30 +358,27 @@ class Seq2SeqModel:
         self.src_embed = self._param("src_embed", (cfg.vocab_src, d), d)
         self.tgt_embed = self._param("tgt_embed", (cfg.vocab_tgt, d), d)
         self.enc_layers = []
-        for i in range(cfg.n_blocks):
-            taps, dil = cfg.kernel_sizes[i], cfg.block_dilation(i)
+        for i, taps in enumerate(cfg.kernel_sizes):
             self.enc_layers.append(
                 EncoderLayerParams(
-                    mha=self._mha(f"enc.{i}.mha", cfg.h // 2, (taps, dil)),
+                    mha=self._mha(f"enc.{i}.mha", taps),
                     ln1=self._ln(f"enc.{i}.ln1"),
                     ffn=self._ffn(f"enc.{i}.ffn"),
                     ln2=self._ln(f"enc.{i}.ln2"),
                 )
             )
-        self.pos_head_w = self._param("pos_head.w", (d, cfg.n_pos_tags), d)
-        self.pos_head_b = self._param("pos_head.b", (cfg.n_pos_tags,))
-        self.ner_head_w = self._param("ner_head.w", (d, cfg.n_ner_tags), d)
-        self.ner_head_b = self._param("ner_head.b", (cfg.n_ner_tags,))
+        self.pos_head_w = self._param("pos_head.w", (d, len(POS_TAGS)), d)
+        self.pos_head_b = self._param("pos_head.b", (len(POS_TAGS),))
+        self.ner_head_w = self._param("ner_head.w", (d, len(NER_TAGS)), d)
+        self.ner_head_b = self._param("ner_head.b", (len(NER_TAGS),))
         self.dec_layers = []
-        for i in range(cfg.n_blocks):
-            taps, dil = cfg.kernel_sizes[i], cfg.block_dilation(i)
-            if cfg.cross_conv == "memory":
-                xmha = self._mha(f"dec.{i}.xmha", cfg.h // 2, (taps, dil))
-            else:  # every cross-attention head is dot-product
-                xmha = self._mha(f"dec.{i}.xmha", cfg.h, None)
+        for i, taps in enumerate(cfg.kernel_sizes):
+            # Cross-attention is drawn before self-attention; the initial
+            # weights depend on that order.
+            xmha = self._mha(f"dec.{i}.xmha", taps)
             self.dec_layers.append(
                 DecoderLayerParams(
-                    mha=self._mha(f"dec.{i}.mha", cfg.h // 2, (taps, dil)),
+                    mha=self._mha(f"dec.{i}.mha", taps),
                     ln1=self._ln(f"dec.{i}.ln1"),
                     xmha=xmha,
                     ln2=self._ln(f"dec.{i}.ln2"),
@@ -438,7 +413,7 @@ class Seq2SeqModel:
         x = tn.mul(tn.embedding(table, ids), math.sqrt(self.config.d_model))
         x = tn.add(x, self._pe[:t_len])
         if training and self.config.embed_dropout > 0:
-            x = tn.dropout(x, self.config.embed_dropout, rng, training=True)
+            x = tn.dropout(x, self.config.embed_dropout, rng)
         return x
 
     def encode(
@@ -557,23 +532,18 @@ def count_parameters(config: ModelConfig) -> int:
     d_h = d // h
     inner = FFN_MULTIPLE * d
 
-    def hybrid_mha(taps: int) -> int:
+    def mha(taps: int) -> int:
         self_part = (h // 2) * 3 * d * d_h
         conv_part = (h // 2) * (d * d_h + taps * d_h + d_h * d_h + d_h)
         return self_part + conv_part + d * d
 
-    def all_self_mha() -> int:
-        return h * 3 * d * d_h + d * d
-
     ffn = d * inner + inner + inner * d + d
     ln = 2 * d
     total = (config.vocab_src + config.vocab_tgt) * d
-    for i in range(config.n_blocks):
-        taps = config.kernel_sizes[i]
-        total += hybrid_mha(taps) + ffn + 2 * ln  # encoder block
-        cross = hybrid_mha(taps) if config.cross_conv == "memory" else all_self_mha()
-        total += hybrid_mha(taps) + cross + ffn + 3 * ln  # decoder block
-    total += d * config.n_pos_tags + config.n_pos_tags
-    total += d * config.n_ner_tags + config.n_ner_tags
+    for taps in config.kernel_sizes:
+        total += mha(taps) + ffn + 2 * ln  # encoder block
+        total += 2 * mha(taps) + ffn + 3 * ln  # decoder block
+    for n_tags in (len(POS_TAGS), len(NER_TAGS)):
+        total += d * n_tags + n_tags
     total += d * config.vocab_tgt + config.vocab_tgt
     return total

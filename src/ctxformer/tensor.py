@@ -450,17 +450,6 @@ def softmax(x, axis: int = -1) -> Tensor:
     return _make(data, (x,), bwd)
 
 
-def log_softmax(x, axis: int = -1) -> Tensor:
-    x = as_tensor(x)
-    data = log_softmax_array(x.data, axis)
-
-    def bwd(g):
-        if x.requires_grad:
-            x._accumulate(g - np.exp(data) * g.sum(axis=axis, keepdims=True))
-
-    return _make(data, (x,), bwd)
-
-
 def masked_fill(x, keep_mask: np.ndarray, value: float) -> Tensor:
     """Replace entries where keep_mask is False by `value` (no grad there)."""
     x = as_tensor(x)
@@ -506,17 +495,15 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 # -- sequence ops -------------------------------------------------------------
 
 
-def depthwise_causal_dilated_conv1d(s, w, dilation: int = 1) -> Tensor:
+def depthwise_causal_conv1d(s, w) -> Tensor:
     """Per-channel causal convolution with left zero-padding.
 
-    out[..., t, c] = sum_j w[j, c] * s[..., t - j*dilation, c], out-of-range
-    terms are zero, so position t never reads positions greater than t.
+    out[..., t, c] = sum_j w[j, c] * s[..., t - j, c], out-of-range terms
+    are zero, so position t never reads positions greater than t.
     A kernel (n, F, d) holds one (F, d) kernel per slice s[i] of an input
     (n, ..., T, d): stacked heads convolve in one call.
     """
     s, w = as_tensor(s), as_tensor(w)
-    if dilation < 1:
-        raise ConfigError(f"dilation must be >= 1, got {dilation}")
     if w.data.ndim not in (2, 3):
         raise DimensionError(f"kernel must be (F, d) or (n, F, d), got {w.data.shape}")
     heads = w.data.shape[:-2]
@@ -538,38 +525,20 @@ def depthwise_causal_dilated_conv1d(s, w, dilation: int = 1) -> Tensor:
         (taps,) + heads + (1,) * (s.data.ndim - 1 - len(heads)) + (channels,)
     )
     data = np.zeros_like(s.data)
-    for j in range(taps):
-        off = j * dilation
-        if off >= t_len:
-            break
-        if off == 0:
-            data += kern[j] * s.data
-        else:
-            data[..., off:, :] += kern[j] * s.data[..., : t_len - off, :]
+    for j in range(min(taps, t_len)):
+        data[..., j:, :] += kern[j] * s.data[..., : t_len - j, :]
 
     def bwd(g):
         if s.requires_grad:
             gs = np.zeros_like(s.data)
-            for j in range(taps):
-                off = j * dilation
-                if off >= t_len:
-                    break
-                if off == 0:
-                    gs += kern[j] * g
-                else:
-                    gs[..., : t_len - off, :] += kern[j] * g[..., off:, :]
+            for j in range(min(taps, t_len)):
+                gs[..., : t_len - j, :] += kern[j] * g[..., j:, :]
             s._accumulate(gs)
         if w.requires_grad:
             gw = np.zeros_like(w.data)
             summed = tuple(range(len(heads), g.ndim - 1))
-            for j in range(taps):
-                off = j * dilation
-                if off >= t_len:
-                    break
-                if off == 0:
-                    gw[..., j, :] = (g * s.data).sum(axis=summed)
-                else:
-                    gw[..., j, :] = (g[..., off:, :] * s.data[..., : t_len - off, :]).sum(axis=summed)
+            for j in range(min(taps, t_len)):
+                gw[..., j, :] = (g[..., j:, :] * s.data[..., : t_len - j, :]).sum(axis=summed)
             w._accumulate(gw)
 
     return _make(data, (s, w), bwd)
@@ -644,12 +613,12 @@ def cross_entropy(logits, targets: np.ndarray, ignore_id: int = -1) -> Tensor:
 # -- stochastic regularizers ---------------------------------------------------
 
 
-def dropout(x, p: float, rng: np.random.Generator, training: bool) -> Tensor:
+def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
     """Zero each element with probability p and rescale survivors by 1/(1-p)."""
     if not (0.0 <= p < 1.0):
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     x = as_tensor(x)
-    if not training or p == 0.0:
+    if p == 0.0:
         return x
     scale = 1.0 / (1.0 - p)
     keep = rng.random(x.data.shape, dtype=x.data.dtype) >= p

@@ -43,8 +43,13 @@ class TrainConfig:
     def validate(self) -> None:
         if self.accum_steps < 1:
             raise ConfigError(f"accum_steps must be >= 1, got {self.accum_steps}")
-        if self.lambda_pos < 0 or self.lambda_ner < 0:
-            raise ConfigError("auxiliary loss weights must be nonnegative")
+        if not (self.lambda_pos >= 0 and self.lambda_ner >= 0):  # NaN fails too
+            raise ConfigError(
+                f"auxiliary loss weights lambda_pos and lambda_ner must be nonnegative, "
+                f"got {self.lambda_pos} and {self.lambda_ner}"
+            )
+        if not self.adam_eps > 0:  # NaN fails too
+            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
         if self.warmup_steps < 1:
             raise ConfigError(f"warmup_steps must be >= 1, got {self.warmup_steps}")
         if self.total_steps < 1:

@@ -55,7 +55,7 @@ def kernel_softmax_oracle(w_a):
     return e / e.sum(axis=0, keepdims=True)
 
 
-def local_conv_oracle(s, w_a, dilation):
+def local_conv_oracle(s, w_a):
     kern = kernel_softmax_oracle(w_a)
     taps = w_a.shape[0]
     t_len, d_h = s.shape
@@ -64,7 +64,7 @@ def local_conv_oracle(s, w_a, dilation):
         for c in range(d_h):
             acc = 0.0
             for j in range(taps):
-                src = t - j * dilation
+                src = t - j
                 if src >= 0:
                     acc += kern[j, c] * s[src, c]
             out[t, c] = acc
@@ -86,9 +86,9 @@ def adaptive_query_prefix_oracle(s, w_s, w_q):
     )
 
 
-def dynamic_head_oracle(s_proj, w_a, w_s, w_q, dilation, causal):
+def dynamic_head_oracle(s_proj, w_a, w_s, w_q, causal):
     d_h = s_proj.shape[1]
-    local = local_conv_oracle(s_proj, w_a, dilation)
+    local = local_conv_oracle(s_proj, w_a)
     if causal:
         query = adaptive_query_prefix_oracle(s_proj, w_s, w_q)
     else:
@@ -117,7 +117,7 @@ def multi_head_oracle(x, params, mask=None, causal_conv=False):
         outs.append(sdpa_oracle(x @ w_q, x @ w_k, x @ w_v, mask))
     for w_in, w_a, w_s, w_q in conv_heads(params):
         outs.append(
-            dynamic_head_oracle(x @ w_in, w_a, w_s, w_q, params.conv.dilation, causal_conv)
+            dynamic_head_oracle(x @ w_in, w_a, w_s, w_q, causal_conv)
         )
     return np.concatenate(outs, axis=-1) @ params.w_o.data
 
@@ -139,7 +139,7 @@ def cross_attention_oracle(y, memory, params):
     for w_q, w_k, w_v in dot_heads(params):
         outs.append(sdpa_oracle(y @ w_q, memory @ w_k, memory @ w_v))
     for w_in, w_a, w_s, w_q in conv_heads(params):
-        gated = dynamic_head_oracle(memory @ w_in, w_a, w_s, w_q, params.conv.dilation, False)
+        gated = dynamic_head_oracle(memory @ w_in, w_a, w_s, w_q, False)
         pooled = gated.mean(axis=0)
         outs.append(np.broadcast_to(pooled, (y.shape[0], pooled.shape[0])).copy())
     return np.concatenate(outs, axis=-1) @ params.w_o.data

@@ -142,11 +142,10 @@ def test_oracle_equivalence_suite():
         t_len = int(rng.integers(1, 7))
         d_h = int(rng.integers(1, 5))
         taps = int(rng.choice([1, 3, 5]))
-        dil = int(rng.integers(1, 3))
         s = rng.normal(size=(t_len, d_h))
-        cp = rand_conv_params(rng, 2 * d_h, d_h, taps=taps, dilation=dil)
+        cp = rand_conv_params(rng, 2 * d_h, d_h, taps=taps)
         got = A.local_conv(T.Tensor(s), cp).data
-        if np.max(np.abs(got - O.local_conv_oracle(s, cp.w_a.data, dil))) > 1e-10:
+        if np.max(np.abs(got - O.local_conv_oracle(s, cp.w_a.data))) > 1e-10:
             failures.append(f"local context conv trial {trial}")
 
     for trial in range(100):
@@ -175,7 +174,7 @@ def test_oracle_equivalence_suite():
         t_len = int(rng.integers(1, 6))
         params = rand_multi_head(rng, d, h)
         x = rng.normal(size=(t_len, d))
-        got = A.multi_head_forward(T.Tensor(x), T.Tensor(x), params).data
+        got = A.multi_head_forward(T.Tensor(x), params).data
         if np.max(np.abs(got - O.multi_head_oracle(x, params))) > 1e-10:
             failures.append(f"multi-head trial {trial}")
 
@@ -450,11 +449,11 @@ def _matmul_macs(a, b) -> int:
     return math.prod(batch) * a.shape[-2] * a.shape[-1] * b.shape[-1]
 
 
-def _depthwise_macs(s, w, dilation: int = 1) -> int:
+def _depthwise_macs(s, w) -> int:
     # a tap that lands on the left zero padding does no work
     t_len, channels = s.shape[-2:]
     taps = w.shape[-2]
-    per_channel = sum(max(0, t_len - j * dilation) for j in range(taps))
+    per_channel = sum(max(0, t_len - j) for j in range(taps))
     return math.prod(s.shape[:-2]) * channels * per_channel
 
 
@@ -491,8 +490,7 @@ def _count_attention_halves(monkeypatch) -> dict:
     monkeypatch.setattr(A, "local_conv", scoped(A.local_conv, "depthwise_separable_convolution"))
     monkeypatch.setattr(A, "matmul", counted(A.matmul, _matmul_macs))
     monkeypatch.setattr(
-        A, "depthwise_causal_dilated_conv1d",
-        counted(A.depthwise_causal_dilated_conv1d, _depthwise_macs),
+        A, "depthwise_causal_conv1d", counted(A.depthwise_causal_conv1d, _depthwise_macs)
     )
     return counts
 
@@ -510,7 +508,7 @@ def test_complexity_validation(monkeypatch):
         x = T.Tensor(rng.normal(size=(n, d)))
         counts.update(dict.fromkeys(counts, 0))
         with T.no_grad():
-            A.multi_head_forward(x, x, params)
+            A.multi_head_forward(x, params)
         measured[(n, d, f)] = dict(counts)
     # one step per grid point and variable: that variable to its next grid value
     steps = []

@@ -21,29 +21,26 @@ from oracles import (
 # ---------------------------------------------------------------- builders
 
 
-def rand_conv_params(rng, d, d_h, taps=3, dilation=1):
+def rand_conv_params(rng, d, d_h, taps=3):
     return A.ConvHeadParams(
         w_in=T.Tensor(rng.normal(size=(d, d_h))),
         w_a=T.Tensor(rng.normal(size=(taps, d_h))),
         w_s=T.Tensor(rng.normal(size=(d_h, d_h))),
         w_q=T.Tensor(rng.normal(size=(d_h,))),
-        dilation=dilation,
     )
 
 
-def rand_head_bundle(rng, d, d_k, n, n_conv=0, taps=3):
+def rand_head_bundle(rng, d, d_k, n, n_conv, taps=3):
     """n dot-product heads and n_conv conv heads, each head drawn in turn
     (q, k, v, then w_in, w_a, w_s, w_q), stored head-stacked."""
     dot = np.array([[rng.normal(size=(d, d_k)) for _ in range(3)] for _ in range(n)])
     dot = dot.reshape(n, 3, d, d_k)
     w_q, w_k, w_v = (T.Tensor(np.ascontiguousarray(dot[:, i])) for i in range(3))
     convs = [rand_conv_params(rng, d, d_k, taps) for _ in range(n_conv)]
-    conv = None
-    if convs:
-        conv = A.ConvHeadParams(
-            *(T.Tensor(np.stack([getattr(cp, f).data for cp in convs]))
-              for f in ("w_in", "w_a", "w_s", "w_q"))
-        )
+    conv = A.ConvHeadParams(
+        *(T.Tensor(np.stack([getattr(cp, f).data for cp in convs]))
+          for f in ("w_in", "w_a", "w_s", "w_q"))
+    )
     return A.MultiHeadParams(w_q, w_k, w_v, conv, T.Tensor(rng.normal(size=(d, d))))
 
 
@@ -52,14 +49,13 @@ def rand_multi_head(rng, d, h, taps=3):
 
 
 def oracle_head(s, cp, causal):
-    return dynamic_head_oracle(s, cp.w_a.data, cp.w_s.data, cp.w_q.data, cp.dilation, causal)
+    return dynamic_head_oracle(s, cp.w_a.data, cp.w_s.data, cp.w_q.data, causal)
 
 
 def conv_head(conv, j):
     """Head j of a head-stacked conv bundle as its own single-head bundle."""
     return A.ConvHeadParams(
-        *(T.Tensor(w.data[j]) for w in (conv.w_in, conv.w_a, conv.w_s, conv.w_q)),
-        conv.dilation,
+        *(T.Tensor(w.data[j]) for w in (conv.w_in, conv.w_a, conv.w_s, conv.w_q))
     )
 
 
@@ -148,9 +144,9 @@ def test_local_conv_matches_softmax_then_loop_oracle():
     rng = np.random.default_rng(6)
     for _ in range(20):
         s = rng.normal(size=(6, 3))
-        cp = rand_conv_params(rng, 4, 3, taps=3, dilation=2)
+        cp = rand_conv_params(rng, 4, 3, taps=3)
         out = A.local_conv(T.Tensor(s), cp)
-        assert np.max(np.abs(out.data - local_conv_oracle(s, cp.w_a.data, 2))) < 1e-12
+        assert np.max(np.abs(out.data - local_conv_oracle(s, cp.w_a.data))) < 1e-12
 
 
 def test_local_conv_kernel_columns_sum_to_one():
@@ -244,7 +240,7 @@ def test_dynamic_head_matches_composed_oracle():
     for causal in (False, True):
         for _ in range(10):
             s = rng.normal(size=(6, 4))
-            cp = rand_conv_params(rng, 8, 4, taps=3, dilation=2)
+            cp = rand_conv_params(rng, 8, 4, taps=3)
             out = A.dynamic_conv_head(T.Tensor(s), cp, causal_query=causal)
             assert np.max(np.abs(out.data - oracle_head(s, cp, causal))) < 1e-10
 
@@ -268,11 +264,11 @@ def test_dynamic_head_gradients_through_both_softmaxes():
     weights = rng.normal(size=(5, 4))
 
     def via_kernel(x):
-        cp = A.ConvHeadParams(base.w_in, x, base.w_s, base.w_q, base.dilation)
+        cp = A.ConvHeadParams(base.w_in, x, base.w_s, base.w_q)
         return T.tsum(T.mul(A.dynamic_conv_head(T.Tensor(s), cp), weights))
 
     def via_query(x):
-        cp = A.ConvHeadParams(base.w_in, base.w_a, base.w_s, x, base.dilation)
+        cp = A.ConvHeadParams(base.w_in, base.w_a, base.w_s, x)
         return T.tsum(T.mul(A.dynamic_conv_head(T.Tensor(s), cp), weights))
 
     assert T.finite_difference_check(via_kernel, base.w_a, tol=1e-4).passed
@@ -288,7 +284,7 @@ def test_multi_head_block_structure_with_dead_conv_heads():
     params = rand_multi_head(rng, d, 2)
     params.conv.w_in.data[:] = 0.0  # local context = 0 -> head emits 0
     x = rng.normal(size=(4, d))
-    out = A.multi_head_forward(T.Tensor(x), T.Tensor(x), params)
+    out = A.multi_head_forward(T.Tensor(x), params)
     self_out = sdpa_oracle(x @ params.w_q.data[0], x @ params.w_k.data[0], x @ params.w_v.data[0])
     stacked = np.concatenate([self_out, np.zeros((4, d // 2))], axis=-1)
     assert np.max(np.abs(out.data - stacked @ params.w_o.data)) < 1e-10
@@ -301,7 +297,7 @@ def test_multi_head_shape_contract(h, d):
     params = rand_multi_head(rng, d, h)
     for t_len in range(1, 9):
         x = rng.normal(size=(t_len, d))
-        out = A.multi_head_forward(T.Tensor(x), T.Tensor(x), params)
+        out = A.multi_head_forward(T.Tensor(x), params)
         assert out.data.shape == (t_len, d)
 
 
@@ -310,7 +306,7 @@ def test_multi_head_matches_monolithic_oracle():
     for _ in range(10):
         params = rand_multi_head(rng, 8, 4)
         x = rng.normal(size=(4, 8))
-        out = A.multi_head_forward(T.Tensor(x), T.Tensor(x), params)
+        out = A.multi_head_forward(T.Tensor(x), params)
         assert np.max(np.abs(out.data - multi_head_oracle(x, params))) < 1e-10
 
 
@@ -319,30 +315,12 @@ def test_multi_head_causal_modes_block_future():
     params = rand_multi_head(rng, 8, 4)
     x = rng.normal(size=(6, 8))
     mask = A.causal_mask(6)
-    base = A.multi_head_forward(
-        T.Tensor(x), T.Tensor(x), params, mask=mask, causal_conv=True
-    ).data
+    base = A.multi_head_forward(T.Tensor(x), params, mask=mask, causal_conv=True).data
     for t in range(5):
         x2 = x.copy()
         x2[t + 1 :] += rng.normal(size=x2[t + 1 :].shape)
-        out = A.multi_head_forward(
-            T.Tensor(x2), T.Tensor(x2), params, mask=mask, causal_conv=True
-        ).data
+        out = A.multi_head_forward(T.Tensor(x2), params, mask=mask, causal_conv=True).data
         assert np.array_equal(out[: t + 1], base[: t + 1])
-
-
-def test_multi_head_rejects_odd_head_count():
-    rng = np.random.default_rng(23)
-    with pytest.raises(ConfigError):
-        rand_head_bundle(rng, 6, 2, 3)
-
-
-def test_multi_head_accepts_all_dot_product_heads():
-    rng = np.random.default_rng(26)
-    params = rand_head_bundle(rng, 8, 2, 4)
-    x = rng.normal(size=(5, 8))
-    out = A.multi_head_forward(T.Tensor(x), T.Tensor(x), params)
-    assert np.max(np.abs(out.data - multi_head_oracle(x, params))) < 1e-10
 
 
 @pytest.mark.parametrize("n_dot,n_conv", [(3, 1), (1, 3), (4, 2), (0, 4)])
@@ -358,12 +336,11 @@ def test_fused_training_forward_matches_per_head_composition(causal):
     # from one rng; the fused heads must draw the masks a head loop draws.
     rng = np.random.default_rng(28)
     params = rand_multi_head(rng, 16, 8, taps=5)
-    params.conv.dilation = 2
     x = T.Tensor(rng.normal(size=(3, 6, 16)))
     mask = A.causal_mask(6) if causal else None
     fused_stream = np.random.default_rng(7)
     fused = A.multi_head_forward(
-        x, x, params, mask, causal, (0.3, fused_stream), (0.2, fused_stream)
+        x, params, mask, causal, (0.3, fused_stream), (0.2, fused_stream)
     ).data
 
     stream = np.random.default_rng(7)
@@ -390,9 +367,9 @@ def test_multi_head_batched_matches_per_sequence():
     rng = np.random.default_rng(25)
     params = rand_multi_head(rng, 8, 4)
     xs = rng.normal(size=(3, 5, 8))
-    batched = A.multi_head_forward(T.Tensor(xs), T.Tensor(xs), params).data
+    batched = A.multi_head_forward(T.Tensor(xs), params).data
     for i in range(3):
-        single = A.multi_head_forward(T.Tensor(xs[i]), T.Tensor(xs[i]), params).data
+        single = A.multi_head_forward(T.Tensor(xs[i]), params).data
         assert np.allclose(batched[i], single, atol=1e-12)
 
 

@@ -387,9 +387,19 @@ def test_cli_train_resume_from_moments_without_v_exits_3(tmp_path, capsys):
         ("[train]\nmax_tokens = 0\n", "max_tokens"),
         ("[model]\ndilations = 0,1,1\n", "dilations"),
         ("[decode]\nalpha = nan\n", "alpha"),
+        ("[model]\ncross_conv = off\n", "cross_conv"),
+        ("[model]\nn_pos_tags = 9\n", "n_pos_tags"),
+        ("[train]\nadam_eps = 0\n", "adam_eps"),
+        ("[train]\nadam_eps = -1e-9\n", "adam_eps"),
+        ("[train]\nadam_eps = nan\n", "adam_eps"),
+        ("[train]\nlambda_pos = nan\n", "lambda_pos"),
+        ("[train]\nlambda_ner = nan\n", "lambda_ner"),
+        ("[run]\nmax_sentence_len = 4\n", "max_sentence_len"),
     ],
     ids=["one-beta", "no-beta", "three-betas", "zero-width", "negative-width",
-         "zero-max-tokens", "zero-dilation", "nan-alpha"],
+         "zero-max-tokens", "zero-dilation", "nan-alpha", "removed-cross-conv",
+         "removed-n-pos-tags", "zero-adam-eps", "negative-adam-eps", "nan-adam-eps",
+         "nan-lambda-pos", "nan-lambda-ner", "sentences-shorter-than-the-grammar"],
 )
 def test_cli_gen_rejects_values_that_would_fail_later(tmp_path, capsys, text, key):
     cfg = tmp_path / "bad.cfg"

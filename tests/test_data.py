@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ctxformer import data as D
-from ctxformer.errors import DataError
+from ctxformer.errors import ConfigError, DataError
 
 
 # ---------------------------------------------------------------- corpus
@@ -50,6 +50,17 @@ def test_translation_matches_rule_oracle():
         # tags are a pure function of the word
         for w, p, n in zip(src, pos, ner):
             assert D.SOURCE_LEXICON[w] == (p, n)
+
+
+def test_corpus_shortest_sentence_is_the_stated_minimum():
+    _, lines = D.generate_corpus(13, 300, max_len=D.MIN_SENTENCE_LEN)
+    assert {len(line.split("|||")[0].split()) for line in lines} == {D.MIN_SENTENCE_LEN}
+
+
+def test_corpus_rejects_a_length_cap_below_the_shortest_sentence():
+    # Resampling until a sentence fits would never end.
+    with pytest.raises(ConfigError, match="max_sentence_len"):
+        D.generate_corpus(13, 1, max_len=D.MIN_SENTENCE_LEN - 1)
 
 
 def test_tagged_pair_validates_tag_lengths():

@@ -350,7 +350,7 @@ def test_probe_matches_scalar_loop_oracle():
     ids = np.asarray(vocab.encode(SENTENCE) + [D.EOS_ID])
     x = model.src_embed.data[ids] * math.sqrt(8) + sinusoidal_positions(len(ids), 8)
     conv = model.enc_layers[0].mha.conv
-    reps = local_conv_oracle(x @ conv.w_in.data[0], conv.w_a.data[0], conv.dilation)
+    reps = local_conv_oracle(x @ conv.w_in.data[0], conv.w_a.data[0])
     expected = _cosine_loop(reps[2], reps[5])  # fox, river
     sim = I.cosine_probe("fox", "river", SENTENCE, model, vocab, "conv_local")
     assert abs(sim - expected) < 1e-10

@@ -31,8 +31,6 @@ def tiny_config(**overrides):
         kernel_sizes=(3, 3, 3),
         vocab_src=16,
         vocab_tgt=16,
-        n_pos_tags=6,
-        n_ner_tags=3,
         max_len=16,
     )
     base.update(overrides)
@@ -177,16 +175,6 @@ def test_decoder_layer_matches_step_by_step_oracle():
     out = M.decoder_layer(T.Tensor(y), T.Tensor(memory), model.dec_layers[0])
     expected = decoder_layer_oracle(y, memory, model.dec_layers[0])
     assert out.data.shape == (4, 8)
-    assert np.max(np.abs(out.data - expected)) < 1e-8
-
-
-def test_decoder_layer_cross_conv_off_matches_oracle():
-    model = tiny_model(seed=5, cross_conv="off")
-    rng = np.random.default_rng(4)
-    y = rng.normal(size=(3, 8))
-    memory = rng.normal(size=(5, 8))
-    out = M.decoder_layer(T.Tensor(y), T.Tensor(memory), model.dec_layers[0])
-    expected = decoder_layer_oracle(y, memory, model.dec_layers[0])
     assert np.max(np.abs(out.data - expected)) < 1e-8
 
 
@@ -339,14 +327,12 @@ def _family_leaf(model, name):
     return getattr(mha.conv, field), int(j)
 
 
-@pytest.mark.parametrize("cross_conv", ["memory", "off"])
-def test_every_per_head_name_is_a_live_view_of_its_family_leaf(cross_conv):
-    model = tiny_model(seed=15, d_model=16, h=4, cross_conv=cross_conv)
+def test_every_per_head_name_is_a_live_view_of_its_family_leaf():
+    model = tiny_model(seed=15, d_model=16, h=4)
     names = [n for n in model.params if ".self." in n or ".conv." in n]
-    # A hybrid sublayer names 2 dot heads x 3 weights and 2 conv heads x 4;
-    # an all-dot cross-attention names 4 dot heads x 3.
-    per_block = 14 + 14 + (14 if cross_conv == "memory" else 12)
-    assert len(names) == 3 * per_block
+    # Each of a block's three sublayers names 2 dot heads x 3 weights and
+    # 2 conv heads x 4.
+    assert len(names) == 3 * 3 * 14
     rng = np.random.default_rng(16)
     src = rng.integers(4, 16, size=(2, 5))
     tgt_in = rng.integers(4, 16, size=(2, 4))
@@ -385,7 +371,7 @@ def test_every_per_head_name_is_a_live_view_of_its_family_leaf(cross_conv):
     check_views()
     assert all(np.abs(model.params[name].grad).max() > 0 for name in names)
 
-    other = tiny_model(seed=17, d_model=16, h=4, cross_conv=cross_conv)
+    other = tiny_model(seed=17, d_model=16, h=4)
     model.load_state(other.state_arrays())
     check_views()
     assert np.array_equal(outputs(), outputs(other))
@@ -396,20 +382,12 @@ def test_every_per_head_name_is_a_live_view_of_its_family_leaf(cross_conv):
 
 
 @pytest.mark.parametrize(
-    "name,cross_conv",
-    [
-        ("enc.0.mha.self.3.v", "memory"),
-        ("dec.0.mha.conv.3.w_a", "memory"),
-        ("dec.1.xmha.conv.3.w_s", "memory"),
-        ("dec.0.xmha.self.7.k", "off"),
-    ],
+    "name",
+    ["enc.0.mha.self.3.v", "dec.0.mha.conv.3.w_a", "dec.1.xmha.conv.3.w_s", "dec.0.xmha.self.3.k"],
 )
-def test_gradient_of_the_last_head_of_each_family(name, cross_conv):
+def test_gradient_of_the_last_head_of_each_family(name):
     # Heads run as one family; a head past the first must get its own slice.
-    model = tiny_model(
-        seed=11, d_model=16, h=8, kernel_sizes=(3, 5, 3), dilations=(1, 2, 1),
-        cross_conv=cross_conv,
-    )
+    model = tiny_model(seed=11, d_model=16, h=8, kernel_sizes=(3, 5, 3))
     rng = np.random.default_rng(12)
     src = rng.integers(4, 16, size=(2, 5))
     tgt_in = rng.integers(4, 16, size=(2, 4))
@@ -485,7 +463,6 @@ def test_forward_train_loss_matches_manual_composition():
 def test_parameter_count_matches_closed_form():
     for overrides in (
         {},
-        {"cross_conv": "off"},
         {"d_model": 16, "h": 4, "n_blocks": 4, "kernel_sizes": (3, 5, 7, 3)},
     ):
         cfg = tiny_config(**overrides)
@@ -536,7 +513,6 @@ def _paper_split_config():
 
 DTYPE_FLOW_CONFIGS = {
     "hybrid": lambda: tiny_config(d_model=16, dropout=0.1, residual_dropout=0.1),
-    "cross-conv-off": lambda: tiny_config(d_model=16, h=4, cross_conv="off", dropout=0.1),
     "paper-split-dropconnect": _paper_split_config,
 }
 

@@ -31,7 +31,7 @@ def softmax_oracle(x):
     return e / e.sum()
 
 
-def conv_oracle(s, w, dilation):
+def conv_oracle(s, w):
     t_len, d = s.shape
     taps = w.shape[0]
     out = np.zeros_like(s)
@@ -39,7 +39,7 @@ def conv_oracle(s, w, dilation):
         for c in range(d):
             acc = 0.0
             for j in range(taps):
-                src = t - j * dilation
+                src = t - j
                 if src >= 0:
                     acc += w[j, c] * s[src, c]
             out[t, c] = acc
@@ -140,7 +140,7 @@ def test_softmax_shift_invariance():
 def test_conv_single_tap_identity():
     rng = np.random.default_rng(4)
     s = rng.normal(size=(6, 3))
-    out = T.depthwise_causal_dilated_conv1d(T.Tensor(s), T.Tensor(np.ones((1, 3))), 1)
+    out = T.depthwise_causal_conv1d(T.Tensor(s), T.Tensor(np.ones((1, 3))))
     assert np.array_equal(out.data, s)
 
 
@@ -148,11 +148,11 @@ def test_conv_causality_exact():
     rng = np.random.default_rng(5)
     s = rng.normal(size=(8, 4))
     w = rng.normal(size=(3, 4))
-    base = T.depthwise_causal_dilated_conv1d(T.Tensor(s), T.Tensor(w), 2).data
+    base = T.depthwise_causal_conv1d(T.Tensor(s), T.Tensor(w)).data
     for t in range(7):
         s2 = s.copy()
         s2[t + 1 :] += rng.normal(size=s2[t + 1 :].shape)
-        out = T.depthwise_causal_dilated_conv1d(T.Tensor(s2), T.Tensor(w), 2).data
+        out = T.depthwise_causal_conv1d(T.Tensor(s2), T.Tensor(w)).data
         assert np.array_equal(out[: t + 1], base[: t + 1])
 
 
@@ -160,26 +160,26 @@ def test_conv_matches_double_loop():
     rng = np.random.default_rng(6)
     s = rng.normal(size=(7, 3))
     w = rng.normal(size=(3, 3))
-    out = T.depthwise_causal_dilated_conv1d(T.Tensor(s), T.Tensor(w), 2)
-    assert np.max(np.abs(out.data - conv_oracle(s, w, 2))) < 1e-12
+    out = T.depthwise_causal_conv1d(T.Tensor(s), T.Tensor(w))
+    assert np.max(np.abs(out.data - conv_oracle(s, w))) < 1e-12
 
 
 def test_conv_with_stacked_kernels_matches_one_call_per_head():
     rng = np.random.default_rng(4)
     s = rng.normal(size=(3, 2, 6, 4))
     w = rng.normal(size=(3, 5, 4))
-    out = T.depthwise_causal_dilated_conv1d(T.Tensor(s), T.Tensor(w), 2).data
+    out = T.depthwise_causal_conv1d(T.Tensor(s), T.Tensor(w)).data
     for i in range(3):
-        single = T.depthwise_causal_dilated_conv1d(T.Tensor(s[i]), T.Tensor(w[i]), 2).data
+        single = T.depthwise_causal_conv1d(T.Tensor(s[i]), T.Tensor(w[i])).data
         assert np.array_equal(out[i], single)
     with pytest.raises(DimensionError):
-        T.depthwise_causal_dilated_conv1d(T.Tensor(s), T.Tensor(w[:2]), 2)
+        T.depthwise_causal_conv1d(T.Tensor(s), T.Tensor(w[:2]))
 
 
 def test_conv_channel_mismatch():
     with pytest.raises(DimensionError):
-        T.depthwise_causal_dilated_conv1d(
-            T.Tensor(np.zeros((4, 3))), T.Tensor(np.zeros((2, 5))), 1
+        T.depthwise_causal_conv1d(
+            T.Tensor(np.zeros((4, 3))), T.Tensor(np.zeros((2, 5)))
         )
 
 
@@ -278,7 +278,6 @@ def test_graph_ops_run_the_shared_kernels(dtype):
     gamma, beta = rng.normal(size=9).astype(dtype), rng.normal(size=9).astype(dtype)
     assert np.array_equal(T.sigmoid(T.Tensor(x)).data, two_branch_sigmoid(x))
     assert np.array_equal(T.softmax(T.Tensor(x), axis=0).data, shifted_softmax(x, 0))
-    assert np.array_equal(T.log_softmax(T.Tensor(x)).data, shifted_log_softmax(x, -1))
     ln = T.layer_norm(T.Tensor(x), T.Tensor(gamma), T.Tensor(beta), eps=1e-5).data
     assert np.array_equal(ln, gamma * mean_standardize(x, 1e-5) + beta)
 
@@ -351,20 +350,14 @@ def test_cross_entropy_out_of_range_target():
 
 def test_dropout_p_zero_identity():
     x = T.Tensor(np.arange(5.0))
-    out = T.dropout(x, 0.0, np.random.default_rng(0), training=True)
-    assert np.array_equal(out.data, x.data)
-
-
-def test_dropout_inference_identity():
-    x = T.Tensor(np.arange(5.0))
-    out = T.dropout(x, 0.9, np.random.default_rng(0), training=False)
+    out = T.dropout(x, 0.0, np.random.default_rng(0))
     assert np.array_equal(out.data, x.data)
 
 
 def test_dropout_statistics():
     rng = np.random.default_rng(11)
     x = np.ones(100_000)
-    out = T.dropout(T.Tensor(x), 0.5, rng, training=True)
+    out = T.dropout(T.Tensor(x), 0.5, rng)
     surviving = np.count_nonzero(out.data) / x.size
     assert abs(surviving - 0.5) < 0.01
     assert abs(out.data.mean() - 1.0) < 0.02  # inverted scaling keeps the mean
@@ -372,14 +365,14 @@ def test_dropout_statistics():
 
 def test_dropout_rejects_p_one():
     with pytest.raises(ConfigError):
-        T.dropout(T.Tensor(np.zeros(3)), 1.0, np.random.default_rng(0), training=True)
+        T.dropout(T.Tensor(np.zeros(3)), 1.0, np.random.default_rng(0))
 
 
 def test_dropout_draws_its_uniforms_in_the_activation_dtype():
     # float64 keeps the default float64 stream; float32 draws float32 uniforms.
     for dtype in (np.float64, np.float32):
         x = T.Tensor(np.ones((7, 9), dtype=dtype), requires_grad=True)
-        out = T.dropout(x, 0.3, np.random.default_rng(5), training=True)
+        out = T.dropout(x, 0.3, np.random.default_rng(5))
         keep = np.random.default_rng(5).random((7, 9), dtype=dtype) >= 0.3
         assert out.dtype == dtype
         assert np.array_equal(out.data, np.where(keep, dtype(1.0 / 0.7), 0))
@@ -497,7 +490,7 @@ def test_fd_check_rejects_nondeterministic_f():
     rng = np.random.default_rng(13)
 
     def f(x):
-        return T.tsum(T.dropout(x, 0.5, rng, training=True))
+        return T.tsum(T.dropout(x, 0.5, rng))
 
     with pytest.raises(NumericsError):
         T.finite_difference_check(f, T.Tensor(np.ones(8)))
@@ -534,12 +527,11 @@ def _fd_cases(rng):
         "relu": lambda x: T.tsum(T.mul(T.relu(x), c1)),
         "sigmoid": lambda x: T.tsum(T.mul(T.sigmoid(x), c2)),
         "softmax": lambda x: T.tsum(T.mul(T.softmax(x, axis=-1), c1)),
-        "log_softmax": lambda x: T.tsum(T.mul(T.log_softmax(x, axis=-1), c2)),
         "layer_norm": lambda x: T.tsum(
             T.mul(T.layer_norm(x, T.Tensor(gamma), T.Tensor(beta)), c3)
         ),
         "conv": lambda x: T.tsum(
-            T.mul(T.depthwise_causal_dilated_conv1d(x, T.Tensor(w), 2), c4)
+            T.mul(T.depthwise_causal_conv1d(x, T.Tensor(w)), c4)
         ),
         "cross_entropy": lambda x: T.cross_entropy(x, targets),
         "mean": lambda x: T.tmean(T.mul(x, x)),
@@ -555,8 +547,8 @@ def _fd_cases(rng):
         "permute": lambda x: T.tsum(T.mul(T.transpose(T.reshape(x, (5, 2, 2)), (1, 2, 0)), cp)),
         "conv_heads": lambda x: T.tsum(
             T.mul(
-                T.depthwise_causal_dilated_conv1d(
-                    T.transpose(T.reshape(x, (5, 2, 2)), (1, 0, 2)), T.Tensor(w_heads), 2
+                T.depthwise_causal_conv1d(
+                    T.transpose(T.reshape(x, (5, 2, 2)), (1, 0, 2)), T.Tensor(w_heads)
                 ),
                 ch,
             )
