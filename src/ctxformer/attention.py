@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError, DimensionError
 from .tensor import (
     Tensor,
     concat,
@@ -125,14 +124,15 @@ def scaled_dot_product_attention(
     q: Tensor,
     k: Tensor,
     v: Tensor,
-    mask: Optional[np.ndarray] = None,
+    causal: bool = False,
     attn_dropout=None,
 ) -> Tensor:
-    """softmax(q k^T / sqrt(d_k)) v with optional boolean keep-mask.
+    """softmax(q k^T / sqrt(d_k)) v.
 
-    Forbidden positions get exactly zero weight; a row with no allowed
-    position is rejected. `attn_dropout` is an optional (p, rng) pair
-    applied to the attention weights during training.
+    `causal` lets query t attend keys 0..t only, giving later keys exactly
+    zero weight; it needs as many queries as keys. `attn_dropout` is an
+    optional (p, rng) pair applied to the attention weights during
+    training.
     """
     d_k = q.shape[-1]
     if k.shape[-1] != d_k:
@@ -141,17 +141,14 @@ def scaled_dot_product_attention(
         raise DimensionError(
             f"key length {k.shape[-2]} != value length {v.shape[-2]}"
         )
+    if causal and q.shape[-2] != k.shape[-2]:
+        raise DimensionError(
+            f"causal attention needs as many queries as keys, "
+            f"got {q.shape[-2]} and {k.shape[-2]}"
+        )
     scores = mul(matmul(q, transpose_last(k)), 1.0 / math.sqrt(d_k))
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (q.shape[-2], k.shape[-2]):
-            raise DimensionError(
-                f"mask shape {mask.shape} != ({q.shape[-2]}, {k.shape[-2]})"
-            )
-        if (~mask).all(axis=-1).any():
-            row = int(np.argwhere((~mask).all(axis=-1))[0][0])
-            raise DataError(f"attention row {row} has no allowed position to attend")
-        scores = masked_fill(scores, mask, -np.inf)
+    if causal:
+        scores = masked_fill(scores, causal_mask(q.shape[-2]), -np.inf)
     weights = softmax(scores, axis=-1)
     if attn_dropout is not None:
         p, rng = attn_dropout
@@ -213,7 +210,7 @@ def adaptive_query(s: Tensor, params: ConvHeadParams, causal: bool = False) -> T
 def dynamic_conv_head(
     s_proj: Tensor,
     params: ConvHeadParams,
-    causal_query: bool = False,
+    causal: bool = False,
     kernel_dropconnect=None,
 ) -> Tensor:
     """Gate local-context features by their relevance to the context query.
@@ -221,13 +218,15 @@ def dynamic_conv_head(
     score_t = <local_t, query_t> / sqrt(d_h) collapses each position to a
     scalar word-context relevance; the head output sigmoid(score_t) *
     local_t keeps the local representation as the value carrier so the
-    head still emits (..., T, d_h) for concatenation. With head-stacked
-    params s_proj and the output are (n, ..., T, d_h).
+    head still emits (..., T, d_h) for concatenation. `causal` gives each
+    position the query of its own prefix (the local window is causal
+    either way). With head-stacked params s_proj and the output are
+    (n, ..., T, d_h).
     """
     d_h = s_proj.shape[-1]
     local = local_conv(s_proj, params, kernel_dropconnect)
-    query = adaptive_query(s_proj, params, causal=causal_query)
-    if not causal_query:
+    query = adaptive_query(s_proj, params, causal)
+    if not causal:
         query = reshape(query, query.shape[:-1] + (1, d_h))  # broadcast over T
     score = mul(tsum(mul(local, query), axis=-1, keepdims=True), 1.0 / math.sqrt(d_h))
     return mul(sigmoid(score), local)
@@ -240,7 +239,7 @@ def dot_product_family(
     query_seq: Tensor,
     key_seq: Tensor,
     params: MultiHeadParams,
-    mask: Optional[np.ndarray] = None,
+    causal: bool = False,
     attn_dropout=None,
 ) -> Tensor:
     """Dot-product heads run as one, (..., T_q, n * d_v), head j in block j.
@@ -253,13 +252,13 @@ def dot_product_family(
     q = _split_heads(matmul(query_seq, head_columns(params.w_q)), n)
     k = _split_heads(matmul(key_seq, head_columns(params.w_k)), n)
     v = _split_heads(matmul(key_seq, head_columns(params.w_v)), n)
-    return _merge_heads(scaled_dot_product_attention(q, k, v, mask, attn_dropout))
+    return _merge_heads(scaled_dot_product_attention(q, k, v, causal, attn_dropout))
 
 
 def conv_family(
     seq: Tensor,
     params: ConvHeadParams,
-    causal_query: bool = False,
+    causal: bool = False,
     kernel_dropconnect=None,
 ) -> Tensor:
     """Head-stacked conv word-context heads run as one, (..., T, n * d_h),
@@ -270,20 +269,20 @@ def conv_family(
     heads would draw them.
     """
     s_proj = _split_heads(matmul(seq, head_columns(params.w_in)), params.w_in.shape[0])
-    return _merge_heads(dynamic_conv_head(s_proj, params, causal_query, kernel_dropconnect))
+    return _merge_heads(dynamic_conv_head(s_proj, params, causal, kernel_dropconnect))
 
 
 def multi_head_forward(
     x: Tensor,
     params: MultiHeadParams,
-    mask: Optional[np.ndarray] = None,
-    causal_conv: bool = False,
+    causal: bool = False,
     attn_dropout=None,
     kernel_dropconnect=None,
 ) -> Tensor:
     """Hybrid multi-head self-attention over x: H/2 dot-product heads and
     H/2 conv word-context heads, concatenated (dot-product heads first) and
-    mixed by the output matrix.
+    mixed by the output matrix. `causal` keeps every head of both families
+    from reading later positions.
     """
     d_model = params.w_o.shape[0]
     head_widths = (
@@ -294,8 +293,8 @@ def multi_head_forward(
         raise DimensionError(
             f"concatenated head width {head_widths} != model width {d_model}"
         )
-    dot = dot_product_family(x, x, params, mask, attn_dropout)
-    conv = conv_family(x, params.conv, causal_conv, kernel_dropconnect)
+    dot = dot_product_family(x, x, params, causal, attn_dropout)
+    conv = conv_family(x, params.conv, causal, kernel_dropconnect)
     return matmul(concat([dot, conv], axis=-1), params.w_o)
 
 

@@ -19,10 +19,13 @@ one section per constituent config:
     beam_size = 5
 
 The keys of a section are the fields of its config, and a key that is not
-one (a misspelt or removed option) is a config error. The model has one
-attention layout, H/2 dot-product and H/2 word-context heads in every
-sublayer, so `[model]` sets sizes, kernel sizes and dropout rates but not
-the layout; the tag heads are sized by `POS_TAGS` and `NER_TAGS`.
+one (a misspelt or removed option) is a config error. So is a field whose
+value the run derives (`DERIVED_KEYS`): `[train] seed` is the `[run]`
+seed, and `[model] vocab_src`/`vocab_tgt` are the corpus vocabulary
+sizes. The model has one attention layout, H/2 dot-product and H/2
+word-context heads in every sublayer, so `[model]` sets sizes, kernel
+sizes and dropout rates but not the layout; the tag heads are sized by
+`POS_TAGS` and `NER_TAGS`.
 
 The `paper` preset pins the published recipe (5 blocks, 16 heads, kernel
 sizes 3,5,7,11,15, dropout 0.25 with 0.10 residual/embedding dropout,
@@ -158,14 +161,28 @@ def _coerce(raw: str, fieldname: str, current):
         raise ConfigError(f"cannot parse {fieldname} = {raw!r}: {exc}") from exc
 
 
+# Fields that a config file cannot set, and where their value comes from.
+DERIVED_KEYS = {
+    ("train", "seed"): "the [run] seed or --seed",
+    ("model", "vocab_src"): "the training corpus's source vocabulary",
+    ("model", "vocab_tgt"): "the training corpus's target vocabulary",
+}
+
+
 def _apply_section(target, name: str, section, skip=()) -> None:
     known = {
         f.name for f in dataclasses.fields(target)
         if not dataclasses.is_dataclass(getattr(target, f.name))
+        and (name, f.name) not in DERIVED_KEYS
     }
     for key, raw in section.items():
         if key in skip:
             continue
+        if (name, key) in DERIVED_KEYS:
+            raise ConfigError(
+                f"[{name}] {key} cannot be set in a config file; "
+                f"it is taken from {DERIVED_KEYS[name, key]}"
+            )
         if key not in known:
             raise ConfigError(f"unknown key {key!r} in [{name}]; known: {sorted(known)}")
         setattr(target, key, _coerce(raw, key, getattr(target, key)))

@@ -184,10 +184,9 @@ def generate_corpus(grammar_seed: int, n_pairs: int, max_len: int = 12):
         ner_names = [SOURCE_LEXICON[w][1] for w in src_words]
         pairs.append(
             TaggedPair(
-                src=src_vocab.encode(src_words),
-                tgt=tgt_vocab.encode(tgt_words),
-                pos_tags=[POS_TAGS.index(t) for t in pos_names],
-                ner_tags=[NER_TAGS.index(t) for t in ner_names],
+                src_vocab.encode(src_words),
+                tgt_vocab.encode(tgt_words),
+                *tag_ids(src_words, pos_names, ner_names),
             )
         )
         lines.append(format_record(src_words, tgt_words, pos_names, ner_names))
@@ -236,14 +235,24 @@ def read_corpus(path):
     return [parse_record(line) for line in text.splitlines() if line.strip()]
 
 
+def tag_ids(src, pos, ner) -> tuple[list[int], list[int]]:
+    """The POS and NER tag ids of the record with source words `src`; a tag
+    name outside `POS_TAGS`/`NER_TAGS` raises DataError naming the record."""
+    ids = []
+    for names, tags in ((pos, POS_TAGS), (ner, NER_TAGS)):
+        unknown = [t for t in names if t not in tags]
+        if unknown:
+            raise DataError(
+                f"unknown tag {unknown[0]!r} in record {' '.join(src)!r}; expected one of {tags}"
+            )
+        ids.append([tags.index(t) for t in names])
+    return ids[0], ids[1]
+
+
 def records_to_pairs(records, src_vocab: Vocabulary, tgt_vocab: Vocabulary):
     pairs = []
     for src, tgt, pos, ner in records:
-        try:
-            pos_ids = [POS_TAGS.index(t) for t in pos]
-            ner_ids = [NER_TAGS.index(t) for t in ner]
-        except ValueError as exc:
-            raise DataError(f"unknown tag in record {src}: {exc}") from exc
+        pos_ids, ner_ids = tag_ids(src, pos, ner)
         pairs.append(
             TaggedPair(src_vocab.encode(src), tgt_vocab.encode(tgt), pos_ids, ner_ids)
         )

@@ -4,21 +4,22 @@
 source sentence. Each `Seq2SeqModel.decode(ids, memory, cache=cache)` call
 then embeds one new token per hypothesis at position `cache.length`, runs
 every decoder layer on that position only, and returns its logits. Per
-decoder layer the cache holds:
+decoder layer the cache holds three append-only prefixes per hypothesis,
+one row added per step:
 
-- the keys and values of the masked self-attention's dot-product heads,
-  one row appended per step;
-- the projected inputs that each conv head's causal window of F taps
-  still reads: the last F positions, zeros before the first position,
-  which is the zero padding of the full-prefix convolution;
-- the causal adaptive query as a running prefix softmax (max, sum of exp,
-  exp-weighted sum of projections), updated with the online-softmax
-  recurrence;
-- the cross-attention keys and values, computed once from the (T_src, d)
-  memory and shared by every hypothesis without a copy;
-- the conv half of cross-attention, which depends only on the memory: its
-  mean-pooled heads mixed by their rows of the output matrix, one (d,)
-  vector per layer.
+- the keys and the values of the masked self-attention's dot-product heads;
+- the projected inputs of its conv heads, after F - 1 zero rows, which are
+  the zero padding of the full-prefix convolution. A step reads the last F
+  rows against the kernel for the local context and the rows after the
+  padding for the causal adaptive query, with the formulas of
+  `attention.adaptive_query`.
+
+It also holds what depends only on the memory, computed once and shared
+by every hypothesis without a copy:
+
+- the cross-attention keys and values of the (T_src, d) memory;
+- the conv half of cross-attention: its mean-pooled heads mixed by their
+  rows of the output matrix, one (d,) vector per layer.
 
 The step is plain numpy and builds no graph, with no kernels of its own: it
 runs the array kernels of `tensor` that the graph ops run. It reads the model's
@@ -45,22 +46,23 @@ from .model import LAYER_NORM_EPS
 
 @dataclass
 class _LayerWeights:
-    """One decoder layer's head-stacked weights and what it reads of the memory."""
+    """One decoder layer's head-stacked weights and what it reads of the memory.
 
-    n_dot: int  # dot-product heads of each attention sublayer
-    d_k: int  # width of every dot-product head, self- and cross-attention alike
-    n_conv: int  # conv heads of the self-attention, each d_h wide
+    Each attention sublayer has n dot-product and n conv heads, all d_h wide.
+    """
+
+    n: int
     d_h: int
-    self_in: np.ndarray  # (d, 3 * n_dot * d_k + n_conv * d_h): q | k | v | w_in
-    kernel: np.ndarray  # (n_conv, F, d_h), softmax-normalized over the taps
-    w_s: np.ndarray  # (n_conv, d_h, d_h)
-    w_q: np.ndarray  # (n_conv, d_h)
+    self_in: np.ndarray  # (d, 4 * n * d_h): q | k | v | w_in
+    kernel: np.ndarray  # (n, F, d_h), softmax-normalized over the taps
+    w_s: np.ndarray  # (n, d_h, d_h)
+    w_q: np.ndarray  # (n, d_h, 1)
     self_out: np.ndarray  # (d, d)
     ln1: tuple
-    cross_q: np.ndarray  # (d, n_dot * d_k)
-    cross_keys: np.ndarray  # (n_dot, d_k, T_src)
-    cross_values: np.ndarray  # (n_dot, T_src, d_k)
-    cross_out: np.ndarray  # (n_dot * d_k, d): the dot-head rows of the output matrix
+    cross_q: np.ndarray  # (d, n * d_h)
+    cross_keys: np.ndarray  # (n, d_h, T_src)
+    cross_values: np.ndarray  # (n, T_src, d_h)
+    cross_out: np.ndarray  # (n * d_h, d): the dot-head rows of the output matrix
     pooled_conv: np.ndarray  # (d,): the conv half of cross-attention, already mixed
     ln2: tuple
     ffn: tuple  # (w1, b1, w2, b2)
@@ -69,43 +71,36 @@ class _LayerWeights:
 
 @dataclass
 class _LayerState:
-    """Per-hypothesis state of one decoder layer; axis 0 indexes hypotheses."""
+    """Per-hypothesis prefixes of one decoder layer; axis 0 indexes hypotheses."""
 
-    keys: np.ndarray  # (B, n_dot, length, d_k)
-    values: np.ndarray  # (B, n_dot, length, d_k)
-    window: np.ndarray  # (B, n_conv, F, d_h), newest last
-    q_max: np.ndarray  # (B, n_conv) running max of the adaptive-query scores
-    q_sum: np.ndarray  # (B, n_conv) sum of exp(score - q_max)
-    q_acc: np.ndarray  # (B, n_conv, d_h) sum of exp(score - q_max) * projection
+    keys: np.ndarray  # (B, n, length, d_h)
+    values: np.ndarray  # (B, n, length, d_h)
+    inputs: np.ndarray  # (B, n, F - 1 + length, d_h): zero padding, then conv inputs
 
 
 def _stack_layer(layer, memory: tn.Tensor) -> _LayerWeights:
     mha, xmha, conv = layer.mha, layer.xmha, layer.mha.conv
-    n_conv, _, d_h = conv.w_a.shape
-
+    n, _, d_h = xmha.w_q.shape
     mem = memory.data
-    n_dot, _, d_k = xmha.w_q.shape
     cross_q, cross_k, cross_v = (head_columns(w).data for w in (xmha.w_q, xmha.w_k, xmha.w_v))
     t_src = mem.shape[0]
-    keys = (mem @ cross_k).reshape(t_src, n_dot, d_k)
-    values = (mem @ cross_v).reshape(t_src, n_dot, d_k)
-    n_cols = n_dot * d_k
+    keys = (mem @ cross_k).reshape(t_src, n, d_h)
+    values = (mem @ cross_v).reshape(t_src, n, d_h)
+    n_cols = n * d_h
     pooled = conv_family(memory, xmha.conv).data.mean(axis=0)
 
     def ln(params):
         return params.gamma.data, params.beta.data
 
     return _LayerWeights(
-        n_dot=n_dot,
-        d_k=d_k,
-        n_conv=n_conv,
+        n=n,
         d_h=d_h,
         self_in=np.concatenate(
             [head_columns(w).data for w in (mha.w_q, mha.w_k, mha.w_v, conv.w_in)], axis=1
         ),
         kernel=tn.softmax_array(conv.w_a.data, axis=1),
         w_s=conv.w_s.data,
-        w_q=conv.w_q.data,
+        w_q=conv.w_q.data[..., None],
         self_out=mha.w_o.data,
         ln1=ln(layer.ln1),
         cross_q=cross_q,
@@ -120,53 +115,36 @@ def _stack_layer(layer, memory: tn.Tensor) -> _LayerWeights:
 
 
 def _empty_state(w: _LayerWeights, dtype) -> _LayerState:
-    width = w.kernel.shape[1]
-    return _LayerState(
-        keys=np.zeros((1, w.n_dot, 0, w.d_k), dtype=dtype),
-        values=np.zeros((1, w.n_dot, 0, w.d_k), dtype=dtype),
-        window=np.zeros((1, w.n_conv, width, w.d_h), dtype=dtype),
-        q_max=np.full((1, w.n_conv), -np.inf, dtype=dtype),
-        q_sum=np.zeros((1, w.n_conv), dtype=dtype),
-        q_acc=np.zeros((1, w.n_conv, w.d_h), dtype=dtype),
-    )
+    empty = np.zeros((1, w.n, 0, w.d_h), dtype=dtype)
+    padding = np.zeros((1, w.n, w.kernel.shape[1] - 1, w.d_h), dtype=dtype)
+    return _LayerState(keys=empty, values=empty, inputs=padding)
 
 
 def _self_attention(x: np.ndarray, w: _LayerWeights, st: _LayerState) -> np.ndarray:
     """Masked hybrid self-attention of the newest position; appends it to `st`."""
-    b = x.shape[0]
-    n_dot, d_k, n_conv, d_h = w.n_dot, w.d_k, w.n_conv, w.d_h
-    cols = n_dot * d_k
-    proj = x @ w.self_in
-    q = proj[:, :cols].reshape(b, n_dot, 1, d_k)
-    st.keys = np.concatenate([st.keys, proj[:, cols : 2 * cols].reshape(b, n_dot, 1, d_k)], axis=2)
-    st.values = np.concatenate(
-        [st.values, proj[:, 2 * cols : 3 * cols].reshape(b, n_dot, 1, d_k)], axis=2
-    )
-    scores = (q @ st.keys.swapaxes(-1, -2)) * (1.0 / math.sqrt(d_k))
-    dot_out = (tn.softmax_array(scores) @ st.values).reshape(b, cols)
+    b, n, d_h = x.shape[0], w.n, w.d_h
+    taps = w.kernel.shape[1]
+    q, k, v, s = (x @ w.self_in).reshape(b, 4, n, 1, d_h).transpose(1, 0, 2, 3, 4)
+    st.keys = np.concatenate([st.keys, k], axis=2)
+    st.values = np.concatenate([st.values, v], axis=2)
+    st.inputs = np.concatenate([st.inputs, s], axis=2)
+    scores = (q @ st.keys.swapaxes(-1, -2)) * (1.0 / math.sqrt(d_h))
+    dot_out = (tn.softmax_array(scores) @ st.values).reshape(b, n * d_h)
 
-    s = proj[:, 3 * cols :].reshape(b, n_conv, d_h)
-    st.window = np.concatenate([st.window[:, :, 1:], s[:, :, None, :]], axis=2)
-    local = (st.window[:, :, ::-1, :] * w.kernel).sum(axis=2)  # tap j reads position t - j
-    # Causal adaptive query: one online-softmax update of the prefix state.
-    score = (s * w.w_q).sum(axis=-1)
-    projected = (s.transpose(1, 0, 2) @ w.w_s).transpose(1, 0, 2)
-    new_max = np.maximum(st.q_max, score)
-    decay, weight = np.exp(st.q_max - new_max), np.exp(score - new_max)
-    st.q_max = new_max
-    st.q_sum = st.q_sum * decay + weight
-    st.q_acc = st.q_acc * decay[..., None] + weight[..., None] * projected
-    query = st.q_acc / st.q_sum[..., None]
+    local = (st.inputs[:, :, -taps:][:, :, ::-1] * w.kernel).sum(axis=2)  # tap j reads t - j
+    prefix = st.inputs[:, :, taps - 1 :]  # (B, n, length, d_h)
+    weights = tn.softmax_array((prefix @ w.w_q).swapaxes(-1, -2))  # (B, n, 1, length)
+    query = (weights @ (prefix @ w.w_s))[:, :, 0]
     gate = tn.sigmoid_array((local * query).sum(axis=-1) * (1.0 / math.sqrt(d_h)))
-    conv_out = (gate[..., None] * local).reshape(b, n_conv * d_h)
+    conv_out = (gate[..., None] * local).reshape(b, n * d_h)
     return np.concatenate([dot_out, conv_out], axis=-1) @ w.self_out
 
 
 def _cross_attention(y: np.ndarray, w: _LayerWeights) -> np.ndarray:
     """Encoder-decoder attention of the newest position of every hypothesis."""
     b = y.shape[0]
-    q = (y @ w.cross_q).reshape(b, w.n_dot, w.d_k).transpose(1, 0, 2)
-    scores = (q @ w.cross_keys) * (1.0 / math.sqrt(w.d_k))  # (n_dot, B, T_src)
+    q = (y @ w.cross_q).reshape(b, w.n, w.d_h).transpose(1, 0, 2)
+    scores = (q @ w.cross_keys) * (1.0 / math.sqrt(w.d_h))  # (n, B, T_src)
     ctx = (tn.softmax_array(scores) @ w.cross_values).transpose(1, 0, 2).reshape(b, -1)
     return ctx @ w.cross_out + w.pooled_conv
 

@@ -9,14 +9,14 @@ the live hypotheses, ranked with one `lexsort` per step, and a list of
 finished (tokens, log_prob) pairs in the order they finished.
 
 Decoding is incremental. The source is encoded once and
-`model.start_decoding` builds a decoder cache from the memory: per decoder
-layer the self-attention keys and values, each conv head's causal window
-and running adaptive-query softmax, and the cross-attention keys, values
-and conv half, computed once per sentence. Each step then feeds only the
-last token of every live hypothesis to `model.decode(..., cache=cache)`,
-and `cache.select` reorders and duplicates the cached states after
-pruning. The full-prefix `model.decode` is the training path and the
-reference these steps are tested against.
+`model.start_decoding` builds a decoder cache from the memory. Per decoder
+layer it holds append-only prefixes of the self-attention keys, values and
+projected conv inputs, and the cross-attention keys, values and conv half,
+computed once per sentence. Each step then feeds only the last token of
+every live hypothesis to `model.decode(..., cache=cache)`, and
+`cache.select` reorders and duplicates the cached states after pruning.
+The full-prefix `model.decode` is the training path and the reference
+these steps are tested against.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import tensor as tn
 from .attention import ConvHeadParams, local_conv, scaled_dot_product_attention
-from .data import BOS_ID, EOS_ID, NER_TAGS, POS_TAGS
+from .data import BOS_ID, EOS_ID, tag_ids
 from .errors import ConfigError, DataError, NumericsError
 
 
@@ -46,6 +46,16 @@ class DecodeConfig:
             raise ConfigError(f"max_decode_len must be >= 1, got {self.max_decode_len}")
         if not math.isfinite(self.alpha):
             raise ConfigError(f"alpha must be finite, got {self.alpha}")
+        # The base (5 + |Y|) / 6 is at least 1, so the budget's penalty is the extreme one.
+        try:
+            penalty = length_penalty(self.max_decode_len, self.alpha)
+        except OverflowError:
+            penalty = math.inf
+        if not (math.isfinite(penalty) and penalty > 0):
+            raise ConfigError(
+                f"alpha = {self.alpha} makes the length penalty of a {self.max_decode_len}-token "
+                f"output {penalty}; it must be finite and positive"
+            )
 
 
 @dataclass
@@ -173,8 +183,7 @@ def tag_accuracies(records, model, src_vocab) -> tuple[float, float]:
             enc = model.encode(ids)
             pred_pos = enc.pos_logits.data.argmax(-1)[: len(src)]
             pred_ner = enc.ner_logits.data.argmax(-1)[: len(src)]
-            gold_pos = [POS_TAGS.index(t) for t in pos]
-            gold_ner = [NER_TAGS.index(t) for t in ner]
+            gold_pos, gold_ner = tag_ids(src, pos, ner)
             hits_pos += int((pred_pos == gold_pos).sum())
             hits_ner += int((pred_ner == gold_ner).sum())
             total += len(src)

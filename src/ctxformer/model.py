@@ -20,7 +20,6 @@ from . import tensor as tn
 from .attention import (
     ConvHeadParams,
     MultiHeadParams,
-    causal_mask,
     conv_family,
     dot_product_family,
     multi_head_forward,
@@ -190,14 +189,7 @@ def encoder_layer(
     layer: EncoderLayerParams,
     reg: _Regularizers = _Regularizers(),
 ) -> Tensor:
-    attn = multi_head_forward(
-        x,
-        layer.mha,
-        mask=None,
-        causal_conv=False,
-        attn_dropout=reg.attn,
-        kernel_dropconnect=reg.kernel,
-    )
+    attn = multi_head_forward(x, layer.mha, attn_dropout=reg.attn, kernel_dropconnect=reg.kernel)
     x = _sublayer(x, attn, layer.ln1, reg)
     return _sublayer(x, _feed_forward(x, layer.ffn, reg), layer.ln2, reg)
 
@@ -226,8 +218,8 @@ def _cross_attention(
     mean-pooled over source positions and broadcast to every decoder
     position, so decoder causality is untouched.
     """
-    dot = dot_product_family(y, memory, params, None, reg.attn)
-    gated = conv_family(memory, params.conv, False, reg.kernel)
+    dot = dot_product_family(y, memory, params, attn_dropout=reg.attn)
+    gated = conv_family(memory, params.conv, kernel_dropconnect=reg.kernel)
     pooled = tn.tmean(gated, axis=-2, keepdims=True)
     conv = tn.broadcast_to(pooled, pooled.shape[:-2] + (y.shape[-2], pooled.shape[-1]))
     return tn.matmul(tn.concat([dot, conv], axis=-1), params.w_o)
@@ -239,14 +231,8 @@ def decoder_layer(
     layer: DecoderLayerParams,
     reg: _Regularizers = _Regularizers(),
 ) -> Tensor:
-    t_len = y.shape[-2]
     self_attn = multi_head_forward(
-        y,
-        layer.mha,
-        mask=causal_mask(t_len),
-        causal_conv=True,
-        attn_dropout=reg.attn,
-        kernel_dropconnect=reg.kernel,
+        y, layer.mha, causal=True, attn_dropout=reg.attn, kernel_dropconnect=reg.kernel
     )
     y = _sublayer(y, self_attn, layer.ln1, reg)
     y = _sublayer(y, _cross_attention(y, memory, layer.xmha, reg), layer.ln2, reg)
@@ -466,11 +452,11 @@ class Seq2SeqModel:
         from `start_decoding(memory)`, `tgt_in_ids` holds the next token of
         each cached hypothesis, shape (B, 1), at position `cache.length`;
         the call returns the (B, 1, vocab) logits of that position only and
-        appends it to the cache. The cache holds, per layer, the
-        self-attention keys and values, each conv head's causal window of
-        projected inputs and its running adaptive-query softmax, and the
-        cross-attention keys, values and conv half computed once from the
-        memory; see `incremental`. Cached decoding is inference only.
+        appends it to the cache. The cache holds, per layer, three
+        append-only prefixes (the self-attention keys, its values and the
+        projected conv inputs after F - 1 zero rows) and the cross-attention
+        keys, values and conv half computed once from the memory; see
+        `incremental`. Cached decoding is inference only.
         """
         tgt_in_ids = np.asarray(tgt_in_ids)
         if cache is not None:

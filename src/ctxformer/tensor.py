@@ -9,7 +9,7 @@ accumulation over micro-batches relies on.
 A model's dtype flows through every node and every grad: a float32 model
 computes in float32 end to end, a float64 one in float64. A Python scalar
 operand (an `int` or `float`, `np.float64` included) takes the dtype of the
-Tensor it meets in `add`, `mul` and `div`, so `x * math.sqrt(d)` on a
+Tensor it meets in `add` and `mul`, so `mul(x, math.sqrt(d))` on a
 float32 `x` stays float32.
 
 Softmax, log-softmax, sigmoid and the layer-norm standardisation are one
@@ -133,33 +133,6 @@ class Tensor:
                 node._backward_fn(node.grad)
                 node.grad = None
 
-    # -- operator sugar --------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, -other)
-
-    def __rsub__(self, other):
-        return add(-self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -226,20 +199,6 @@ def mul(a, b) -> Tensor:
             a._accumulate(_unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _make(data, (a, b), bwd)
-
-
-def div(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    data = a.data / b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            gb = -g * a.data / (b.data * b.data)
-            b._accumulate(_unbroadcast(gb, b.data.shape))
 
     return _make(data, (a, b), bwd)
 

@@ -111,13 +111,15 @@ def conv_heads(params):
     return list(zip(c.w_in.data, c.w_a.data, c.w_s.data, c.w_q.data))
 
 
-def multi_head_oracle(x, params, mask=None, causal_conv=False):
+def multi_head_oracle(x, params, causal=False):
+    t_len = x.shape[0]
+    mask = np.tril(np.ones((t_len, t_len), dtype=bool)) if causal else None
     outs = []
     for w_q, w_k, w_v in dot_heads(params):
         outs.append(sdpa_oracle(x @ w_q, x @ w_k, x @ w_v, mask))
     for w_in, w_a, w_s, w_q in conv_heads(params):
         outs.append(
-            dynamic_head_oracle(x @ w_in, w_a, w_s, w_q, causal_conv)
+            dynamic_head_oracle(x @ w_in, w_a, w_s, w_q, causal)
         )
     return np.concatenate(outs, axis=-1) @ params.w_o.data
 
@@ -146,9 +148,7 @@ def cross_attention_oracle(y, memory, params):
 
 
 def decoder_layer_oracle(y, memory, layer):
-    t_len = y.shape[0]
-    mask = np.tril(np.ones((t_len, t_len), dtype=bool))
-    attn = multi_head_oracle(y, layer.mha, mask=mask, causal_conv=True)
+    attn = multi_head_oracle(y, layer.mha, causal=True)
     h1 = layer_norm_oracle(y + attn, layer.ln1.gamma.data, layer.ln1.beta.data)
     cross = cross_attention_oracle(h1, memory, layer.xmha)
     h2 = layer_norm_oracle(h1 + cross, layer.ln2.gamma.data, layer.ln2.beta.data)

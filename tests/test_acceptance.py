@@ -164,7 +164,7 @@ def test_oracle_equivalence_suite():
         causal = bool(rng.integers(0, 2))
         s = rng.normal(size=(t_len, d_h))
         cp = rand_conv_params(rng, 2 * d_h, d_h, taps=3)
-        got = A.dynamic_conv_head(T.Tensor(s), cp, causal_query=causal).data
+        got = A.dynamic_conv_head(T.Tensor(s), cp, causal=causal).data
         if np.max(np.abs(got - oracle_head(s, cp, causal))) > 1e-10:
             failures.append(f"conv head trial {trial}")
 

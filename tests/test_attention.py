@@ -5,7 +5,7 @@ import pytest
 
 from ctxformer import attention as A
 from ctxformer import tensor as T
-from ctxformer.errors import ConfigError, DataError
+from ctxformer.errors import ConfigError, DimensionError
 
 from oracles import (
     adaptive_query_oracle,
@@ -91,25 +91,18 @@ def test_sdpa_matches_bruteforce_oracle():
 
 def test_sdpa_masked_matches_oracle():
     rng = np.random.default_rng(2)
-    mask = A.causal_mask(5)
     q = rng.normal(size=(5, 4))
     k = rng.normal(size=(5, 4))
     v = rng.normal(size=(5, 3))
-    out = A.scaled_dot_product_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), mask)
-    assert np.max(np.abs(out.data - sdpa_oracle(q, k, v, mask))) < 1e-10
+    out = A.scaled_dot_product_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), causal=True)
+    assert np.max(np.abs(out.data - sdpa_oracle(q, k, v, A.causal_mask(5)))) < 1e-10
 
 
-def test_sdpa_rejects_fully_masked_row():
+def test_sdpa_causal_needs_as_many_queries_as_keys():
     rng = np.random.default_rng(3)
-    mask = np.ones((3, 3), dtype=bool)
-    mask[1] = False
-    with pytest.raises(DataError, match="row 1"):
-        A.scaled_dot_product_attention(
-            T.Tensor(rng.normal(size=(3, 4))),
-            T.Tensor(rng.normal(size=(3, 4))),
-            T.Tensor(rng.normal(size=(3, 4))),
-            mask,
-        )
+    q, k, v = (T.Tensor(rng.normal(size=(t, 4))) for t in (2, 3, 3))
+    with pytest.raises(DimensionError, match="as many queries as keys"):
+        A.scaled_dot_product_attention(q, k, v, causal=True)
 
 
 def test_causal_mask_forbids_strict_upper_triangle():
@@ -241,7 +234,7 @@ def test_dynamic_head_matches_composed_oracle():
         for _ in range(10):
             s = rng.normal(size=(6, 4))
             cp = rand_conv_params(rng, 8, 4, taps=3)
-            out = A.dynamic_conv_head(T.Tensor(s), cp, causal_query=causal)
+            out = A.dynamic_conv_head(T.Tensor(s), cp, causal=causal)
             assert np.max(np.abs(out.data - oracle_head(s, cp, causal))) < 1e-10
 
 
@@ -249,11 +242,11 @@ def test_dynamic_head_causal_query_blocks_future():
     rng = np.random.default_rng(17)
     s = rng.normal(size=(7, 4))
     cp = rand_conv_params(rng, 8, 4)
-    base = A.dynamic_conv_head(T.Tensor(s), cp, causal_query=True).data
+    base = A.dynamic_conv_head(T.Tensor(s), cp, causal=True).data
     for t in range(6):
         s2 = s.copy()
         s2[t + 1 :] += rng.normal(size=s2[t + 1 :].shape)
-        out = A.dynamic_conv_head(T.Tensor(s2), cp, causal_query=True).data
+        out = A.dynamic_conv_head(T.Tensor(s2), cp, causal=True).data
         assert np.array_equal(out[: t + 1], base[: t + 1])
 
 
@@ -314,12 +307,11 @@ def test_multi_head_causal_modes_block_future():
     rng = np.random.default_rng(22)
     params = rand_multi_head(rng, 8, 4)
     x = rng.normal(size=(6, 8))
-    mask = A.causal_mask(6)
-    base = A.multi_head_forward(T.Tensor(x), params, mask=mask, causal_conv=True).data
+    base = A.multi_head_forward(T.Tensor(x), params, causal=True).data
     for t in range(5):
         x2 = x.copy()
         x2[t + 1 :] += rng.normal(size=x2[t + 1 :].shape)
-        out = A.multi_head_forward(T.Tensor(x2), params, mask=mask, causal_conv=True).data
+        out = A.multi_head_forward(T.Tensor(x2), params, causal=True).data
         assert np.array_equal(out[: t + 1], base[: t + 1])
 
 
@@ -337,17 +329,16 @@ def test_fused_training_forward_matches_per_head_composition(causal):
     rng = np.random.default_rng(28)
     params = rand_multi_head(rng, 16, 8, taps=5)
     x = T.Tensor(rng.normal(size=(3, 6, 16)))
-    mask = A.causal_mask(6) if causal else None
     fused_stream = np.random.default_rng(7)
     fused = A.multi_head_forward(
-        x, params, mask, causal, (0.3, fused_stream), (0.2, fused_stream)
+        x, params, causal, (0.3, fused_stream), (0.2, fused_stream)
     ).data
 
     stream = np.random.default_rng(7)
     outs = []
     for j in range(4):
         q, k, v = (T.matmul(x, T.Tensor(w.data[j])) for w in (params.w_q, params.w_k, params.w_v))
-        outs.append(A.scaled_dot_product_attention(q, k, v, mask, (0.3, stream)))
+        outs.append(A.scaled_dot_product_attention(q, k, v, causal, (0.3, stream)))
     for j in range(4):
         cp = conv_head(params.conv, j)
         outs.append(A.dynamic_conv_head(T.matmul(x, cp.w_in), cp, causal, (0.2, stream)))

@@ -395,11 +395,18 @@ def test_cli_train_resume_from_moments_without_v_exits_3(tmp_path, capsys):
         ("[train]\nlambda_pos = nan\n", "lambda_pos"),
         ("[train]\nlambda_ner = nan\n", "lambda_ner"),
         ("[run]\nmax_sentence_len = 4\n", "max_sentence_len"),
+        ("[decode]\nalpha = 500\n", "alpha"),
+        ("[decode]\nalpha = -1e308\n", "alpha"),
+        ("[train]\nseed = 3\n", "[run] seed"),
+        ("[model]\nvocab_src = 40\n", "vocab_src"),
+        ("[model]\nvocab_tgt = 40\n", "vocab_tgt"),
     ],
     ids=["one-beta", "no-beta", "three-betas", "zero-width", "negative-width",
          "zero-max-tokens", "zero-dilation", "nan-alpha", "removed-cross-conv",
          "removed-n-pos-tags", "zero-adam-eps", "negative-adam-eps", "nan-adam-eps",
-         "nan-lambda-pos", "nan-lambda-ner", "sentences-shorter-than-the-grammar"],
+         "nan-lambda-pos", "nan-lambda-ner", "sentences-shorter-than-the-grammar",
+         "overflowing-alpha", "vanishing-alpha", "derived-train-seed", "derived-vocab-src",
+         "derived-vocab-tgt"],
 )
 def test_cli_gen_rejects_values_that_would_fail_later(tmp_path, capsys, text, key):
     cfg = tmp_path / "bad.cfg"
@@ -585,3 +592,21 @@ def test_cli_translate_prints_one_decoding_summary(tmp_path, capsys, tiny_run, e
     assert captured.err == ""
     lengths = [len(line.split()) for line in out.read_text().splitlines()]
     assert lengths == ([3, 3, 3] if eos_bias < 0 else [0, 0, 0])
+
+
+def test_cli_eval_corpus_with_an_unknown_tag_exits_3(tmp_path, capsys, tiny_run):
+    record = (tiny_run["data"] / "train.txt").read_text().splitlines()[0]
+    src, tgt, pos, ner = record.split(" ||| ")
+    corpus = tmp_path / "tagged.txt"
+    corpus.write_text(" ||| ".join([src, tgt, "XYZ" + pos[pos.index(" "):], ner]) + "\n")
+    text = str(tiny_run["text"])
+    capsys.readouterr()
+    code = main(
+        ["eval", text, text, "--corpus", str(corpus), "--config", str(tiny_run["cfg"]),
+         "--data", str(tiny_run["data"]), "--checkpoint", str(tiny_run["ckpt"]),
+         "--out", str(tmp_path / "o.txt")]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "'XYZ'" in err and "Traceback" not in err
+    assert not (tmp_path / "o.txt").exists()

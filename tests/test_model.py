@@ -435,7 +435,7 @@ def test_training_cross_attention_matches_per_head_composition():
     for j in range(4):
         w_q, w_k, w_v = (T.Tensor(w.data[j]) for w in (xmha.w_q, xmha.w_k, xmha.w_v))
         q, k, v = T.matmul(y, w_q), T.matmul(memory, w_k), T.matmul(memory, w_v)
-        outs.append(A.scaled_dot_product_attention(q, k, v, None, (0.3, stream)))
+        outs.append(A.scaled_dot_product_attention(q, k, v, False, (0.3, stream)))
     for j in range(4):
         cp = conv_head(xmha.conv, j)
         gated = A.dynamic_conv_head(T.matmul(memory, cp.w_in), cp, False, (0.2, stream))
