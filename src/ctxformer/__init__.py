@@ -11,11 +11,9 @@ evaluation, all verified against brute-force oracles.
 from .attention import (
     ConvHeadParams,
     MultiHeadParams,
-    adaptive_query,
     causal_mask,
     complexity_estimate,
     dynamic_conv_head,
-    local_conv,
     multi_head_forward,
     scaled_dot_product_attention,
 )

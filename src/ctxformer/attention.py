@@ -1,21 +1,41 @@
 """Hybrid multi-head attention.
 
 Half the heads are scaled dot-product attention over projected
-query/key/value; the other half are convolutional word-context heads: a
-depthwise causal convolution with softmax-normalized kernel columns
-builds local context (Eq. 2), an adaptive softmax-weighted summary of the
-projected sequence acts as a context query, and a per-position sigmoid
-gate scores each local representation against that context. Head outputs
-are concatenated (dot-product heads first) and linearly recombined.
+query/key/value (Eq. 1); the other half are convolutional word-context
+heads: a depthwise causal convolution with softmax-normalized kernel
+columns builds local context (Eq. 2), an adaptive softmax-weighted summary
+of the projected sequence acts as a context query (Eq. 3), and a
+per-position sigmoid gate scores each local representation against that
+context (Eq. 4). Head outputs are concatenated (dot-product heads first)
+and linearly recombined.
 
 Each head family is stored head-stacked, one leaf per weight with a
 leading head axis, and runs as one: a single projection onto every head
-(`head_columns`), the projected inputs split into a leading head axis
-(n, ..., T, width), and the single-head functions below run once on those
-head-stacked tensors.
+(`head_columns`), then one graph node for all heads of the family,
+`scaled_dot_product_attention` for the dot-product heads and
+`dynamic_conv_head` for the conv heads. Each node computes its forward in
+array code and has a hand-written backward that keeps only the arrays it
+needs.
 
-Also hosts the per-layer complexity model, checked on the real halves by
-`test_complexity_validation`.
+Layouts: numpy reduces over a short innermost axis (d_h = 8, and T and F
+up to 15 in the paper's setting) 5 to 8 times slower than over a leading
+axis, so each node puts the axis it reduces over first.
+
+- `scaled_dot_product_attention` holds its scores and weights key-leading,
+  (T_k, ..., T_q). The softmax and its backward reduce over axis 0.
+- `dynamic_conv_head` works time-leading, on (T, B, n * d_h) with head j
+  in block j. The tap loop of Eq. 2 adds whole time slices. The softmax of
+  Eq. 3 runs over axis 0: over (T, B * n) in full mode, over the prefix
+  weights (T_key, B * n, T_query) in causal mode. The per-head w_q scores
+  and the per-head gate sums of Eq. 4 are GEMMs with block-diagonal
+  (n * d_h, n) matrices; the per-head w_s products are one batched product
+  over the heads' column blocks, which costs a fraction of the
+  (n * d_h, n * d_h) block-diagonal GEMM.
+
+Also hosts the per-layer complexity model. `test_complexity_validation`
+checks it on the products the nodes run: `attention_scores` and
+`attention_values` for the dot-product half, `local_context` for the conv
+half.
 """
 
 from __future__ import annotations
@@ -25,22 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor as tn
 from .errors import ConfigError, DimensionError
-from .tensor import (
-    Tensor,
-    concat,
-    depthwise_causal_conv1d,
-    dropout,
-    masked_fill,
-    matmul,
-    mul,
-    reshape,
-    sigmoid,
-    softmax,
-    transpose,
-    transpose_last,
-    tsum,
-)
+from .tensor import Tensor
 
 
 # ------------------------------------------------------------------ types
@@ -95,21 +102,21 @@ def head_columns(w: Tensor) -> Tensor:
     """Head-stacked weights (n, d, w) as the (d, n * w) matrix that projects
     onto every head at once, head j in columns j * w ... (j + 1) * w - 1."""
     n, d, width = w.shape
-    return reshape(transpose(w, (1, 0, 2)), (d, n * width))
+    return tn.reshape(tn.transpose(w, (1, 0, 2)), (d, n * width))
 
 
 def _split_heads(x: Tensor, n: int) -> Tensor:
     """(..., T, n * w) -> (n, ..., T, w)."""
-    x = reshape(x, x.shape[:-1] + (n, x.shape[-1] // n))
+    x = tn.reshape(x, x.shape[:-1] + (n, x.shape[-1] // n))
     nd = x.ndim
-    return transpose(x, (nd - 2,) + tuple(range(nd - 2)) + (nd - 1,))
+    return tn.transpose(x, (nd - 2,) + tuple(range(nd - 2)) + (nd - 1,))
 
 
 def _merge_heads(x: Tensor) -> Tensor:
     """(n, ..., T, w) -> (..., T, n * w), the inverse of `_split_heads`."""
     nd = x.ndim
-    x = transpose(x, tuple(range(1, nd - 1)) + (0, nd - 1))
-    return reshape(x, x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+    x = tn.transpose(x, tuple(range(1, nd - 1)) + (0, nd - 1))
+    return tn.reshape(x, x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
 
 
 def causal_mask(t_len: int) -> np.ndarray:
@@ -117,7 +124,34 @@ def causal_mask(t_len: int) -> np.ndarray:
     return np.tril(np.ones((t_len, t_len), dtype=bool))
 
 
+def _causal_bias(t_len: int, dtype) -> np.ndarray:
+    """Key-leading (T_k, T_q) additive mask: 0 where key s <= query t, else -inf."""
+    dtype = np.dtype(dtype)
+    return np.where(causal_mask(t_len).T, dtype.type(0), dtype.type(-np.inf))
+
+
+def _time_leading(x: np.ndarray) -> np.ndarray:
+    """(..., T, C) as a contiguous (T, B, C), B the product of the leading axes."""
+    t_len, width = x.shape[-2:]
+    return np.ascontiguousarray(x.reshape(-1, t_len, width).transpose(1, 0, 2))
+
+
+def _batch_leading(x: np.ndarray, shape: tuple) -> np.ndarray:
+    """The inverse of `_time_leading`: (T, B, C) as a contiguous array of `shape`."""
+    return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(shape)
+
+
 # ---------------------------------------------------------------- Eq. (1)
+
+
+def attention_scores(q: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The score product of Eq. 1, k q^T: (..., T_k, T_q), keys before queries."""
+    return k @ np.swapaxes(q, -1, -2)
+
+
+def attention_values(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The value product of Eq. 1: weights (..., T_q, T_k) times v (..., T_k, d_v)."""
+    return weights @ v
 
 
 def scaled_dot_product_attention(
@@ -127,13 +161,18 @@ def scaled_dot_product_attention(
     causal: bool = False,
     attn_dropout=None,
 ) -> Tensor:
-    """softmax(q k^T / sqrt(d_k)) v.
+    """softmax(q k^T / sqrt(d_k)) v, as one node.
 
     `causal` lets query t attend keys 0..t only, giving later keys exactly
     zero weight; it needs as many queries as keys. `attn_dropout` is an
     optional (p, rng) pair applied to the attention weights during
-    training.
+    training; its mask has the weights' shape (..., T_q, T_k).
+
+    The scores and weights are held key-leading, (T_k, ..., T_q), so that
+    the softmax and its backward reduce over axis 0. The backward keeps the
+    weights, the dropout mask and q, k, v.
     """
+    q, k, v = tn.as_tensor(q), tn.as_tensor(k), tn.as_tensor(v)
     d_k = q.shape[-1]
     if k.shape[-1] != d_k:
         raise DimensionError(f"query width {d_k} != key width {k.shape[-1]}")
@@ -146,65 +185,96 @@ def scaled_dot_product_attention(
             f"causal attention needs as many queries as keys, "
             f"got {q.shape[-2]} and {k.shape[-2]}"
         )
-    scores = mul(matmul(q, transpose_last(k)), 1.0 / math.sqrt(d_k))
+    scale = q.dtype.type(1.0 / math.sqrt(d_k))
+    raw = attention_scores(q.data, k.data)  # (..., T_k, T_q)
+    nd = raw.ndim
+    keys_first = (nd - 2,) + tuple(range(nd - 2)) + (nd - 1,)  # -> (T_k, ..., T_q)
+    keys_back = tuple(range(1, nd - 1)) + (0, nd - 1)  # its inverse
+    scores = np.multiply(raw.transpose(keys_first), scale, order="C")
     if causal:
-        scores = masked_fill(scores, causal_mask(q.shape[-2]), -np.inf)
-    weights = softmax(scores, axis=-1)
+        scores += _causal_bias(q.shape[-2], q.dtype).reshape(
+            scores.shape[:1] + (1,) * (nd - 2) + scores.shape[-1:]
+        )
+    weights = tn.softmax_array(scores, axis=0)
+    mask = None
     if attn_dropout is not None:
         p, rng = attn_dropout
-        weights = dropout(weights, p, rng)
-    return matmul(weights, v)
+        mask = tn.dropout_mask(raw.shape[:-2] + (raw.shape[-1], raw.shape[-2]), p, rng, q.dtype)
+    if mask is not None:
+        mask = np.swapaxes(mask, -1, -2).transpose(keys_first)  # key-leading view
+    dropped = weights if mask is None else weights * mask
+    data = attention_values(np.swapaxes(dropped.transpose(keys_back), -1, -2), v.data)
+
+    def bwd(g):
+        if v.requires_grad:
+            kept = weights if mask is None else weights * mask
+            v._accumulate(tn._unbroadcast(kept.transpose(keys_back) @ g, v.shape))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        dw = (v.data @ np.swapaxes(g, -1, -2)).transpose(keys_first)
+        dw = np.multiply(dw, mask, order="C") if mask is not None else np.ascontiguousarray(dw)
+        ds = dw - (dw * weights).sum(axis=0)
+        ds *= weights
+        ds *= scale
+        ds = ds.transpose(keys_back)  # (..., T_k, T_q)
+        if q.requires_grad:
+            q._accumulate(tn._unbroadcast(np.swapaxes(ds, -1, -2) @ k.data, q.shape))
+        if k.requires_grad:
+            k._accumulate(tn._unbroadcast(ds @ q.data, k.shape))
+
+    return tn._make(data, (q, k, v), bwd)
 
 
-# ---------------------------------------------------------------- Eq. (2)
+# ---------------------------------------------------------- Eq. (2) - (4)
 
 
-def local_conv(s: Tensor, params: ConvHeadParams, kernel_dropconnect=None) -> Tensor:
-    """Depthwise causal convolution with a softmax-normalized kernel.
+def local_context(s: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """The depthwise causal convolution of Eq. 2 on arrays, time axis first.
 
-    Each kernel column is a probability distribution over the F-position
-    window, so every output element is a convex combination of the current
-    and F - 1 previous inputs of its channel (zero-padded on the left).
-    `kernel_dropconnect` is an optional (p, rng) pair zeroing kernel taps
-    during training.
+    out[t, ..., c] = sum_j kernel[j, c] * s[t - j, ..., c] for s (T, ..., C)
+    and kernel (F, C); terms before position 0 are zero, so position t
+    never reads a later one. With softmax-normalized kernel columns every
+    output is a convex combination of its channel's window.
     """
-    kernel = softmax(params.w_a, axis=-2)
-    if kernel_dropconnect is not None:
-        p, rng = kernel_dropconnect
-        kernel = dropout(kernel, p, rng)
-    return depthwise_causal_conv1d(s, kernel)
+    if kernel.ndim != 2 or kernel.shape[0] < 1 or kernel.shape[1] != s.shape[-1]:
+        raise DimensionError(
+            f"kernel must be (F, C) with F >= 1 and C = {s.shape[-1]} channels, "
+            f"got {kernel.shape}"
+        )
+    t_len = s.shape[0]
+    out = s * kernel[0]
+    for j in range(1, min(kernel.shape[0], t_len)):
+        out[j:] += kernel[j] * s[: t_len - j]
+    return out
 
 
-# ---------------------------------------------------------------- Eq. (3)
+def _taps_first(w: np.ndarray, n: int) -> np.ndarray:
+    """Per-head kernels (n, F, d_h) (or one (F, d_h)) as (F, n * d_h), head j in block j."""
+    taps, d_h = w.shape[-2:]
+    return w.reshape(n, taps, d_h).transpose(1, 0, 2).reshape(taps, n * d_h)
 
 
-def adaptive_query(s: Tensor, params: ConvHeadParams, causal: bool = False) -> Tensor:
-    """Softmax-weighted summary of the projected sequence.
-
-    Full mode returns one context vector (..., d_h): positions are scored
-    by s @ w_q, softmaxed over the sequence, and used to mix s @ w_s.
-    Causal mode restricts each position's softmax to the prefix ending at
-    it and returns one query per position (..., T, d_h), which is what the
-    decoder needs to avoid reading future tokens. Head-stacked params take
-    s as (n, ..., T, d_h); each head's positions are then one (n, N, d_h)
-    block for the w_s and w_q products.
-    """
-    heads = params.w_s.shape[:-2]
-    d_h = params.w_s.shape[-1]
-    rows = reshape(s, heads + (-1, d_h))
-    proj = reshape(matmul(rows, params.w_s), s.shape)  # (..., T, d_h)
-    scores = reshape(matmul(rows, reshape(params.w_q, heads + (d_h, 1))), s.shape[:-1] + (1,))
-    if not causal:
-        weights = softmax(scores, axis=-2)
-        return tsum(mul(proj, weights), axis=-2)  # (..., d_h)
-    t_len = s.shape[-2]
-    rows = transpose_last(scores)  # (..., 1, T)
-    masked = masked_fill(rows, causal_mask(t_len), -np.inf)  # (..., T, T)
-    weights = softmax(masked, axis=-1)
-    return matmul(weights, proj)  # (..., T, d_h)
+def _heads_first(rows: np.ndarray, n: int) -> np.ndarray:
+    """Rows (N, n * w) as the strided view (n, N, w): head j's block of every row."""
+    return rows.reshape(rows.shape[0], n, -1).transpose(1, 0, 2)
 
 
-# ---------------------------------------------------------------- Eq. (4)
+def _per_head(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Head j's block of rows (N, n * w_in) times w[j], for w (n, w_in, w_out):
+    (N, n * w_out), one batched product over the heads' strided blocks."""
+    n, _, width = w.shape
+    out = np.empty((rows.shape[0], n * width), rows.dtype)
+    np.matmul(_heads_first(rows, n), w, out=_heads_first(out, n))
+    return out
+
+
+def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """n blocks (n, r, c) as the block-diagonal (n * r, n * c) matrix."""
+    n, r, c = blocks.shape
+    out = np.zeros((n, r, n, c), dtype=blocks.dtype)
+    heads = np.arange(n)
+    out[heads, :, heads] = blocks
+    return out.reshape(n * r, n * c)
 
 
 def dynamic_conv_head(
@@ -213,23 +283,135 @@ def dynamic_conv_head(
     causal: bool = False,
     kernel_dropconnect=None,
 ) -> Tensor:
-    """Gate local-context features by their relevance to the context query.
+    """Conv word-context heads, Eq. 2-4, as one node.
 
-    score_t = <local_t, query_t> / sqrt(d_h) collapses each position to a
-    scalar word-context relevance; the head output sigmoid(score_t) *
-    local_t keeps the local representation as the value carrier so the
-    head still emits (..., T, d_h) for concatenation. `causal` gives each
-    position the query of its own prefix (the local window is causal
-    either way). With head-stacked params s_proj and the output are
-    (n, ..., T, d_h).
+    s_proj is the projected input (..., T, n * d_h), head j in block j; n
+    is the params' head count, 1 for params without a head axis. Each head
+    convolves its block with its softmax-normalized kernel (Eq. 2, the
+    local context), builds a context query from a softmax-weighted summary
+    of the block (Eq. 3), and gates the local context:
+    sigmoid(<local_t, query_t> / sqrt(d_h)) * local_t (Eq. 4). Full mode
+    has one query per sequence; `causal` gives each position the query of
+    its own prefix (the local window is causal either way).
+    `kernel_dropconnect` is an optional (p, rng) pair zeroing kernel taps
+    during training; its mask has the shape of `params.w_a`.
+
+    The node works time-leading (see the module docstring). The backward
+    keeps the input, the masked kernel, the local context, the softmax
+    weights of the query, the query and the gate; it recomputes the
+    projection of Eq. 3, one small batched product.
     """
-    d_h = s_proj.shape[-1]
-    local = local_conv(s_proj, params, kernel_dropconnect)
-    query = adaptive_query(s_proj, params, causal)
-    if not causal:
-        query = reshape(query, query.shape[:-1] + (1, d_h))  # broadcast over T
-    score = mul(tsum(mul(local, query), axis=-1, keepdims=True), 1.0 / math.sqrt(d_h))
-    return mul(sigmoid(score), local)
+    x = tn.as_tensor(s_proj)
+    w_a, w_s, w_q = params.w_a, params.w_s, params.w_q
+    taps, d_h = w_a.shape[-2:]
+    n = w_a.shape[0] if w_a.ndim == 3 else 1
+    width = n * d_h
+    if x.ndim < 2 or x.shape[-1] != width:
+        raise DimensionError(
+            f"conv heads need input (..., T, {width}) for {n} heads of width {d_h}, "
+            f"got {x.shape}"
+        )
+    dtype = x.dtype
+    t_len = x.shape[-2]
+    s = _time_leading(x.data)  # (T, B, C)
+    rows = s.reshape(-1, width)
+    heads = s.shape[1] * n  # B * n (batch, head) pairs, head-minor
+    # Eq. 2: the kernel softmaxed over its taps, then DropConnect.
+    soft = tn.softmax_array(_taps_first(w_a.data, n), axis=0)  # (F, C)
+    mask = None
+    if kernel_dropconnect is not None:
+        p, rng = kernel_dropconnect
+        mask = tn.dropout_mask(w_a.shape, p, rng, w_a.dtype)
+    if mask is not None:
+        mask = _taps_first(mask, n)
+    kernel = soft if mask is None else soft * mask
+    local = local_context(s, kernel).reshape(t_len, heads, d_h)
+    # Eq. 3: each head's projection and position scores.
+    w_s_heads = w_s.data.reshape(n, d_h, d_h)
+    score_blocks = _block_diagonal(w_q.data.reshape(n, d_h, 1))
+    proj = _per_head(rows, w_s_heads).reshape(t_len, heads, d_h)  # recomputed in bwd
+    scores = (rows @ score_blocks).reshape(t_len, heads)
+    if causal:
+        # weights[u, i, t]: key position u of the prefix ending at t, key
+        # first, shifted by the prefix maximum; later keys get exp(-inf) = 0.
+        top = np.maximum.accumulate(scores, axis=0)
+        weights = scores[:, :, None] - top.T
+        weights += _causal_bias(t_len, dtype)[:, None]
+        np.exp(weights, out=weights)
+        weights /= weights.sum(axis=0)
+        query = np.empty((t_len, heads, d_h), dtype)
+        np.matmul(
+            weights.transpose(1, 2, 0), proj.transpose(1, 0, 2), out=query.transpose(1, 0, 2)
+        )
+    else:
+        weights = tn.softmax_array(scores, axis=0)  # (T, B * n)
+        query = (weights[:, :, None] * proj).sum(axis=0)  # (B * n, d_h)
+    # Eq. 4: per-head gate sums as a GEMM with the (C, n) block-sum matrix.
+    sums = _block_diagonal(np.ones((n, d_h, 1), dtype))
+    scale = dtype.type(1.0 / math.sqrt(d_h))
+    gate = ((local * query).reshape(-1, width) @ sums).reshape(t_len, heads, 1)
+    gate *= scale
+    gate = tn.sigmoid_array(gate)
+    data = _batch_leading((local * gate).reshape(s.shape), x.shape)
+
+    def bwd(g):
+        proj = _per_head(rows, w_s_heads).reshape(t_len, heads, d_h)
+        g = _time_leading(g).reshape(t_len, heads, d_h)
+        dgate = ((g * local).reshape(-1, width) @ sums).reshape(t_len, heads, 1)
+        dscore = dgate * gate * (1 - gate) * scale
+        dlocal = g * gate
+        dlocal += dscore * query
+        dquery = dscore * local
+        if causal:
+            dproj = np.empty_like(proj)
+            np.matmul(
+                weights.transpose(1, 0, 2), dquery.transpose(1, 0, 2),
+                out=dproj.transpose(1, 0, 2),
+            )
+            dweights = np.empty_like(weights)
+            np.matmul(
+                proj.transpose(1, 0, 2), dquery.transpose(1, 2, 0),
+                out=dweights.transpose(1, 0, 2),
+            )
+            dweights -= (dweights * weights).sum(axis=0)
+            dweights *= weights
+            dscores = dweights.reshape(-1, t_len) @ np.ones(t_len, dtype)
+        else:
+            dquery = dquery.sum(axis=0)  # (B * n, d_h)
+            dproj = weights[:, :, None] * dquery
+            dweights = ((proj * dquery).reshape(-1, width) @ sums).reshape(t_len, heads)
+            dweights -= (dweights * weights).sum(axis=0)
+            dweights *= weights
+            dscores = dweights
+        dproj = dproj.reshape(-1, width)
+        dscores = dscores.reshape(-1, n)
+        dlocal = dlocal.reshape(s.shape)
+        if x.requires_grad:
+            ds = _per_head(dproj, w_s_heads.transpose(0, 2, 1))
+            ds += dscores @ score_blocks.T
+            ds = ds.reshape(s.shape)
+            for j in range(min(taps, t_len)):
+                ds[: t_len - j] += kernel[j] * dlocal[j:]
+            x._accumulate(_batch_leading(ds, x.shape))
+        if w_s.requires_grad:
+            dw_s = _heads_first(rows, n).transpose(0, 2, 1) @ _heads_first(dproj, n)
+            w_s._accumulate(dw_s.reshape(w_s.shape))
+        if w_q.requires_grad:
+            blocks = (rows.T @ dscores).reshape(n, d_h, n)
+            w_q._accumulate(blocks[np.arange(n), :, np.arange(n)].reshape(w_q.shape))
+        if w_a.requires_grad:
+            dkernel = np.zeros_like(kernel)
+            for j in range(min(taps, t_len)):
+                dkernel[j] = np.einsum("tbc,tbc->c", dlocal[j:], s[: t_len - j])
+            if mask is not None:
+                dkernel *= mask
+            dkernel -= (dkernel * soft).sum(axis=0)
+            dkernel *= soft
+            w_a._accumulate(
+                dkernel.reshape(taps, n, d_h).transpose(1, 0, 2).reshape(w_a.shape)
+            )
+
+    return tn._make(data, (x, w_a, w_s, w_q), bwd)
 
 
 # ---------------------------------------------------------------- Eq. (5)
@@ -249,9 +431,9 @@ def dot_product_family(
     are drawn head-major, as a loop over the heads would draw them.
     """
     n = params.w_q.shape[0]
-    q = _split_heads(matmul(query_seq, head_columns(params.w_q)), n)
-    k = _split_heads(matmul(key_seq, head_columns(params.w_k)), n)
-    v = _split_heads(matmul(key_seq, head_columns(params.w_v)), n)
+    q = _split_heads(tn.matmul(query_seq, head_columns(params.w_q)), n)
+    k = _split_heads(tn.matmul(key_seq, head_columns(params.w_k)), n)
+    v = _split_heads(tn.matmul(key_seq, head_columns(params.w_v)), n)
     return _merge_heads(scaled_dot_product_attention(q, k, v, causal, attn_dropout))
 
 
@@ -264,12 +446,11 @@ def conv_family(
     """Head-stacked conv word-context heads run as one, (..., T, n * d_h),
     head j in block j.
 
-    One input projection, then one `dynamic_conv_head` on head-stacked
-    tensors. DropConnect masks are drawn head-major, as a loop over the
-    heads would draw them.
+    One input projection, then one `dynamic_conv_head`. DropConnect masks
+    are drawn head-major, as a loop over the heads would draw them.
     """
-    s_proj = _split_heads(matmul(seq, head_columns(params.w_in)), params.w_in.shape[0])
-    return _merge_heads(dynamic_conv_head(s_proj, params, causal, kernel_dropconnect))
+    s_proj = tn.matmul(seq, head_columns(params.w_in))
+    return dynamic_conv_head(s_proj, params, causal, kernel_dropconnect)
 
 
 def multi_head_forward(
@@ -295,7 +476,7 @@ def multi_head_forward(
         )
     dot = dot_product_family(x, x, params, causal, attn_dropout)
     conv = conv_family(x, params.conv, causal, kernel_dropconnect)
-    return matmul(concat([dot, conv], axis=-1), params.w_o)
+    return tn.matmul(tn.concat([dot, conv], axis=-1), params.w_o)
 
 
 # ------------------------------------------------------ Table of complexities

@@ -12,7 +12,7 @@ one row added per step:
   the zero padding of the full-prefix convolution. A step reads the last F
   rows against the kernel for the local context and the rows after the
   padding for the causal adaptive query, with the formulas of
-  `attention.adaptive_query`.
+  `attention.dynamic_conv_head`.
 
 It also holds what depends only on the memory, computed once and shared
 by every hypothesis without a copy:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tn
-from .attention import ConvHeadParams, local_conv, scaled_dot_product_attention
+from .attention import local_context, scaled_dot_product_attention
 from .data import BOS_ID, EOS_ID, tag_ids
 from .errors import ConfigError, DataError, NumericsError
 
@@ -233,10 +233,8 @@ def cosine_probe(
             reps = scaled_dot_product_attention(q, k, v).data
         else:
             conv = mha.conv
-            head = ConvHeadParams(
-                *(tn.Tensor(w.data[0]) for w in (conv.w_in, conv.w_a, conv.w_s, conv.w_q))
-            )
-            reps = local_conv(tn.matmul(x, head.w_in), head).data
+            kernel = tn.softmax_array(conv.w_a.data[0], axis=0)
+            reps = local_context(x.data @ conv.w_in.data[0], kernel)
     vec_a, vec_b = reps[idx_a], reps[idx_b]
     norm_a, norm_b = float(np.linalg.norm(vec_a)), float(np.linalg.norm(vec_b))
     if norm_a == 0.0 or norm_b == 0.0:

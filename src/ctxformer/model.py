@@ -173,9 +173,9 @@ def _maybe_dropout(x: Tensor, pair) -> Tensor:
 
 
 def _feed_forward(x: Tensor, ffn: FeedForwardParams, reg: _Regularizers) -> Tensor:
-    hidden = tn.relu(tn.add(tn.matmul(x, ffn.w1), ffn.b1))
+    hidden = tn.relu(tn.linear(x, ffn.w1, ffn.b1))
     hidden = _maybe_dropout(hidden, reg.hidden)
-    return tn.add(tn.matmul(hidden, ffn.w2), ffn.b2)
+    return tn.linear(hidden, ffn.w2, ffn.b2)
 
 
 def _sublayer(x: Tensor, out: Tensor, ln: LayerNormParams, reg: _Regularizers) -> Tensor:
@@ -203,7 +203,7 @@ def base_encoder_layer(
 ) -> tuple[Tensor, Tensor]:
     """Encoder layer plus the auxiliary tag logits computed from its output."""
     y = encoder_layer(x, layer, reg)
-    aux_logits = tn.add(tn.matmul(y, head_w), head_b)
+    aux_logits = tn.linear(y, head_w, head_b)
     return y, aux_logits
 
 
@@ -468,7 +468,7 @@ class Seq2SeqModel:
         y = self.embed(tgt_in_ids, self.tgt_embed, training, rng)
         for layer in self.dec_layers:
             y = decoder_layer(y, memory, layer, reg)
-        return tn.add(tn.matmul(y, self.out_proj_w), self.out_proj_b)
+        return tn.linear(y, self.out_proj_w, self.out_proj_b)
 
     def forward_train(
         self,

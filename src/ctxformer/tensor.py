@@ -14,7 +14,12 @@ float32 `x` stays float32.
 
 Softmax, log-softmax, sigmoid and the layer-norm standardisation are one
 array kernel each (`softmax_array`, `log_softmax_array`, `sigmoid_array`,
-`standardize`), run by the graph ops and by graph-free decoding alike.
+`standardize`), run by the graph ops, the attention nodes and graph-free
+decoding alike. Every dropout mask comes from one kernel, `dropout_mask`.
+
+`linear` is a matmul plus bias as one node: one GEMM forward, and a
+backward of two GEMMs and one column sum for the bias. `matmul` with a
+2-D right operand is `linear` without the bias.
 
 All operations are deterministic for a fixed seed and BLAS thread count.
 """
@@ -86,13 +91,21 @@ class Tensor:
     # -- gradient machinery --------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
-        # The one place a grad takes its node's dtype. The first write copies:
-        # g may be a view that other nodes also hold. A grad buffer that
-        # exists is added to in place, never rebound.
-        if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype)
+        # The one place a grad takes its node's dtype. g may be a view that
+        # other nodes also hold, so it is never written in place. A leaf's
+        # grad is a buffer that later sweeps add into: its first write copies
+        # and the buffer is never rebound. An interior grad lives for one
+        # sweep: its first write keeps g, and each later one rebinds it to
+        # a new sum.
+        if self._backward_fn is None:
+            if self.grad is None:
+                self.grad = np.array(g, dtype=self.data.dtype)
+            else:
+                self.grad += g
+        elif self.grad is None:
+            self.grad = np.asarray(g, dtype=self.data.dtype)
         else:
-            self.grad += g
+            self.grad = np.add(self.grad, g, dtype=self.data.dtype)
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar; visits nodes exactly once.
@@ -220,17 +233,6 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
-    data = sigmoid_array(x.data)
-
-    def bwd(g):
-        if x.requires_grad:
-            x._accumulate(g * data * (1.0 - data))
-
-    return _make(data, (x,), bwd)
-
-
 # -- shape manipulation ----------------------------------------------------
 
 
@@ -241,18 +243,6 @@ def reshape(x, shape) -> Tensor:
     def bwd(g):
         if x.requires_grad:
             x._accumulate(g.reshape(x.data.shape))
-
-    return _make(data, (x,), bwd)
-
-
-def transpose_last(x) -> Tensor:
-    """Swap the last two axes."""
-    x = as_tensor(x)
-    data = np.swapaxes(x.data, -1, -2)
-
-    def bwd(g):
-        if x.requires_grad:
-            x._accumulate(np.swapaxes(g, -1, -2))
 
     return _make(data, (x,), bwd)
 
@@ -337,7 +327,7 @@ def matmul(a, b) -> Tensor:
             f"matmul inner extents disagree: {a.data.shape} x {b.data.shape}"
         )
     if b.data.ndim == 2:
-        return _matmul_flat(a, b)
+        return linear(a, b)
     data = a.data @ b.data
 
     def bwd(g):
@@ -351,23 +341,44 @@ def matmul(a, b) -> Tensor:
     return _make(data, (a, b), bwd)
 
 
-def _matmul_flat(a: Tensor, b: Tensor) -> Tensor:
-    """(..., d) x (d, k) as one (N, d) x (d, k) GEMM over the flattened rows.
+def linear(x, w, b=None) -> Tensor:
+    """x @ w (+ b) for x (..., d), w (d, k) and an optional bias b (k,), as
+    one node.
 
-    The weight gradient is then one GEMM too, a2^T g2, rather than one
-    product per leading index followed by a sum over them.
+    The forward is one (N, d) x (d, k) GEMM over the flattened rows, plus
+    the bias. The backward is g2 w^T for x, x2^T g2 for w and one column
+    sum of g2 for b, where g2 and x2 are the grad and the input as (N, k)
+    and (N, d) rows: the weight gradient is one GEMM, not one product per
+    leading index followed by a sum over them. `matmul` runs every product
+    with a 2-D right operand here.
     """
-    a2 = a.data.reshape(-1, a.data.shape[-1])
-    data = (a2 @ b.data).reshape(a.data.shape[:-1] + (b.data.shape[1],))
+    x, w = as_tensor(x), as_tensor(w)
+    bias = None if b is None else as_tensor(b)
+    d = x.data.shape[-1]
+    if w.data.ndim != 2 or w.data.shape[0] != d:
+        raise DimensionError(
+            f"linear needs x (..., d) and w (d, k), got {x.data.shape} and {w.data.shape}"
+        )
+    if bias is not None and bias.data.shape != w.data.shape[1:]:
+        raise DimensionError(
+            f"linear bias must be ({w.data.shape[1]},), got {bias.data.shape}"
+        )
+    x2 = x.data.reshape(-1, d)
+    out = x2 @ w.data
+    if bias is not None:
+        out += bias.data
+    data = out.reshape(x.data.shape[:-1] + (w.data.shape[1],))
 
     def bwd(g):
         g2 = g.reshape(-1, g.shape[-1])
-        if a.requires_grad:
-            a._accumulate((g2 @ b.data.T).reshape(a.data.shape))
-        if b.requires_grad:
-            b._accumulate(a2.T @ g2)
+        if x.requires_grad:
+            x._accumulate((g2 @ w.data.T).reshape(x.data.shape))
+        if w.requires_grad:
+            w._accumulate(x2.T @ g2)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g2.sum(axis=0))
 
-    return _make(data, (a, b), bwd)
+    return _make(data, (x, w) if bias is None else (x, w, bias), bwd)
 
 
 # -- normalization and probability -------------------------------------------
@@ -454,55 +465,6 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 # -- sequence ops -------------------------------------------------------------
 
 
-def depthwise_causal_conv1d(s, w) -> Tensor:
-    """Per-channel causal convolution with left zero-padding.
-
-    out[..., t, c] = sum_j w[j, c] * s[..., t - j, c], out-of-range terms
-    are zero, so position t never reads positions greater than t.
-    A kernel (n, F, d) holds one (F, d) kernel per slice s[i] of an input
-    (n, ..., T, d): stacked heads convolve in one call.
-    """
-    s, w = as_tensor(s), as_tensor(w)
-    if w.data.ndim not in (2, 3):
-        raise DimensionError(f"kernel must be (F, d) or (n, F, d), got {w.data.shape}")
-    heads = w.data.shape[:-2]
-    if s.data.ndim < 2 + len(heads) or s.data.shape[: len(heads)] != heads:
-        raise DimensionError(
-            f"input must be (..., T, d) with leading axes {heads} for kernel "
-            f"{w.data.shape}, got {s.data.shape}"
-        )
-    taps, channels = w.data.shape[-2:]
-    if taps < 1:
-        raise DimensionError("kernel needs at least one tap")
-    if channels != s.data.shape[-1]:
-        raise DimensionError(
-            f"kernel channel count {channels} != input channels {s.data.shape[-1]}"
-        )
-    t_len = s.data.shape[-2]
-    # kern[j] is tap j shaped to broadcast against the input.
-    kern = np.moveaxis(w.data, -2, 0).reshape(
-        (taps,) + heads + (1,) * (s.data.ndim - 1 - len(heads)) + (channels,)
-    )
-    data = np.zeros_like(s.data)
-    for j in range(min(taps, t_len)):
-        data[..., j:, :] += kern[j] * s.data[..., : t_len - j, :]
-
-    def bwd(g):
-        if s.requires_grad:
-            gs = np.zeros_like(s.data)
-            for j in range(min(taps, t_len)):
-                gs[..., : t_len - j, :] += kern[j] * g[..., j:, :]
-            s._accumulate(gs)
-        if w.requires_grad:
-            gw = np.zeros_like(w.data)
-            summed = tuple(range(len(heads), g.ndim - 1))
-            for j in range(min(taps, t_len)):
-                gw[..., j, :] = (g[..., j:, :] * s.data[..., : t_len - j, :]).sum(axis=summed)
-            w._accumulate(gw)
-
-    return _make(data, (s, w), bwd)
-
-
 def embedding(table, ids: np.ndarray) -> Tensor:
     """Row lookup with scatter-add gradient into the table."""
     table = as_tensor(table)
@@ -572,16 +534,30 @@ def cross_entropy(logits, targets: np.ndarray, ignore_id: int = -1) -> Tensor:
 # -- stochastic regularizers ---------------------------------------------------
 
 
-def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
-    """Zero each element with probability p and rescale survivors by 1/(1-p)."""
+def dropout_mask(shape, p: float, rng: np.random.Generator, dtype) -> Optional[np.ndarray]:
+    """The inverted-dropout multiplier for an array of `shape`: 1 / (1 - p)
+    where a uniform draw in `dtype` is >= p, else 0; None when p == 0, which
+    draws nothing.
+
+    `dropout` and the attention nodes draw every mask here, one
+    `rng.random` call of the masked array's shape each, so the masks and
+    the rng stream do not depend on which of them asks.
+    """
     if not (0.0 <= p < 1.0):
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
-    x = as_tensor(x)
     if p == 0.0:
+        return None
+    dtype = np.dtype(dtype)
+    keep = rng.random(shape, dtype=dtype) >= p
+    return keep.astype(dtype) * dtype.type(1.0 / (1.0 - p))
+
+
+def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
+    """Zero each element with probability p and rescale survivors by 1/(1-p)."""
+    x = as_tensor(x)
+    mask = dropout_mask(x.data.shape, p, rng, x.data.dtype)
+    if mask is None:
         return x
-    scale = 1.0 / (1.0 - p)
-    keep = rng.random(x.data.shape, dtype=x.data.dtype) >= p
-    mask = keep.astype(x.data.dtype) * x.data.dtype.type(scale)
     data = x.data * mask
 
     def bwd(g):

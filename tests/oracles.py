@@ -2,13 +2,22 @@
 
 Everything here is plain numpy with explicit loops, deliberately sharing
 no code with the package; the tests compare library outputs against these.
-The one exception is `beam_search_oracle`, which drives a model's
-full-prefix decoder pass, the reference for incremental decoding.
+Two exceptions:
+
+- `beam_search_oracle` drives a model's full-prefix decoder pass, the
+  reference for incremental decoding;
+- the composed graph forms of Eq. 1-4 (`composed_attention`, `local_conv`,
+  `adaptive_query`, `composed_conv_head`) build Eq. 1-4 from the package's
+  elementwise, matmul and softmax graph ops, one node per step. They are
+  the references the one-node attention heads are checked against,
+  forward, backward, and mask draws.
 """
 
 import math
 
 import numpy as np
+
+from ctxformer import tensor as T
 
 
 def matmul_oracle(a, b):
@@ -96,6 +105,109 @@ def dynamic_head_oracle(s_proj, w_a, w_s, w_q, causal):
     score = (local * query).sum(axis=-1) / math.sqrt(d_h)
     gate = 1.0 / (1.0 + np.exp(-score))
     return gate[:, None] * local
+
+
+# ------------------------------------------- composed graph forms of Eq. 1-4
+
+
+def _graph_sigmoid(x):
+    data = T.sigmoid_array(x.data)
+
+    def bwd(g):
+        if x.requires_grad:
+            x._accumulate(g * data * (1.0 - data))
+
+    return T._make(data, (x,), bwd)
+
+
+def _graph_causal_conv(s, w):
+    """out[..., t, c] = sum_j w[..., j, c] * s[..., t - j, c], zero-padded on
+    the left; a kernel (n, F, d) convolves each slice s[i] of an input
+    (n, ..., T, d) with its own (F, d) kernel."""
+    heads = w.data.shape[:-2]
+    taps, channels = w.data.shape[-2:]
+    t_len = s.data.shape[-2]
+    kern = np.moveaxis(w.data, -2, 0).reshape(
+        (taps,) + heads + (1,) * (s.data.ndim - 1 - len(heads)) + (channels,)
+    )
+    data = np.zeros_like(s.data)
+    for j in range(min(taps, t_len)):
+        data[..., j:, :] += kern[j] * s.data[..., : t_len - j, :]
+
+    def bwd(g):
+        if s.requires_grad:
+            gs = np.zeros_like(s.data)
+            for j in range(min(taps, t_len)):
+                gs[..., : t_len - j, :] += kern[j] * g[..., j:, :]
+            s._accumulate(gs)
+        if w.requires_grad:
+            gw = np.zeros_like(w.data)
+            summed = tuple(range(len(heads), g.ndim - 1))
+            for j in range(min(taps, t_len)):
+                gw[..., j, :] = (g[..., j:, :] * s.data[..., : t_len - j, :]).sum(axis=summed)
+            w._accumulate(gw)
+
+    return T._make(data, (s, w), bwd)
+
+
+def composed_attention(q, k, v, causal=False, attn_dropout=None):
+    """Eq. 1 composed: softmax(q k^T / sqrt(d_k)) v, dropout on the weights."""
+    d_k = q.shape[-1]
+    k_t = T.transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
+    scores = T.mul(T.matmul(q, k_t), 1.0 / math.sqrt(d_k))
+    if causal:
+        scores = T.masked_fill(scores, np.tril(np.ones((q.shape[-2],) * 2, bool)), -np.inf)
+    weights = T.softmax(scores, axis=-1)
+    if attn_dropout is not None:
+        weights = T.dropout(weights, *attn_dropout)
+    return T.matmul(weights, v)
+
+
+def local_conv(s, params, kernel_dropconnect=None):
+    """Eq. 2 composed: the causal convolution with the softmaxed kernel."""
+    kernel = T.softmax(params.w_a, axis=-2)
+    if kernel_dropconnect is not None:
+        kernel = T.dropout(kernel, *kernel_dropconnect)
+    return _graph_causal_conv(s, kernel)
+
+
+def adaptive_query(s, params, causal=False):
+    """Eq. 3 composed: one (..., d_h) context vector, or one per prefix
+    (..., T, d_h) when causal. Head-stacked params take s as (n, ..., T, d_h)."""
+    heads = params.w_s.shape[:-2]
+    d_h = params.w_s.shape[-1]
+    rows = T.reshape(s, heads + (-1, d_h))
+    proj = T.reshape(T.matmul(rows, params.w_s), s.shape)
+    scores = T.reshape(
+        T.matmul(rows, T.reshape(params.w_q, heads + (d_h, 1))), s.shape[:-1] + (1,)
+    )
+    if not causal:
+        return T.tsum(T.mul(proj, T.softmax(scores, axis=-2)), axis=-2)
+    t_len = s.shape[-2]
+    rows = T.transpose(scores, tuple(range(scores.ndim - 2)) + (scores.ndim - 1, scores.ndim - 2))
+    masked = T.masked_fill(rows, np.tril(np.ones((t_len, t_len), bool)), -np.inf)
+    return T.matmul(T.softmax(masked, axis=-1), proj)
+
+
+def composed_conv_head(s_proj, params, causal=False, kernel_dropconnect=None):
+    """Eq. 2-4 composed, with the signature of `attention.dynamic_conv_head`:
+    s_proj (..., T, n * d_h), head j in block j."""
+    n = params.w_a.shape[0] if params.w_a.ndim == 3 else 1
+    d_h = params.w_a.shape[-1]
+    s = s_proj
+    if params.w_a.ndim == 3:  # (..., T, n * d_h) -> (n, ..., T, d_h)
+        s = T.reshape(s, s.shape[:-1] + (n, d_h))
+        s = T.transpose(s, (s.ndim - 2,) + tuple(range(s.ndim - 2)) + (s.ndim - 1,))
+    local = local_conv(s, params, kernel_dropconnect)
+    query = adaptive_query(s, params, causal)
+    if not causal:
+        query = T.reshape(query, query.shape[:-1] + (1, d_h))
+    score = T.mul(T.tsum(T.mul(local, query), axis=-1, keepdims=True), 1.0 / math.sqrt(d_h))
+    out = T.mul(_graph_sigmoid(score), local)
+    if params.w_a.ndim == 3:  # back to (..., T, n * d_h)
+        out = T.transpose(out, tuple(range(1, out.ndim - 1)) + (0, out.ndim - 1))
+        out = T.reshape(out, out.shape[:-2] + (n * d_h,))
+    return out
 
 
 def dot_heads(params):

@@ -144,7 +144,7 @@ def test_oracle_equivalence_suite():
         taps = int(rng.choice([1, 3, 5]))
         s = rng.normal(size=(t_len, d_h))
         cp = rand_conv_params(rng, 2 * d_h, d_h, taps=taps)
-        got = A.local_conv(T.Tensor(s), cp).data
+        got = A.local_context(s, T.softmax_array(cp.w_a.data, axis=0))
         if np.max(np.abs(got - O.local_conv_oracle(s, cp.w_a.data))) > 1e-10:
             failures.append(f"local context conv trial {trial}")
 
@@ -153,7 +153,7 @@ def test_oracle_equivalence_suite():
         d_h = int(rng.integers(1, 5))
         s = rng.normal(size=(t_len, d_h))
         cp = rand_conv_params(rng, 2 * d_h, d_h)
-        got = A.adaptive_query(T.Tensor(s), cp).data
+        got = O.adaptive_query(T.Tensor(s), cp).data
         want = O.adaptive_query_oracle(s, cp.w_s.data, cp.w_q.data)
         if np.max(np.abs(got - want)) > 1e-10:
             failures.append(f"adaptive query trial {trial}")
@@ -222,7 +222,8 @@ def test_normalization_suite():
         d_k = int(rng.integers(1, 8))
         q = rng.normal(size=(t_q, d_k)) * rng.uniform(0.1, 10)
         k = rng.normal(size=(t_k, d_k))
-        scores = T.softmax(T.mul(T.matmul(T.Tensor(q), T.transpose_last(T.Tensor(k))), 1.0), axis=-1)
+        k_t = T.transpose(T.Tensor(k), (1, 0))
+        scores = T.softmax(T.mul(T.matmul(T.Tensor(q), k_t), 1.0), axis=-1)
         sums = scores.data.sum(axis=-1)
         if np.max(np.abs(sums - 1.0)) > 1e-9 or scores.data.min() < 0:
             failures.append(f"attention rows trial {trial}")
@@ -449,48 +450,40 @@ def _matmul_macs(a, b) -> int:
     return math.prod(batch) * a.shape[-2] * a.shape[-1] * b.shape[-1]
 
 
-def _depthwise_macs(s, w) -> int:
-    # a tap that lands on the left zero padding does no work
-    t_len, channels = s.shape[-2:]
-    taps = w.shape[-2]
-    per_channel = sum(max(0, t_len - j) for j in range(taps))
-    return math.prod(s.shape[:-2]) * channels * per_channel
+def _tap_macs(s, kernel) -> int:
+    # s is time-leading, (T, ..., C); a tap that lands on the left zero
+    # padding does no work
+    t_len = s.shape[0]
+    per_channel = sum(max(0, t_len - j) for j in range(kernel.shape[0]))
+    return s.size // t_len * per_channel
 
 
 def _count_attention_halves(monkeypatch) -> dict:
     """Count, from the shape of each call, the multiply-adds of the two
-    halves of `multi_head_forward`: the matmuls made inside
-    `scaled_dot_product_attention` (dot-product half) and the depthwise
-    convolutions, or any matmul, made inside `local_conv` (conv half)."""
+    halves of `multi_head_forward`: the score and value products of the
+    dot-product node (`attention_scores`, `attention_values`) and the tap
+    products of the conv node (`local_context`)."""
     counts = {"self_attention": 0, "depthwise_separable_convolution": 0}
-    inside = []
 
-    def scoped(fn, row):
-        def wrapper(*args, **kwargs):
-            inside.append(row)
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                inside.pop()
+    def counted(fn, row, macs):
+        def wrapper(*args):
+            counts[row] += macs(*args)
+            return fn(*args)
 
         return wrapper
 
-    def counted(fn, macs):
-        def wrapper(*args, **kwargs):
-            if inside:
-                counts[inside[-1]] += macs(*args, **kwargs)
-            return fn(*args, **kwargs)
-
-        return wrapper
+    def score_macs(q, k):
+        return _matmul_macs(q, np.swapaxes(k, -1, -2))
 
     monkeypatch.setattr(
-        A, "scaled_dot_product_attention",
-        scoped(A.scaled_dot_product_attention, "self_attention"),
+        A, "attention_scores", counted(A.attention_scores, "self_attention", score_macs)
     )
-    monkeypatch.setattr(A, "local_conv", scoped(A.local_conv, "depthwise_separable_convolution"))
-    monkeypatch.setattr(A, "matmul", counted(A.matmul, _matmul_macs))
     monkeypatch.setattr(
-        A, "depthwise_causal_conv1d", counted(A.depthwise_causal_conv1d, _depthwise_macs)
+        A, "attention_values", counted(A.attention_values, "self_attention", _matmul_macs)
+    )
+    monkeypatch.setattr(
+        A, "local_context",
+        counted(A.local_context, "depthwise_separable_convolution", _tap_macs),
     )
     return counts
 

@@ -8,8 +8,11 @@ from ctxformer import tensor as T
 from ctxformer.errors import ConfigError, DimensionError
 
 from oracles import (
+    adaptive_query,
     adaptive_query_oracle,
     adaptive_query_prefix_oracle,
+    composed_attention,
+    composed_conv_head,
     dynamic_head_oracle,
     kernel_softmax_oracle,
     local_conv_oracle,
@@ -50,6 +53,11 @@ def rand_multi_head(rng, d, h, taps=3):
 
 def oracle_head(s, cp, causal):
     return dynamic_head_oracle(s, cp.w_a.data, cp.w_s.data, cp.w_q.data, causal)
+
+
+def local_context(s, cp):
+    """The node's local context (Eq. 2) of a (T, d_h) input under one head's params."""
+    return A.local_context(s, T.softmax_array(cp.w_a.data, axis=0))
 
 
 def conv_head(conv, j):
@@ -118,19 +126,19 @@ def test_local_conv_uniform_kernel_is_window_mean():
     s = rng.normal(size=(6, 2))
     cp = rand_conv_params(rng, 4, 2, taps=3)
     cp.w_a.data[:] = 0.7  # identical along F -> uniform softmax
-    out = A.local_conv(T.Tensor(s), cp)
+    out = local_context(s, cp)
     for t in range(6):
         for c in range(2):
             window = [s[t - j, c] if t - j >= 0 else 0.0 for j in range(3)]
-            assert abs(out.data[t, c] - np.mean(window)) < 1e-12
+            assert abs(out[t, c] - np.mean(window)) < 1e-12
 
 
 def test_local_conv_single_tap_is_identity():
     rng = np.random.default_rng(5)
     s = rng.normal(size=(4, 3))
     cp = rand_conv_params(rng, 4, 3, taps=1)
-    out = A.local_conv(T.Tensor(s), cp)
-    assert np.allclose(out.data, s, atol=1e-15)
+    out = local_context(s, cp)
+    assert np.allclose(out, s, atol=1e-15)
 
 
 def test_local_conv_matches_softmax_then_loop_oracle():
@@ -138,8 +146,8 @@ def test_local_conv_matches_softmax_then_loop_oracle():
     for _ in range(20):
         s = rng.normal(size=(6, 3))
         cp = rand_conv_params(rng, 4, 3, taps=3)
-        out = A.local_conv(T.Tensor(s), cp)
-        assert np.max(np.abs(out.data - local_conv_oracle(s, cp.w_a.data))) < 1e-12
+        out = local_context(s, cp)
+        assert np.max(np.abs(out - local_conv_oracle(s, cp.w_a.data))) < 1e-12
 
 
 def test_local_conv_kernel_columns_sum_to_one():
@@ -154,11 +162,11 @@ def test_local_conv_output_within_window_bounds():
     rng = np.random.default_rng(8)
     s = rng.normal(size=(7, 3))
     cp = rand_conv_params(rng, 4, 3, taps=3)
-    out = A.local_conv(T.Tensor(s), cp)
+    out = local_context(s, cp)
     for t in range(7):
         for c in range(3):
             window = [s[t - j, c] if t - j >= 0 else 0.0 for j in range(3)]
-            assert min(window) - 1e-12 <= out.data[t, c] <= max(window) + 1e-12
+            assert min(window) - 1e-12 <= out[t, c] <= max(window) + 1e-12
 
 
 def test_conv_params_reject_even_kernel():
@@ -168,13 +176,15 @@ def test_conv_params_reject_even_kernel():
 
 
 # ---------------------------------------------------------- adaptive query
+# These check the composed Eq. 3 of `oracles`, the reference the conv node's
+# query is checked against through `composed_conv_head`.
 
 
 def test_adaptive_query_single_position():
     rng = np.random.default_rng(10)
     s = rng.normal(size=(1, 3))
     cp = rand_conv_params(rng, 4, 3)
-    out = A.adaptive_query(T.Tensor(s), cp)
+    out = adaptive_query(T.Tensor(s), cp)
     assert np.allclose(out.data, (s @ cp.w_s.data)[0], atol=1e-14)
 
 
@@ -183,7 +193,7 @@ def test_adaptive_query_zero_scores_gives_mean():
     s = rng.normal(size=(5, 3))
     cp = rand_conv_params(rng, 4, 3)
     cp.w_q.data[:] = 0.0
-    out = A.adaptive_query(T.Tensor(s), cp)
+    out = adaptive_query(T.Tensor(s), cp)
     assert np.allclose(out.data, (s @ cp.w_s.data).mean(axis=0), atol=1e-12)
 
 
@@ -192,7 +202,7 @@ def test_adaptive_query_matches_two_pass_oracle():
     for _ in range(20):
         s = rng.normal(size=(5, 3))
         cp = rand_conv_params(rng, 4, 3)
-        out = A.adaptive_query(T.Tensor(s), cp)
+        out = adaptive_query(T.Tensor(s), cp)
         expected = adaptive_query_oracle(s, cp.w_s.data, cp.w_q.data)
         assert np.max(np.abs(out.data - expected)) < 1e-12
 
@@ -201,7 +211,7 @@ def test_adaptive_query_causal_matches_prefix_oracle():
     rng = np.random.default_rng(13)
     s = rng.normal(size=(6, 3))
     cp = rand_conv_params(rng, 4, 3)
-    out = A.adaptive_query(T.Tensor(s), cp, causal=True)
+    out = adaptive_query(T.Tensor(s), cp, causal=True)
     expected = adaptive_query_prefix_oracle(s, cp.w_s.data, cp.w_q.data)
     assert out.data.shape == (6, 3)
     assert np.max(np.abs(out.data - expected)) < 1e-12
@@ -215,9 +225,8 @@ def test_dynamic_head_zero_query_halves_local():
     s = rng.normal(size=(5, 3))
     cp = rand_conv_params(rng, 4, 3)
     cp.w_s.data[:] = 0.0  # query = 0 -> score = 0 -> sigmoid = 1/2
-    local = A.local_conv(T.Tensor(s), cp)
     out = A.dynamic_conv_head(T.Tensor(s), cp)
-    assert np.allclose(out.data, 0.5 * local.data, atol=1e-14)
+    assert np.allclose(out.data, 0.5 * local_context(s, cp), atol=1e-14)
 
 
 def test_dynamic_head_single_position_matches_composed_oracle():
@@ -251,21 +260,97 @@ def test_dynamic_head_causal_query_blocks_future():
 
 
 def test_dynamic_head_gradients_through_both_softmaxes():
+    # float64 finite differences through the node into its input and every
+    # weight it reads: full and causal, one head and three stacked heads,
+    # a kernel longer than the sequence included.
     rng = np.random.default_rng(18)
-    s = rng.normal(size=(5, 4))
-    base = rand_conv_params(rng, 8, 4)
-    weights = rng.normal(size=(5, 4))
+    for n, t_len, taps in ((None, 5, 3), (3, 6, 15), (3, 1, 5)):
+        shape = () if n is None else (n,)
+        width = 4 * (n or 1)
+        cp = A.ConvHeadParams(
+            *(T.Tensor(rng.normal(size=shape + s)) for s in ((8, 4), (taps, 4), (4, 4), (4,)))
+        )
+        s = T.Tensor(rng.normal(size=(2, t_len, width)))
+        weights = rng.normal(size=(2, t_len, width))
+        for causal in (False, True):
+            def loss(probe, field):
+                if field == "s":
+                    return T.tsum(T.mul(A.dynamic_conv_head(probe, cp, causal), weights))
+                fields = ("w_in", "w_a", "w_s", "w_q")
+                swapped = A.ConvHeadParams(
+                    **{f: probe if f == field else getattr(cp, f) for f in fields}
+                )
+                return T.tsum(T.mul(A.dynamic_conv_head(s, swapped, causal), weights))
 
-    def via_kernel(x):
-        cp = A.ConvHeadParams(base.w_in, x, base.w_s, base.w_q)
-        return T.tsum(T.mul(A.dynamic_conv_head(T.Tensor(s), cp), weights))
+            for field in ("s", "w_a", "w_s", "w_q"):
+                x = s if field == "s" else getattr(cp, field)
+                report = T.finite_difference_check(lambda p: loss(p, field), x, tol=1e-4)
+                assert report.passed, f"n={n} T={t_len} F={taps} causal={causal} {field}: {report}"
 
-    def via_query(x):
-        cp = A.ConvHeadParams(base.w_in, base.w_a, base.w_s, x)
-        return T.tsum(T.mul(A.dynamic_conv_head(T.Tensor(s), cp), weights))
 
-    assert T.finite_difference_check(via_kernel, base.w_a, tol=1e-4).passed
-    assert T.finite_difference_check(via_query, base.w_q, tol=1e-4).passed
+def test_sdpa_gradients_match_finite_differences():
+    rng = np.random.default_rng(29)
+    for t_q, t_k, causal in ((5, 5, True), (3, 6, False), (1, 1, True)):
+        q, k, v = (T.Tensor(rng.normal(size=(2, t, 4))) for t in (t_q, t_k, t_k))
+        weights = rng.normal(size=(2, t_q, 4))
+        for i, x in enumerate((q, k, v)):
+            def loss(probe):
+                args = [probe if j == i else t for j, t in enumerate((q, k, v))]
+                return T.tsum(T.mul(A.scaled_dot_product_attention(*args, causal), weights))
+
+            report = T.finite_difference_check(loss, x, tol=1e-4)
+            assert report.passed, f"T_q={t_q} T_k={t_k} causal={causal} input {i}: {report}"
+
+
+def _node_and_reference(node, reference, inputs, args, grad_out, p):
+    """Outputs, input grads and rng states of `node` and `reference` on the
+    same inputs, each with dropout p drawn from a fresh stream of seed 7."""
+    results = []
+    for fn in (node, reference):
+        for x in inputs:
+            x.grad = None
+        stream = np.random.default_rng(7)
+        out = fn(*args, (p, stream))
+        T.tsum(T.mul(out, grad_out)).backward()
+        results.append(([out.data] + [x.grad for x in inputs], stream.bit_generator.state))
+    return results
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_nodes_match_their_composed_references(dtype, tol):
+    # Forward and every input grad within tol of the largest reference entry,
+    # the same rng stream consumed, all in the model dtype.
+    rng = np.random.default_rng(30)
+
+    def leaf(*shape):
+        return T.Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+
+    cases = []
+    for causal in (False, True):
+        for n, t_len, taps in ((None, 6, 15), (3, 6, 15), (3, 1, 3), (2, 7, 5)):
+            shape = () if n is None else (n,)
+            cp = A.ConvHeadParams(
+                *(leaf(*shape, *s) for s in ((8, 4), (taps, 4), (4, 4), (4,)))
+            )
+            s = leaf(2, t_len, 4 * (n or 1))
+            cases.append((A.dynamic_conv_head, composed_conv_head, [s, cp.w_a, cp.w_s, cp.w_q],
+                          (s, cp, causal), s.shape))
+        for lead, t_q, t_k in (((), 5, 5), ((3, 2), 6, 6), ((2,), 1, 1), ((2,), 3, 6)):
+            if causal and t_q != t_k:
+                continue
+            q, k, v = leaf(*lead, t_q, 4), leaf(*lead, t_k, 4), leaf(*lead, t_k, 3)
+            cases.append((A.scaled_dot_product_attention, composed_attention, [q, k, v],
+                          (q, k, v, causal), lead + (t_q, 3)))
+    for node, reference, inputs, args, out_shape in cases:
+        grad_out = rng.normal(size=out_shape).astype(dtype)
+        for p in (0.0, 0.3):
+            (got, got_state), (want, want_state) = _node_and_reference(
+                node, reference, inputs, args, grad_out, p
+            )
+            assert got_state == want_state
+            for a, b in zip(got, want):
+                assert a.dtype == dtype and a.shape == b.shape
+                assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b)), node.__name__
 
 
 # ----------------------------------------------------------- multi-head mix
@@ -325,7 +410,8 @@ def test_multi_head_rejects_uneven_split(n_dot, n_conv):
 @pytest.mark.parametrize("causal", [False, True])
 def test_fused_training_forward_matches_per_head_composition(causal):
     # Dropout on the attention weights and DropConnect on the kernels draw
-    # from one rng; the fused heads must draw the masks a head loop draws.
+    # from one rng; the one-node families must draw the masks a loop of
+    # composed heads draws.
     rng = np.random.default_rng(28)
     params = rand_multi_head(rng, 16, 8, taps=5)
     x = T.Tensor(rng.normal(size=(3, 6, 16)))
@@ -338,10 +424,10 @@ def test_fused_training_forward_matches_per_head_composition(causal):
     outs = []
     for j in range(4):
         q, k, v = (T.matmul(x, T.Tensor(w.data[j])) for w in (params.w_q, params.w_k, params.w_v))
-        outs.append(A.scaled_dot_product_attention(q, k, v, causal, (0.3, stream)))
+        outs.append(composed_attention(q, k, v, causal, (0.3, stream)))
     for j in range(4):
         cp = conv_head(params.conv, j)
-        outs.append(A.dynamic_conv_head(T.matmul(x, cp.w_in), cp, causal, (0.2, stream)))
+        outs.append(composed_conv_head(T.matmul(x, cp.w_in), cp, causal, (0.2, stream)))
     composed = T.matmul(T.concat(outs, axis=-1), params.w_o).data
     assert np.max(np.abs(fused - composed)) < 1e-10
     assert fused_stream.bit_generator.state == stream.bit_generator.state

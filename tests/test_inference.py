@@ -382,7 +382,9 @@ def test_probe_capture_shapes():
         reps = {
             "embedding": x.data,
             "self_head": A.dot_product_family(x, x, mha).data[:, :4],
-            "conv_local": A.local_conv(T.Tensor(s_proj), mha.conv).data[0],
+            "conv_local": A.local_context(
+                s_proj[0], T.softmax_array(mha.conv.w_a.data[0], axis=0)
+            ),
         }
     assert reps["embedding"].shape == (t_len, 8)
     assert reps["self_head"].shape == (t_len, 4)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ctxformer import attention as A
 from ctxformer import tensor as T
 from ctxformer.errors import ConfigError, DataError, DimensionError, NumericsError
 
@@ -95,6 +96,24 @@ def test_flat_matmul_gradients_match_the_batched_reference():
         gb = (np.swapaxes(a.data, -1, -2) @ g).reshape(-1, 7, 4).sum(axis=0)
         assert np.max(np.abs(a.grad - g @ b.data.T)) < 1e-12
         assert np.max(np.abs(b.grad - gb)) < 1e-12
+        # linear: the same GEMMs plus the bias, whose grad sums every row.
+        a.grad, b.grad = None, None
+        bias = T.Tensor(rng.normal(size=4), requires_grad=True)
+        out = T.linear(a, b, bias)
+        T.tsum(T.mul(out, g)).backward()
+        expected = np.einsum("...i,ij->...j", a.data, b.data) + bias.data
+        assert np.max(np.abs(out.data - expected)) < 1e-12
+        assert np.max(np.abs(a.grad - g @ b.data.T)) < 1e-12
+        assert np.max(np.abs(b.grad - gb)) < 1e-12
+        assert np.max(np.abs(bias.grad - g.reshape(-1, 4).sum(axis=0))) < 1e-12
+
+
+def test_linear_rejects_mismatched_shapes():
+    x = T.Tensor(np.zeros((2, 3)))
+    with pytest.raises(DimensionError, match=r"\(2, 3\) and \(4, 5\)"):
+        T.linear(x, T.Tensor(np.zeros((4, 5))), T.Tensor(np.zeros(5)))
+    with pytest.raises(DimensionError, match=r"bias must be \(5,\), got \(4,\)"):
+        T.linear(x, T.Tensor(np.zeros((3, 5))), T.Tensor(np.zeros(4)))
 
 
 # ---------------------------------------------------------------- softmax
@@ -135,24 +154,26 @@ def test_softmax_shift_invariance():
 
 
 # ------------------------------------------------- depthwise causal conv
+# `attention.local_context` is the array kernel of Eq. 2 that the conv node
+# runs; its inputs are time-leading, (T, ..., C) against an (F, C) kernel.
 
 
 def test_conv_single_tap_identity():
     rng = np.random.default_rng(4)
     s = rng.normal(size=(6, 3))
-    out = T.depthwise_causal_conv1d(T.Tensor(s), T.Tensor(np.ones((1, 3))))
-    assert np.array_equal(out.data, s)
+    out = A.local_context(s, np.ones((1, 3)))
+    assert np.array_equal(out, s)
 
 
 def test_conv_causality_exact():
     rng = np.random.default_rng(5)
     s = rng.normal(size=(8, 4))
     w = rng.normal(size=(3, 4))
-    base = T.depthwise_causal_conv1d(T.Tensor(s), T.Tensor(w)).data
+    base = A.local_context(s, w)
     for t in range(7):
         s2 = s.copy()
         s2[t + 1 :] += rng.normal(size=s2[t + 1 :].shape)
-        out = T.depthwise_causal_conv1d(T.Tensor(s2), T.Tensor(w)).data
+        out = A.local_context(s2, w)
         assert np.array_equal(out[: t + 1], base[: t + 1])
 
 
@@ -160,27 +181,27 @@ def test_conv_matches_double_loop():
     rng = np.random.default_rng(6)
     s = rng.normal(size=(7, 3))
     w = rng.normal(size=(3, 3))
-    out = T.depthwise_causal_conv1d(T.Tensor(s), T.Tensor(w))
-    assert np.max(np.abs(out.data - conv_oracle(s, w))) < 1e-12
+    out = A.local_context(s, w)
+    assert np.max(np.abs(out - conv_oracle(s, w))) < 1e-12
 
 
 def test_conv_with_stacked_kernels_matches_one_call_per_head():
+    # Three heads' kernels side by side in blocks of 4 channels convolve a
+    # (T, B, 3 * 4) input as one call per head on its block would.
     rng = np.random.default_rng(4)
-    s = rng.normal(size=(3, 2, 6, 4))
+    s = rng.normal(size=(6, 2, 12))
     w = rng.normal(size=(3, 5, 4))
-    out = T.depthwise_causal_conv1d(T.Tensor(s), T.Tensor(w)).data
+    out = A.local_context(s, np.concatenate(list(w), axis=1))
     for i in range(3):
-        single = T.depthwise_causal_conv1d(T.Tensor(s[i]), T.Tensor(w[i])).data
-        assert np.array_equal(out[i], single)
+        single = A.local_context(s[..., 4 * i : 4 * i + 4], w[i])
+        assert np.array_equal(out[..., 4 * i : 4 * i + 4], single)
     with pytest.raises(DimensionError):
-        T.depthwise_causal_conv1d(T.Tensor(s), T.Tensor(w[:2]))
+        A.local_context(s, w[0])
 
 
 def test_conv_channel_mismatch():
     with pytest.raises(DimensionError):
-        T.depthwise_causal_conv1d(
-            T.Tensor(np.zeros((4, 3))), T.Tensor(np.zeros((2, 5)))
-        )
+        A.local_context(np.zeros((4, 3)), np.zeros((2, 5)))
 
 
 def test_conv_kernel_parameter_count_is_taps_times_channels():
@@ -276,7 +297,6 @@ def test_graph_ops_run_the_shared_kernels(dtype):
     rng = np.random.default_rng(42)
     x = rng.normal(size=(3, 9)).astype(dtype)
     gamma, beta = rng.normal(size=9).astype(dtype), rng.normal(size=9).astype(dtype)
-    assert np.array_equal(T.sigmoid(T.Tensor(x)).data, two_branch_sigmoid(x))
     assert np.array_equal(T.softmax(T.Tensor(x), axis=0).data, shifted_softmax(x, 0))
     ln = T.layer_norm(T.Tensor(x), T.Tensor(gamma), T.Tensor(beta), eps=1e-5).data
     assert np.array_equal(ln, gamma * mean_standardize(x, 1e-5) + beta)
@@ -370,14 +390,34 @@ def test_dropout_rejects_p_one():
 
 def test_dropout_draws_its_uniforms_in_the_activation_dtype():
     # float64 keeps the default float64 stream; float32 draws float32 uniforms.
+    # The mask kernel, `dropout` and both attention nodes draw the same mask.
     for dtype in (np.float64, np.float32):
+        keep = np.random.default_rng(5).random((7, 9), dtype=dtype) >= 0.3
+        expected = np.where(keep, dtype(1.0 / 0.7), 0)
+        mask = T.dropout_mask((7, 9), 0.3, np.random.default_rng(5), dtype)
+        assert mask.dtype == dtype and np.array_equal(mask, expected)
         x = T.Tensor(np.ones((7, 9), dtype=dtype), requires_grad=True)
         out = T.dropout(x, 0.3, np.random.default_rng(5))
-        keep = np.random.default_rng(5).random((7, 9), dtype=dtype) >= 0.3
         assert out.dtype == dtype
-        assert np.array_equal(out.data, np.where(keep, dtype(1.0 / 0.7), 0))
+        assert np.array_equal(out.data, expected)
         T.tsum(out).backward()
         assert x.grad.dtype == dtype and np.array_equal(x.grad, out.data)
+        # Zero queries and keys weigh the 9 keys 1/9 each; identity values
+        # then read the dropped weights off the output.
+        q, k = T.Tensor(np.zeros((7, 2), dtype)), T.Tensor(np.zeros((9, 2), dtype))
+        out = A.scaled_dot_product_attention(
+            q, k, T.Tensor(np.eye(9, dtype=dtype)), attn_dropout=(0.3, np.random.default_rng(5))
+        )
+        assert np.array_equal(out.data, (dtype(1) / dtype(9)) * expected)
+        # A unit impulse at position 0 reads kernel tap t at position t; a zero
+        # w_s makes every gate sigmoid(0) = 1/2.
+        w_a = np.random.default_rng(6).normal(size=(7, 9)).astype(dtype)
+        zeros = np.zeros((9, 9), dtype)
+        params = A.ConvHeadParams(*(T.Tensor(w) for w in (zeros, w_a, zeros, zeros[0])))
+        s = np.zeros((7, 9), dtype)
+        s[0] = 1
+        out = A.dynamic_conv_head(T.Tensor(s), params, False, (0.3, np.random.default_rng(5)))
+        assert np.array_equal(out.data, dtype(0.5) * (T.softmax_array(w_a, axis=0) * expected))
 
 
 # ---------------------------------------------------------------- dtype
@@ -440,7 +480,7 @@ def test_backward_releases_interior_grads_and_leaves_keep_accumulating():
     x = T.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     w = T.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     hidden = T.matmul(x, w)
-    act = T.sigmoid(hidden)
+    act = T.softmax(hidden, axis=-1)
     loss = T.tsum(T.mul(act, act))
     loss.backward()
     first_x, first_w = x.grad.copy(), w.grad.copy()
@@ -492,7 +532,6 @@ def _fd_cases(rng):
     Constants are drawn once up front so every f is deterministic.
     """
     d = 4
-    w = rng.normal(size=(3, d))
     gamma = rng.normal(size=d)
     beta = rng.normal(size=d)
     targets = rng.integers(0, d, size=5)
@@ -507,25 +546,30 @@ def _fd_cases(rng):
     keep = rng.random(size=(5, d)) > 0.3
     keep[:, 0] = True  # no fully masked rows
     cp = rng.normal(size=(2, 2, 5))
-    w_heads = rng.normal(size=(2, 3, 2))
-    ch = rng.normal(size=(2, 5, 2))
+    cb = rng.normal(size=(5, 20))
+    co = rng.normal(size=(d, 20))
     return {
         "add": lambda x: T.tsum(T.add(x, 1.5)),
         "mul": lambda x: T.tsum(T.mul(x, x)),
         "matmul": lambda x: T.tsum(T.matmul(x, T.Tensor(weights))),
         "relu": lambda x: T.tsum(T.mul(T.relu(x), c1)),
-        "sigmoid": lambda x: T.tsum(T.mul(T.sigmoid(x), c2)),
         "softmax": lambda x: T.tsum(T.mul(T.softmax(x, axis=-1), c1)),
         "layer_norm": lambda x: T.tsum(
             T.mul(T.layer_norm(x, T.Tensor(gamma), T.Tensor(beta)), c3)
         ),
-        "conv": lambda x: T.tsum(
-            T.mul(T.depthwise_causal_conv1d(x, T.Tensor(w)), c4)
+        "linear": lambda x: T.tsum(
+            T.mul(T.linear(x, T.Tensor(weights), T.Tensor(c2[0, :2])), c4[:, :2])
+        ),
+        "linear_weight": lambda x: T.tsum(
+            T.mul(T.linear(T.Tensor(ct), x, T.Tensor(c2[0])), c3[:d])
+        ),
+        "linear_bias": lambda x: T.tsum(
+            T.mul(T.linear(T.Tensor(ct), T.Tensor(cb), T.reshape(x, (20,))), co)
         ),
         "cross_entropy": lambda x: T.cross_entropy(x, targets),
         "mean": lambda x: T.tmean(T.mul(x, x)),
         "concat": lambda x: T.tsum(T.mul(T.concat([x, T.mul(x, 2.0)], axis=-1), 0.7)),
-        "transpose": lambda x: T.tsum(T.mul(T.transpose_last(x), ct)),
+        "transpose": lambda x: T.tsum(T.mul(T.transpose(x, (1, 0)), ct)),
         "reshape": lambda x: T.tsum(T.mul(T.reshape(x, (d, 5)), cr)),
         "masked_fill": lambda x: T.tsum(
             T.mul(T.softmax(T.masked_fill(x, keep, -np.inf), axis=-1), cm)
@@ -534,14 +578,6 @@ def _fd_cases(rng):
             T.mul(T.broadcast_to(T.tsum(x, axis=-1, keepdims=True), (5, d)), 0.3)
         ),
         "permute": lambda x: T.tsum(T.mul(T.transpose(T.reshape(x, (5, 2, 2)), (1, 2, 0)), cp)),
-        "conv_heads": lambda x: T.tsum(
-            T.mul(
-                T.depthwise_causal_conv1d(
-                    T.transpose(T.reshape(x, (5, 2, 2)), (1, 0, 2)), T.Tensor(w_heads)
-                ),
-                ch,
-            )
-        ),
     }
 
 
