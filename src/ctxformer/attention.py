@@ -28,9 +28,8 @@ axis, so each node puts the axis it reduces over first.
   Eq. 3 runs over axis 0: over (T, B * n) in full mode, over the prefix
   weights (T_key, B * n, T_query) in causal mode. The per-head w_q scores
   and the per-head gate sums of Eq. 4 are GEMMs with block-diagonal
-  (n * d_h, n) matrices; the per-head w_s products are one batched product
-  over the heads' column blocks, which costs a fraction of the
-  (n * d_h, n * d_h) block-diagonal GEMM.
+  (n * d_h, n) matrices, and the per-head w_s products one GEMM with the
+  block-diagonal (n * d_h, n * d_h) matrix.
 
 Also hosts the per-layer complexity model. `test_complexity_validation`
 checks it on the products the nodes run: `attention_scores` and
@@ -254,20 +253,6 @@ def _taps_first(w: np.ndarray, n: int) -> np.ndarray:
     return w.reshape(n, taps, d_h).transpose(1, 0, 2).reshape(taps, n * d_h)
 
 
-def _heads_first(rows: np.ndarray, n: int) -> np.ndarray:
-    """Rows (N, n * w) as the strided view (n, N, w): head j's block of every row."""
-    return rows.reshape(rows.shape[0], n, -1).transpose(1, 0, 2)
-
-
-def _per_head(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Head j's block of rows (N, n * w_in) times w[j], for w (n, w_in, w_out):
-    (N, n * w_out), one batched product over the heads' strided blocks."""
-    n, _, width = w.shape
-    out = np.empty((rows.shape[0], n * width), rows.dtype)
-    np.matmul(_heads_first(rows, n), w, out=_heads_first(out, n))
-    return out
-
-
 def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
     """n blocks (n, r, c) as the block-diagonal (n * r, n * c) matrix."""
     n, r, c = blocks.shape
@@ -275,6 +260,14 @@ def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
     heads = np.arange(n)
     out[heads, :, heads] = blocks
     return out.reshape(n * r, n * c)
+
+
+def _diagonal_blocks(matrix: np.ndarray, n: int) -> np.ndarray:
+    """The n diagonal blocks (n, r, c) of an (n * r, n * c) matrix, the
+    inverse of `_block_diagonal`."""
+    rows, cols = matrix.shape
+    heads = np.arange(n)
+    return matrix.reshape(n, rows // n, n, cols // n)[heads, :, heads]
 
 
 def dynamic_conv_head(
@@ -299,7 +292,7 @@ def dynamic_conv_head(
     The node works time-leading (see the module docstring). The backward
     keeps the input, the masked kernel, the local context, the softmax
     weights of the query, the query and the gate; it recomputes the
-    projection of Eq. 3, one small batched product.
+    projection of Eq. 3, one GEMM.
     """
     x = tn.as_tensor(s_proj)
     w_a, w_s, w_q = params.w_a, params.w_s, params.w_q
@@ -327,18 +320,16 @@ def dynamic_conv_head(
     kernel = soft if mask is None else soft * mask
     local = local_context(s, kernel).reshape(t_len, heads, d_h)
     # Eq. 3: each head's projection and position scores.
-    w_s_heads = w_s.data.reshape(n, d_h, d_h)
+    proj_blocks = _block_diagonal(w_s.data.reshape(n, d_h, d_h))
     score_blocks = _block_diagonal(w_q.data.reshape(n, d_h, 1))
-    proj = _per_head(rows, w_s_heads).reshape(t_len, heads, d_h)  # recomputed in bwd
+    proj = (rows @ proj_blocks).reshape(t_len, heads, d_h)  # recomputed in bwd
     scores = (rows @ score_blocks).reshape(t_len, heads)
     if causal:
         # weights[u, i, t]: key position u of the prefix ending at t, key
-        # first, shifted by the prefix maximum; later keys get exp(-inf) = 0.
-        top = np.maximum.accumulate(scores, axis=0)
-        weights = scores[:, :, None] - top.T
-        weights += _causal_bias(t_len, dtype)[:, None]
-        np.exp(weights, out=weights)
-        weights /= weights.sum(axis=0)
+        # first; later keys get exactly zero weight.
+        weights = tn.softmax_array(
+            scores[:, :, None] + _causal_bias(t_len, dtype)[:, None], axis=0
+        )
         query = np.empty((t_len, heads, d_h), dtype)
         np.matmul(
             weights.transpose(1, 2, 0), proj.transpose(1, 0, 2), out=query.transpose(1, 0, 2)
@@ -355,7 +346,7 @@ def dynamic_conv_head(
     data = _batch_leading((local * gate).reshape(s.shape), x.shape)
 
     def bwd(g):
-        proj = _per_head(rows, w_s_heads).reshape(t_len, heads, d_h)
+        proj = (rows @ proj_blocks).reshape(t_len, heads, d_h)
         g = _time_leading(g).reshape(t_len, heads, d_h)
         dgate = ((g * local).reshape(-1, width) @ sums).reshape(t_len, heads, 1)
         dscore = dgate * gate * (1 - gate) * scale
@@ -387,18 +378,16 @@ def dynamic_conv_head(
         dscores = dscores.reshape(-1, n)
         dlocal = dlocal.reshape(s.shape)
         if x.requires_grad:
-            ds = _per_head(dproj, w_s_heads.transpose(0, 2, 1))
+            ds = dproj @ proj_blocks.T
             ds += dscores @ score_blocks.T
             ds = ds.reshape(s.shape)
             for j in range(min(taps, t_len)):
                 ds[: t_len - j] += kernel[j] * dlocal[j:]
             x._accumulate(_batch_leading(ds, x.shape))
         if w_s.requires_grad:
-            dw_s = _heads_first(rows, n).transpose(0, 2, 1) @ _heads_first(dproj, n)
-            w_s._accumulate(dw_s.reshape(w_s.shape))
+            w_s._accumulate(_diagonal_blocks(rows.T @ dproj, n).reshape(w_s.shape))
         if w_q.requires_grad:
-            blocks = (rows.T @ dscores).reshape(n, d_h, n)
-            w_q._accumulate(blocks[np.arange(n), :, np.arange(n)].reshape(w_q.shape))
+            w_q._accumulate(_diagonal_blocks(rows.T @ dscores, n).reshape(w_q.shape))
         if w_a.requires_grad:
             dkernel = np.zeros_like(kernel)
             for j in range(min(taps, t_len)):

@@ -91,21 +91,13 @@ class Tensor:
     # -- gradient machinery --------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
-        # The one place a grad takes its node's dtype. g may be a view that
-        # other nodes also hold, so it is never written in place. A leaf's
-        # grad is a buffer that later sweeps add into: its first write copies
-        # and the buffer is never rebound. An interior grad lives for one
-        # sweep: its first write keeps g, and each later one rebinds it to
-        # a new sum.
-        if self._backward_fn is None:
-            if self.grad is None:
-                self.grad = np.array(g, dtype=self.data.dtype)
-            else:
-                self.grad += g
-        elif self.grad is None:
-            self.grad = np.asarray(g, dtype=self.data.dtype)
+        # The one place a grad takes its node's dtype. The first write copies:
+        # g may be a view that other nodes also hold. A grad buffer that
+        # exists is added to in place, never rebound.
+        if self.grad is None:
+            self.grad = np.array(g, dtype=self.data.dtype)
         else:
-            self.grad = np.add(self.grad, g, dtype=self.data.dtype)
+            self.grad += g
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar; visits nodes exactly once.
