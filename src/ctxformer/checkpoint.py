@@ -63,43 +63,63 @@ def save_arrays(path, named: dict[str, np.ndarray]) -> None:
 
 def load_arrays(path) -> dict[str, np.ndarray]:
     """Read a container; an unreadable, truncated or malformed one raises
-    DataError."""
+    DataError.
+
+    Every extent is checked against the file's size before it is read, and
+    each record's data is read straight into its own array, so a load holds
+    the file's contents once.
+    """
     path = Path(path)
     try:
-        blob = path.read_bytes()
+        with open(path, "rb") as f:
+            return _read_records(path, f)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def _read_records(path: Path, f) -> dict[str, np.ndarray]:
+    size = os.fstat(f.fileno()).st_size
     offset = 0
 
-    def take(n: int, what: str) -> int:
-        nonlocal offset
-        if n > len(blob) - offset:
+    def need(n: int, what: str) -> None:
+        if n > size - offset:
             raise DataError(
                 f"{path}: truncated container: {what} needs {n} bytes at offset "
-                f"{offset}, {len(blob) - offset} left"
+                f"{offset}, {size - offset} left"
             )
-        offset += n
-        return offset - n
 
-    take(4, "magic")
-    if blob[:4] != MAGIC:
+    def advance(n: int, got: int) -> None:
+        nonlocal offset
+        if got != n:
+            raise DataError(f"{path}: truncated container: the file shrank while it was read")
+        offset += n
+
+    def take(n: int, what: str) -> bytes:
+        need(n, what)  # before reading what a corrupt length asks for
+        chunk = f.read(n)
+        advance(n, len(chunk))
+        return chunk
+
+    if take(4, "magic") != MAGIC:
         raise DataError(f"{path}: not a checkpoint container (bad magic)")
-    version, count = struct.unpack_from("<II", blob, take(8, "header"))
+    version, count = struct.unpack("<II", take(8, "header"))
     if version != VERSION:
         raise DataError(f"{path}: unsupported container version {version}")
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, take(4, "name length"))
-        start = take(name_len, "name")
+        (name_len,) = struct.unpack("<I", take(4, "name length"))
+        start = offset
         try:
-            name = blob[start : start + name_len].decode("utf-8")
+            name = take(name_len, "name").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: record name at offset {start} is not utf-8") from exc
-        (rank,) = struct.unpack_from("<I", blob, take(4, f"rank of {name}"))
-        shape = struct.unpack_from(f"<{rank}I", blob, take(4 * rank, f"shape of {name}"))
+        (rank,) = struct.unpack("<I", take(4, f"rank of {name}"))
+        shape = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name}"))
         n = math.prod(shape)  # a Python int: corrupt extents cannot wrap around
-        start = take(4 * n, f"data of {name}")
-        out[name] = np.frombuffer(blob, dtype="<f4", count=n, offset=start).reshape(shape).copy()
-    if offset != len(blob):
+        need(4 * n, f"data of {name}")  # before allocating, as in `take`
+        arr = np.empty(shape, dtype="<f4")
+        advance(4 * n, f.readinto(arr))
+        out[name] = arr
+    if offset != size:
         raise DataError(f"{path}: trailing bytes after last record")
     return out

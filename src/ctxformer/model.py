@@ -5,7 +5,8 @@ linear+softmax tag heads (part-of-speech on the first, named-entity on the
 second) for multi-task training, followed by at least one standard layer.
 The decoder mirrors the stack with masked hybrid self-attention and
 encoder-decoder attention. Residual connections are post-norm: the
-sublayer output is dropped out, added to the input, then layer-normalized.
+sublayer output is dropped out, added to the input, then layer-normalized,
+all in one `layer_norm` node.
 """
 
 from __future__ import annotations
@@ -179,8 +180,9 @@ def _feed_forward(x: Tensor, ffn: FeedForwardParams, reg: _Regularizers) -> Tens
 
 
 def _sublayer(x: Tensor, out: Tensor, ln: LayerNormParams, reg: _Regularizers) -> Tensor:
+    """LN(x + dropout(out)), one `layer_norm` node."""
     return tn.layer_norm(
-        tn.add(x, _maybe_dropout(out, reg.residual)), ln.gamma, ln.beta, LAYER_NORM_EPS
+        x, ln.gamma, ln.beta, LAYER_NORM_EPS, sublayer=out, residual_dropout=reg.residual
     )
 
 
@@ -246,14 +248,17 @@ class Seq2SeqModel:
     """Full translation model with auxiliary tag heads.
 
     The structured per-layer params hold the autodiff leaves: each head
-    family is one head-stacked leaf per weight. The flat name -> Tensor map
-    `params` (the checkpoint naming convention) names one entry per head:
-    `enc.0.mha.self.3.v` is a Tensor whose `.data` and `.grad` are views of
-    head 3's slice of the family leaf and of its grad. Every other entry is
-    the leaf itself. Every parameter's grad is a buffer allocated at build,
-    and a parameter's `.data` and `.grad` are never rebound, only written
-    in place (backward, Adam, `zero_grad`, `load_state`), so the views
-    stay views.
+    family is one head-stacked leaf per weight. `leaves` maps a name to
+    each leaf (`enc.0.mha.self.v` for a family); Adam and `zero_grad` run
+    over it. The flat name -> Tensor map `params` (the checkpoint naming
+    convention) names one entry per head: `enc.0.mha.self.3.v` is a Tensor
+    whose `.data` and `.grad` are views of head 3's slice of the family
+    leaf and of its grad. Every other entry is the leaf itself, under the
+    same name in both maps. Every leaf's grad is a buffer allocated at
+    build, and a parameter's `.data` and `.grad` are never rebound, only
+    written in place (backward, Adam, `zero_grad`, `load_state`), so the
+    views stay views. `param_views` gives the same per-head views of any
+    per-leaf arrays, such as Adam's moments.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
@@ -261,6 +266,8 @@ class Seq2SeqModel:
         self.config = config
         self.dtype = np.dtype(dtype)
         self.params: dict[str, Tensor] = {}
+        self.leaves: dict[str, Tensor] = {}
+        self._views: dict[str, tuple] = {}  # param name -> (leaf name, head or None)
         self._rng = np.random.default_rng((seed, 0xC0FFEE))
         self._build()
         self._pe = sinusoidal_positions(config.max_len, config.d_model).astype(self.dtype)
@@ -273,28 +280,34 @@ class Seq2SeqModel:
         bound = 1.0 / math.sqrt(fan_in)
         return self._rng.uniform(-bound, bound, size=shape).astype(self.dtype)
 
-    def _leaf(self, data: np.ndarray) -> Tensor:
+    def _leaf(self, name: str, data: np.ndarray) -> Tensor:
         t = Tensor(data, requires_grad=True)
         t.grad = np.zeros(data.shape, data.dtype)
+        self.leaves[name] = t
         return t
 
     def _param(self, name: str, shape, fan_in: Optional[int] = None) -> Tensor:
-        self.params[name] = self._leaf(self._draw(shape, fan_in))
-        return self.params[name]
+        return self._whole(name, self._draw(shape, fan_in))
 
     def _ones(self, name: str, shape) -> Tensor:
-        self.params[name] = self._leaf(np.ones(shape, dtype=self.dtype))
+        return self._whole(name, np.ones(shape, dtype=self.dtype))
+
+    def _whole(self, name: str, data: np.ndarray) -> Tensor:
+        """A leaf that is also one parameter, under one name."""
+        self.params[name] = self._leaf(name, data)
+        self._views[name] = (name, None)
         return self.params[name]
 
     def _heads(self, prefix: str, n: int, fields: dict) -> list:
         """One head-stacked leaf per field, from {name: (one head's shape, fan_in)}.
 
-        Head j's slices are drawn in field order before head j + 1's, the
-        order of one leaf per head, and are registered as
-        `{prefix}.{j}.{name}` views.
+        The leaves are `{prefix}.{name}`. Head j's slices are drawn in field
+        order before head j + 1's, the order of one leaf per head, and are
+        registered as `{prefix}.{j}.{name}` views.
         """
         leaves = [
-            self._leaf(np.zeros((n,) + shape, dtype=self.dtype)) for shape, _ in fields.values()
+            self._leaf(f"{prefix}.{name}", np.zeros((n,) + shape, dtype=self.dtype))
+            for name, (shape, _) in fields.items()
         ]
         for j in range(n):
             for (name, (shape, fan_in)), leaf in zip(fields.items(), leaves):
@@ -302,6 +315,7 @@ class Seq2SeqModel:
                 view = Tensor(leaf.data[j], requires_grad=True)
                 view.grad = leaf.grad[j]
                 self.params[f"{prefix}.{j}.{name}"] = view
+                self._views[f"{prefix}.{j}.{name}"] = (f"{prefix}.{name}", j)
         return leaves
 
     def _mha(self, prefix: str, taps: int) -> MultiHeadParams:
@@ -503,12 +517,20 @@ class Seq2SeqModel:
                 )
             t.data[...] = arr
 
+    def param_views(self, per_leaf: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """Arrays shaped like the leaves, keyed by leaf name, as views named
+        and shaped like `params` (head j of a family leaf is its slice j)."""
+        return {
+            name: per_leaf[leaf] if head is None else per_leaf[leaf][head]
+            for name, (leaf, head) in self._views.items()
+        }
+
     def zero_grad(self) -> None:
-        for t in self.params.values():
+        for t in self.leaves.values():
             t.grad[...] = 0
 
     def parameter_count(self) -> int:
-        return sum(t.size for t in self.params.values())
+        return sum(t.size for t in self.leaves.values())
 
 
 def count_parameters(config: ModelConfig) -> int:

@@ -6,6 +6,14 @@ each operation optionally records its inputs and a chain-rule closure so
 Gradients accumulate additively into `.grad`, which is what gradient
 accumulation over micro-batches relies on.
 
+Grad ownership: a leaf's grad is its own buffer, allocated on its first
+contribution (or by its owner, as a model does at build) and added to in
+place. An interior node borrows the first grad it is given, without a
+copy: that array may also be another node's grad, or a view of one. A
+later contribution adds out of place into a buffer the node allocates,
+and further ones add in place into that buffer. So no backward closure may
+write into its incoming grad; each one computes new arrays from it.
+
 A model's dtype flows through every node and every grad: a float32 model
 computes in float32 end to end, a float64 one in float64. A Python scalar
 operand (an `int` or `float`, `np.float64` included) takes the dtype of the
@@ -16,6 +24,8 @@ Softmax, log-softmax, sigmoid and the layer-norm standardisation are one
 array kernel each (`softmax_array`, `log_softmax_array`, `sigmoid_array`,
 `standardize`), run by the graph ops, the attention nodes and graph-free
 decoding alike. Every dropout mask comes from one kernel, `dropout_mask`.
+`layer_norm` also runs a post-norm residual sublayer, LN(x + dropout(out)),
+as one node.
 
 `linear` is a matmul plus bias as one node: one GEMM forward, and a
 backward of two GEMMs and one column sum for the bias. `matmul` with a
@@ -26,6 +36,7 @@ All operations are deterministic for a fixed seed and BLAS thread count.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -52,7 +63,7 @@ def no_grad():
 class Tensor:
     """N-dimensional real array with an optional gradient accumulator."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_owns_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -63,6 +74,7 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self._parents: tuple = ()
         self._backward_fn: Optional[Callable[[np.ndarray], None]] = None
+        self._owns_grad = False
 
     # -- introspection -------------------------------------------------
 
@@ -91,13 +103,22 @@ class Tensor:
     # -- gradient machinery --------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
-        # The one place a grad takes its node's dtype. The first write copies:
-        # g may be a view that other nodes also hold. A grad buffer that
-        # exists is added to in place, never rebound.
-        if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype)
-        else:
+        # The one place a grad takes its node's dtype. See the module
+        # docstring on grad ownership: a leaf copies its first grad and adds
+        # in place after; an interior node borrows its first grad and adds
+        # into a buffer of its own after. A leaf's buffer is never rebound.
+        if self._backward_fn is None:
+            if self.grad is None:
+                self.grad = np.array(g, dtype=self.data.dtype)
+            else:
+                self.grad += g
+        elif self.grad is None:
+            self.grad = np.asarray(g, dtype=self.data.dtype)
+        elif self._owns_grad:
             self.grad += g
+        else:
+            self.grad = np.add(self.grad, g, out=np.empty(self.grad.shape, self.data.dtype))
+            self._owns_grad = True
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar; visits nodes exactly once.
@@ -131,12 +152,12 @@ class Tensor:
         # accumulating across calls (micro-batch accumulation semantics).
         for node in topo:
             if node._backward_fn is not None:
-                node.grad = None
+                node.grad, node._owns_grad = None, False
         self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
-                node.grad = None
+                node.grad, node._owns_grad = None, False
 
 
 def as_tensor(x) -> Tensor:
@@ -158,6 +179,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
+    out._owns_grad = False
     track = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     out.requires_grad = track
     if track:
@@ -394,7 +416,8 @@ def standardize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     d = x.shape[-1]
     centered = x - x.sum(axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt((centered**2).sum(axis=-1, keepdims=True) / d + eps)
-    return centered * inv_std, inv_std
+    centered *= inv_std
+    return centered, inv_std
 
 
 def softmax(x, axis: int = -1) -> Tensor:
@@ -425,8 +448,19 @@ def masked_fill(x, keep_mask: np.ndarray, value: float) -> Tensor:
     return _make(data, (x,), bwd)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Zero-mean unit-variance over the last axis, then affine."""
+def layer_norm(
+    x, gamma, beta, eps: float = 1e-5, sublayer=None, residual_dropout=None
+) -> Tensor:
+    """Zero-mean unit-variance over the last axis, then affine; with a
+    `sublayer` output, the post-norm residual LN(x + dropout(sublayer)).
+
+    `residual_dropout` is an optional (p, rng) pair for the sublayer output;
+    its mask is drawn here, as `dropout(sublayer, p, rng)` would draw it.
+    Either way this is one node: it keeps only the standardized sum, the
+    inverse standard deviations and the mask, and its backward computes its
+    row means as sum / d, bitwise `ndarray.mean`. Every output and grad is
+    bitwise that of the composed dropout -> add -> layer-norm graph.
+    """
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be positive, got {eps}")
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
@@ -436,8 +470,27 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
             f"layer_norm affine params must have shape ({d},), got "
             f"{gamma.data.shape} and {beta.data.shape}"
         )
-    xhat, inv_std = standardize(x.data, eps)
-    data = gamma.data * xhat + beta.data
+    parents = (x, gamma, beta)
+    mask = None
+    if sublayer is None:
+        total = x.data
+    else:
+        sublayer = as_tensor(sublayer)
+        if sublayer.data.shape != x.data.shape:
+            raise DimensionError(
+                f"sublayer output {sublayer.data.shape} does not match the residual "
+                f"input {x.data.shape}"
+            )
+        parents += (sublayer,)
+        if residual_dropout is not None:
+            p, rng = residual_dropout
+            mask = dropout_mask(sublayer.data.shape, p, rng, sublayer.data.dtype)
+        total = sublayer.data * mask if mask is not None else sublayer.data.copy()
+        total += x.data
+    xhat, inv_std = standardize(total, eps)
+    del total
+    data = xhat * gamma.data
+    data += beta.data
 
     def bwd(g):
         reduce_axes = tuple(range(g.ndim - 1))
@@ -445,13 +498,20 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
             gamma._accumulate((g * xhat).sum(axis=reduce_axes))
         if beta.requires_grad:
             beta._accumulate(g.sum(axis=reduce_axes))
+        if not (x.requires_grad or (sublayer is not None and sublayer.requires_grad)):
+            return
+        gx_hat = g * gamma.data
+        m1 = gx_hat.sum(axis=-1, keepdims=True) / d
+        m2 = (gx_hat * xhat).sum(axis=-1, keepdims=True) / d
+        gx_hat -= m1
+        gx_hat -= xhat * m2
+        gx_hat *= inv_std
         if x.requires_grad:
-            gx_hat = g * gamma.data
-            m1 = gx_hat.mean(axis=-1, keepdims=True)
-            m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate(inv_std * (gx_hat - m1 - xhat * m2))
+            x._accumulate(gx_hat)
+        if sublayer is not None and sublayer.requires_grad:
+            sublayer._accumulate(gx_hat * mask if mask is not None else gx_hat)
 
-    return _make(data, (x, gamma, beta), bwd)
+    return _make(data, parents, bwd)
 
 
 # -- sequence ops -------------------------------------------------------------
@@ -531,17 +591,54 @@ def dropout_mask(shape, p: float, rng: np.random.Generator, dtype) -> Optional[n
     where a uniform draw in `dtype` is >= p, else 0; None when p == 0, which
     draws nothing.
 
-    `dropout` and the attention nodes draw every mask here, one
-    `rng.random` call of the masked array's shape each, so the masks and
-    the rng stream do not depend on which of them asks.
+    `dropout`, `layer_norm` and the attention nodes draw every mask here, so
+    the masks and the rng stream do not depend on which of them asks. The
+    mask and the generator's state after the draw are bitwise those of
+    `rng.random(shape, dtype) >= p` with p a Python float (rounded to
+    `dtype` for the comparison), read off raw words; see `_uniforms_at_least`.
     """
     if not (0.0 <= p < 1.0):
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     if p == 0.0:
         return None
     dtype = np.dtype(dtype)
-    keep = rng.random(shape, dtype=dtype) >= p
-    return keep.astype(dtype) * dtype.type(1.0 / (1.0 - p))
+    keep = _uniforms_at_least(shape, float(p), rng, dtype)
+    return np.multiply(keep, dtype.type(1.0 / (1.0 - p)), dtype=dtype)
+
+
+def _uniforms_at_least(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray:
+    """`rng.random(shape, dtype) >= p`, compared on the PCG64 words the
+    uniforms are made from.
+
+    A float64 uniform is (word >> 11) / 2**53 of one 64-bit word, a float32
+    one (half >> 8) / 2**24 of a 32-bit half, low half first; the generator
+    buffers the unused high half for the next 32-bit draw. A uniform is >= p
+    exactly when its word is >= ceil(p * 2**53) << 11, or its half >=
+    ceil(p * 2**24) << 8, so the words need no conversion to floats. The
+    halves in the middle come from whole raw words; the leading buffered
+    half and the trailing one or two halves are drawn through
+    `rng.integers`, which reads and sets that buffer as `rng.random` does.
+    """
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.PCG64):
+        raise ConfigError(f"dropout needs a PCG64 bit generator, got {type(bits).__name__}")
+    keep = np.empty(shape, dtype=bool)
+    flat = keep.reshape(-1)
+    n = flat.size
+    if dtype == np.float64:
+        np.greater_equal(bits.random_raw(n), np.uint64(math.ceil(p * 2.0**53) << 11), out=flat)
+        return keep
+    if dtype != np.float32:
+        raise ConfigError(f"dropout masks are drawn in float32 or float64, not {dtype}")
+    threshold = math.ceil(float(np.float32(p)) * 2.0**24) << 8  # 2**32 when p rounds to 1
+    limit = np.uint32(threshold) if threshold <= 0xFFFFFFFF else np.uint64(threshold)
+    lead = int(n > 0 and bits.state["has_uint32"])
+    tail = (n - lead) % 2 or min(2, n - lead)
+    np.greater_equal(rng.integers(0, 2**32, lead, dtype=np.uint32), limit, out=flat[:lead])
+    body = bits.random_raw((n - lead - tail) // 2).astype("<u8", copy=False).view("<u4")
+    np.greater_equal(body, limit, out=flat[lead : n - tail])
+    np.greater_equal(rng.integers(0, 2**32, tail, dtype=np.uint32), limit, out=flat[n - tail :])
+    return keep
 
 
 def dropout(x, p: float, rng: np.random.Generator) -> Tensor:

@@ -104,9 +104,11 @@ def adam_step(
         if g is None:
             g = np.zeros_like(p.data)
         elif not np.isfinite(g).all():
-            bad = int(np.count_nonzero(~np.isfinite(g)))
+            bad = ~np.isfinite(g)
+            first = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), g.shape))
             raise NumericsError(
-                f"non-finite gradient for {name}: {bad} bad entries at step {step}"
+                f"non-finite gradient for {name} at index {first}: "
+                f"{int(np.count_nonzero(bad))} bad entries at step {step}"
             )
         m[name] *= b1
         m[name] += (1.0 - b1) * g
@@ -156,7 +158,7 @@ def multi_task_loss(
 class TrainState:
     micro_step: int = 0
     opt_step: int = 0
-    m: dict = field(default_factory=dict)
+    m: dict = field(default_factory=dict)  # Adam moments per model leaf
     v: dict = field(default_factory=dict)
     pending: list = field(default_factory=list)  # component dicts since last update
 
@@ -176,7 +178,7 @@ def train_step(
     if batch.n_pairs < 1:
         raise DataError("train_step received an empty batch")
     if not state.m:
-        state.m, state.v = init_moments(model.params)
+        state.m, state.v = init_moments(model.leaves)
     rng = dropout_rng(cfg.seed, state.micro_step)
     mt, pos, ner = model.forward_train(batch.src, batch.tgt_in, training=True, rng=rng)
     loss, parts = multi_task_loss(mt, pos, ner, batch, cfg.lambda_pos, cfg.lambda_ner)
@@ -187,7 +189,7 @@ def train_step(
     if state.micro_step % cfg.accum_steps == 0:
         state.opt_step += 1
         lr = lr_schedule(state.opt_step, model.config.d_model, cfg.warmup_steps)
-        adam_step(model.params, state.m, state.v, state.opt_step, lr, cfg.betas, cfg.adam_eps)
+        adam_step(model.leaves, state.m, state.v, state.opt_step, lr, cfg.betas, cfg.adam_eps)
         model.zero_grad()
         averaged = {
             key: sum(p[key] for p in state.pending) / len(state.pending)
@@ -354,12 +356,15 @@ class Trainer:
     def resume_from(self, path) -> None:
         ck = load_checkpoint(path)
         self.model.load_state(ck.params)
-        self.state.m = {
-            k: np.asarray(arr, dtype=self.model.dtype).copy() for k, arr in ck.m.items()
-        }
-        self.state.v = {
-            k: np.asarray(arr, dtype=self.model.dtype).copy() for k, arr in ck.v.items()
-        }
+        # The checkpoint holds the moments per parameter; they are written
+        # back through the same views of the per-leaf moments they were read
+        # from.
+        self.state.m, self.state.v = {}, {}
+        if ck.m:
+            self.state.m, self.state.v = init_moments(self.model.leaves)
+            for moments, records in ((self.state.m, ck.m), (self.state.v, ck.v)):
+                for name, view in self.model.param_views(moments).items():
+                    view[...] = records[name]
         self.state.opt_step = ck.step
         self.state.micro_step = ck.step * self.cfg.accum_steps
         self.model.zero_grad()
@@ -384,11 +389,15 @@ class Trainer:
             ]
 
     def _checkpoint(self) -> Checkpoint:
+        def per_param(moments):
+            views = self.model.param_views(moments) if moments else {}
+            return {k: arr.copy() for k, arr in views.items()}
+
         return Checkpoint(
             step=self.state.opt_step,
             params={k: t.data.copy() for k, t in self.model.params.items()},
-            m={k: arr.copy() for k, arr in self.state.m.items()},
-            v={k: arr.copy() for k, arr in self.state.v.items()},
+            m=per_param(self.state.m),
+            v=per_param(self.state.v),
         )
 
     def _save_cadence_checkpoint(self) -> None:

@@ -10,7 +10,11 @@ Two exceptions:
   `adaptive_query`, `composed_conv_head`) build Eq. 1-4 from the package's
   elementwise, matmul and softmax graph ops, one node per step. They are
   the references the one-node attention heads are checked against,
-  forward, backward, and mask draws.
+  forward, backward, and mask draws;
+- `composed_sublayer` builds the post-norm residual sublayer as three
+  nodes, dropout -> add -> layer norm, the last one a layer-norm node with
+  a backward through `ndarray.mean`. It is the reference the one-node
+  residual `layer_norm` is checked against, bit for bit.
 """
 
 import math
@@ -148,6 +152,36 @@ def _graph_causal_conv(s, w):
             w._accumulate(gw)
 
     return T._make(data, (s, w), bwd)
+
+
+def _graph_layer_norm(x, gamma, beta, eps):
+    """Layer norm as a node of its own, its backward through `ndarray.mean`."""
+    mu = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mu
+    inv_std = 1.0 / np.sqrt((centered**2).mean(axis=-1, keepdims=True) + eps)
+    xhat = centered * inv_std
+    data = gamma.data * xhat + beta.data
+
+    def bwd(g):
+        reduce_axes = tuple(range(g.ndim - 1))
+        if gamma.requires_grad:
+            gamma._accumulate((g * xhat).sum(axis=reduce_axes))
+        if beta.requires_grad:
+            beta._accumulate(g.sum(axis=reduce_axes))
+        if x.requires_grad:
+            gx_hat = g * gamma.data
+            m1 = gx_hat.mean(axis=-1, keepdims=True)
+            m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
+            x._accumulate(inv_std * (gx_hat - m1 - xhat * m2))
+
+    return T._make(data, (x, gamma, beta), bwd)
+
+
+def composed_sublayer(x, out, gamma, beta, dropout=None, eps=1e-5):
+    """LN(x + dropout(out)) as three nodes; `out` None gives LN(x) alone."""
+    if out is not None:
+        x = T.add(x, out if dropout is None else T.dropout(out, *dropout))
+    return _graph_layer_norm(x, gamma, beta, eps)
 
 
 def composed_attention(q, k, v, causal=False, attn_dropout=None):

@@ -381,6 +381,20 @@ def test_every_per_head_name_is_a_live_view_of_its_family_leaf():
         assert not _family_leaf(model, name)[0].grad.any(), name
 
 
+def test_leaves_hold_each_parameter_once_and_param_views_name_them_like_params():
+    model = tiny_model(seed=15, d_model=16, h=4)
+    assert model.leaves["enc.0.mha.self.q"] is model.enc_layers[0].mha.w_q
+    assert model.leaves["dec.2.xmha.conv.w_a"] is model.dec_layers[2].xmha.conv.w_a
+    assert model.leaves["out_proj.w"] is model.params["out_proj.w"]
+    total = sum(t.size for t in model.leaves.values())
+    assert total == sum(t.size for t in model.params.values()) == model.parameter_count()
+    views = model.param_views({name: leaf.grad for name, leaf in model.leaves.items()})
+    assert list(views) == list(model.params)
+    for name, view in views.items():
+        grad = model.params[name].grad
+        assert view.shape == grad.shape and view.ctypes.data == grad.ctypes.data, name
+
+
 @pytest.mark.parametrize(
     "name",
     ["enc.0.mha.self.3.v", "dec.0.mha.conv.3.w_a", "dec.1.xmha.conv.3.w_s", "dec.0.xmha.self.3.k"],

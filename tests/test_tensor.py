@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxformer import attention as A
 from ctxformer import tensor as T
 from ctxformer.errors import ConfigError, DataError, DimensionError, NumericsError
+
+from oracles import composed_sublayer
 
 
 # ---------------------------------------------------------------- oracles
@@ -240,6 +244,47 @@ def test_layer_norm_rejects_nonpositive_eps():
         T.layer_norm(T.Tensor(np.zeros(3)), T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)), eps=0.0)
 
 
+def test_layer_norm_rejects_a_sublayer_output_of_another_shape():
+    with pytest.raises(DimensionError, match="sublayer output"):
+        T.layer_norm(
+            T.Tensor(np.zeros((2, 3))), T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)),
+            sublayer=T.Tensor(np.zeros((1, 3))),
+        )
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("residual, p", [(True, 0.3), (True, None), (False, None)])
+def test_layer_norm_node_is_bitwise_the_composed_sublayer(dtype, residual, p):
+    rng = np.random.default_rng(21)
+    shape = (3, 5, 16)
+
+    def leaf(*size):
+        return T.Tensor((rng.normal(size=size) * 2 + 0.5).astype(dtype), requires_grad=True)
+
+    x, out, gamma, beta = leaf(*shape), leaf(*shape), leaf(16), leaf(16)
+    upstream = rng.normal(size=shape).astype(dtype)
+
+    def run(sublayer_norm):
+        for t in (x, out, gamma, beta):
+            t.grad = None
+        drop = None if p is None else (p, np.random.default_rng(5))
+        y = sublayer_norm(x, out if residual else None, gamma, beta, drop)
+        T.tsum(T.mul(y, upstream)).backward()
+        grads = [t.grad for t in (x, out, gamma, beta) if t.grad is not None]
+        return y.data, grads, None if drop is None else drop[1].bit_generator.state
+
+    def one_node(x, out, gamma, beta, drop):
+        return T.layer_norm(x, gamma, beta, sublayer=out, residual_dropout=drop)
+
+    y, grads, state = run(one_node)
+    y_ref, grads_ref, state_ref = run(composed_sublayer)
+    assert y.dtype == dtype and y.tobytes() == y_ref.tobytes()
+    assert len(grads) == len(grads_ref) == (4 if residual else 3)
+    for g, g_ref in zip(grads, grads_ref):
+        assert g.dtype == dtype and g.tobytes() == g_ref.tobytes()
+    assert state == state_ref
+
+
 # ------------------------------------------------------ shared array kernels
 # The graph ops, the decoder cache and beam search all run these kernels;
 # each must stay bitwise equal to the formula it replaced.
@@ -388,6 +433,40 @@ def test_dropout_rejects_p_one():
         T.dropout(T.Tensor(np.zeros(3)), 1.0, np.random.default_rng(0))
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    carried=st.integers(0, 3),
+    shape=st.lists(st.integers(0, 7), max_size=3).map(tuple),
+    p=st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.sampled_from([0.1, 0.5, 2.0**-24, 1.0 - 2.0**-24]),
+        st.floats(1.0 - 2.0**-25, 1.0, exclude_max=True),  # rounds to 1 in float32
+    ),
+    dtype=st.sampled_from([np.float32, np.float64]),
+)
+def test_dropout_mask_is_the_uniform_formula_bit_for_bit(seed, carried, shape, p, dtype):
+    # An odd number of carried-in float32 draws leaves half a word buffered.
+    reference, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for gen in (reference, rng):
+        gen.random(carried, dtype=np.float32)
+    keep = reference.random(shape, dtype=dtype) >= p
+    expected = keep.astype(dtype) * dtype(1.0 / (1.0 - p))
+    mask = T.dropout_mask(shape, p, rng, dtype)
+    assert mask.dtype == dtype and mask.shape == expected.shape
+    assert mask.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_dropout_mask_draws_nothing_at_p_zero_and_needs_pcg64():
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    assert T.dropout_mask((4, 5), 0.0, rng, np.float32) is None
+    assert rng.bit_generator.state == before
+    with pytest.raises(ConfigError, match="PCG64"):
+        T.dropout_mask((4, 5), 0.1, np.random.Generator(np.random.MT19937(3)), np.float32)
+
+
 def test_dropout_draws_its_uniforms_in_the_activation_dtype():
     # float64 keeps the default float64 stream; float32 draws float32 uniforms.
     # The mask kernel, `dropout` and both attention nodes draw the same mask.
@@ -491,6 +570,57 @@ def test_backward_releases_interior_grads_and_leaves_keep_accumulating():
     assert np.allclose(w.grad, 2 * first_w, rtol=1e-14, atol=0)
 
 
+def read_only_incoming_grads(make):
+    """`_make` whose nodes' backward closures get their grad read-only."""
+
+    def wrapped(data, parents, backward_fn):
+        def read_only(g):
+            g.setflags(write=False)
+            backward_fn(g)
+
+        return make(data, parents, read_only)
+
+    return wrapped
+
+
+def test_no_op_backward_writes_into_its_incoming_grad(monkeypatch):
+    # Interior nodes borrow their first grad, so an op that wrote into its
+    # incoming grad would change another node's.
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(5, 4))
+    cases = _fd_cases(rng)
+    expected = {}
+    for name, f in cases.items():
+        leaf = T.Tensor(x, requires_grad=True)
+        f(leaf).backward()
+        expected[name] = leaf.grad
+    monkeypatch.setattr(T, "_make", read_only_incoming_grads(T._make))
+    for name, f in cases.items():
+        leaf = T.Tensor(x, requires_grad=True)
+        f(leaf).backward()
+        assert leaf.grad.tobytes() == expected[name].tobytes(), name
+
+
+def test_interior_node_adds_a_second_grad_out_of_place():
+    # `hidden` borrows the grad of `twice` and is then handed it again: the
+    # sum must go to a buffer of its own, not into the borrowed array.
+    x = T.Tensor(np.arange(3.0), requires_grad=True)
+    hidden = T.mul(x, 2.0)
+    twice = T.add(hidden, hidden)
+    seen = []
+    inner = twice._backward_fn
+
+    def recording(g):
+        seen.append((g, g.copy()))
+        inner(g)
+
+    twice._backward_fn = recording
+    T.tsum(T.mul(twice, np.array([1.0, 2.0, 3.0]))).backward()
+    (g, before), = seen
+    assert np.array_equal(g, before)
+    assert np.array_equal(x.grad, [4.0, 8.0, 12.0])
+
+
 def test_no_grad_skips_graph():
     x = T.Tensor(np.arange(3.0), requires_grad=True)
     with T.no_grad():
@@ -556,6 +686,18 @@ def _fd_cases(rng):
         "softmax": lambda x: T.tsum(T.mul(T.softmax(x, axis=-1), c1)),
         "layer_norm": lambda x: T.tsum(
             T.mul(T.layer_norm(x, T.Tensor(gamma), T.Tensor(beta)), c3)
+        ),
+        "residual_layer_norm": lambda x: T.tsum(
+            T.mul(T.layer_norm(x, T.Tensor(gamma), T.Tensor(beta), sublayer=T.Tensor(c2)), c3)
+        ),
+        "residual_layer_norm_sublayer": lambda x: T.tsum(
+            T.mul(
+                T.layer_norm(
+                    T.Tensor(c1), T.Tensor(gamma), T.Tensor(beta), sublayer=x,
+                    residual_dropout=(0.3, np.random.default_rng(7)),
+                ),
+                c3,
+            )
         ),
         "linear": lambda x: T.tsum(
             T.mul(T.linear(x, T.Tensor(weights), T.Tensor(c2[0, :2])), c4[:, :2])

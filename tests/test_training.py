@@ -1,5 +1,7 @@
 """Schedule, Adam, multi-task loss, accumulation, checkpoint averaging."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from ctxformer.errors import ConfigError, DataError, NumericsError
 from ctxformer.model import ModelConfig, Seq2SeqModel
 
 from oracles import cross_entropy_oracle
+from test_tensor import read_only_incoming_grads
 
 
 def small_model(seed=0, dtype=np.float64, **overrides):
@@ -131,6 +134,41 @@ def test_adam_aborts_on_nan_gradient():
     params["w"].grad = np.array([np.nan])
     with pytest.raises(NumericsError, match="w"):
         TR.adam_step(params, m, v, step=1, lr=0.1)
+
+
+def test_nan_in_one_heads_grad_names_the_leaf_and_its_first_bad_entry():
+    # Adam runs over the leaves: head 1's slice of a family leaf is row 1.
+    model = small_model(seed=3, h=4)
+    state, cfg = TR.TrainState(), TR.TrainConfig(accum_steps=2, warmup_steps=4)
+    TR.train_step(small_batch()[0], model, state, cfg)
+    grad = model.params["enc.1.mha.self.1.k"].grad
+    grad[2, 1] = np.nan
+    grad[3, 0] = np.inf
+    with pytest.raises(NumericsError) as info:
+        TR.train_step(small_batch(seed=1)[0], model, state, cfg)
+    message = str(info.value)
+    assert "enc.1.mha.self.k at index (1, 2, 1)" in message
+    assert "2 bad entries" in message
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_train_step_writes_into_no_incoming_grad(dtype, monkeypatch):
+    # Interior nodes borrow their first grad (see `tensor`); a backward that
+    # wrote into its incoming grad would fail here on a read-only array.
+    overrides = dict(h=4, dropout=0.1, residual_dropout=0.1, embed_dropout=0.1, dropconnect=0.1)
+    cfg = TR.TrainConfig(accum_steps=1, warmup_steps=4)
+    trained = []
+    for wrap in (False, True):
+        model, state = small_model(seed=5, dtype=dtype, **overrides), TR.TrainState()
+        with monkeypatch.context() as m:
+            if wrap:
+                m.setattr(T, "_make", read_only_incoming_grads(T._make))
+            for seed in range(2):
+                TR.train_step(small_batch(seed=seed)[0], model, state, cfg)
+        trained.append(model.state_arrays())
+    plain, read_only = trained
+    for name, arr in plain.items():
+        assert arr.dtype == dtype and arr.tobytes() == read_only[name].tobytes(), name
 
 
 # --------------------------------------------------------- multi-task loss
@@ -421,6 +459,21 @@ def test_checkpoint_detects_corruption(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(DataError, match="magic"):
         load_arrays(path)
+
+
+def test_load_holds_the_file_once(tmp_path):
+    path = tmp_path / "big.bin"
+    rng = np.random.default_rng(8)
+    save_arrays(path, {f"w{i}": rng.normal(size=(256, 256)) for i in range(8)})
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        loaded = load_arrays(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == 8
+    assert peak <= 1.25 * size, f"peak {peak} bytes for a {size}-byte file"
 
 
 def test_truncated_container_raises_data_error_at_every_length(tmp_path):
