@@ -1,15 +1,18 @@
-"""Flat binary tensor container with a plain-text sidecar manifest.
+"""Flat binary array container with a plain-text sidecar manifest.
 
-File layout: 4-byte magic, uint32 format version, uint32 record count,
-then one record per tensor: uint32 name length, utf-8 name, uint32 rank,
-uint32 extents, raw little-endian float32 data. The manifest (written next
-to the container as `<path>.manifest`) lists `name dim0xdim1x...` per line
-so checkpoints can be inspected without this library.
+File layout (version 2, little-endian): 4-byte magic, uint32 format version,
+uint32 record count, then one record per array: uint32 name length, utf-8
+name, uint32 dtype code (0 float32, 1 float64, 2 int64), uint32 rank, uint32
+extents, raw data in that dtype; then the uint32 CRC-32 of every byte before
+it. Records keep their dtype; `save_arrays` refuses any other. The manifest
+(`<path>.manifest`) lists `name dtype dim0xdim1x...` per line so checkpoints
+can be inspected without this library.
 
-Both files are written to a temporary file in the same directory and then
+Both files are written to `.NAME.PID.tmp` in the same directory and then
 renamed over the target, so a write that fails midway leaves the previous
 file in place. The rename is atomic, but nothing is fsynced: a power loss
-can still lose the newest write.
+can still lose the newest write. A killed write leaves its temporary file
+behind; nothing reads it.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -25,7 +29,8 @@ import numpy as np
 from .errors import DataError
 
 MAGIC = b"CTXF"
-VERSION = 1
+VERSION = 2
+DTYPES = (np.dtype("<f4"), np.dtype("<f8"), np.dtype("<i8"))  # indexed by a record's dtype code
 
 
 @contextmanager
@@ -49,21 +54,29 @@ def save_arrays(path, named: dict[str, np.ndarray]) -> None:
     path = Path(path)
     manifest_lines = []
     with _replacing(path) as out:
-        out.write(MAGIC + struct.pack("<II", VERSION, len(named)))
+        chunk = MAGIC + struct.pack("<II", VERSION, len(named))
+        out.write(chunk)
+        crc = zlib.crc32(chunk)
         for name, arr in named.items():
-            arr32 = np.asarray(arr, dtype="<f4")  # keeps a 0-d array 0-d
+            arr = np.asarray(arr)
+            dtype = arr.dtype.newbyteorder("<")
+            if dtype not in DTYPES:
+                raise DataError(f"{path}: {name} is {arr.dtype}, not float32, float64 or int64")
             name_bytes = name.encode("utf-8")
-            header = struct.pack(f"<I{len(name_bytes)}sI{arr32.ndim}I", len(name_bytes),
-                                 name_bytes, arr32.ndim, *arr32.shape)
-            out.write(header + arr32.tobytes())
-            manifest_lines.append(f"{name} {'x'.join(str(e) for e in arr32.shape)}")
+            header = struct.pack(f"<I{len(name_bytes)}sII{arr.ndim}I", len(name_bytes),
+                                 name_bytes, DTYPES.index(dtype), arr.ndim, *arr.shape)
+            for chunk in (header, np.require(arr, dtype, "C")):  # C-ordered data goes out uncopied
+                out.write(chunk)
+                crc = zlib.crc32(chunk, crc)
+            manifest_lines.append(f"{name} {dtype.name} {'x'.join(str(e) for e in arr.shape)}")
+        out.write(struct.pack("<I", crc))
     with _replacing(Path(str(path) + ".manifest")) as out:
         out.write(("\n".join(manifest_lines) + "\n").encode("utf-8"))
 
 
 def load_arrays(path) -> dict[str, np.ndarray]:
-    """Read a container; an unreadable, truncated or malformed one raises
-    DataError.
+    """Read a container; an unreadable, truncated, malformed or corrupt one
+    raises DataError.
 
     Every extent is checked against the file's size before it is read, and
     each record's data is read straight into its own array, so a load holds
@@ -80,6 +93,7 @@ def load_arrays(path) -> dict[str, np.ndarray]:
 def _read_records(path: Path, f) -> dict[str, np.ndarray]:
     size = os.fstat(f.fileno()).st_size
     offset = 0
+    crc = 0
 
     def need(n: int, what: str) -> None:
         if n > size - offset:
@@ -95,9 +109,11 @@ def _read_records(path: Path, f) -> dict[str, np.ndarray]:
         offset += n
 
     def take(n: int, what: str) -> bytes:
+        nonlocal crc
         need(n, what)  # before reading what a corrupt length asks for
         chunk = f.read(n)
         advance(n, len(chunk))
+        crc = zlib.crc32(chunk, crc)
         return chunk
 
     if take(4, "magic") != MAGIC:
@@ -113,13 +129,23 @@ def _read_records(path: Path, f) -> dict[str, np.ndarray]:
             name = take(name_len, "name").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: record name at offset {start} is not utf-8") from exc
-        (rank,) = struct.unpack("<I", take(4, f"rank of {name}"))
+        code, rank = struct.unpack("<II", take(8, f"dtype and rank of {name}"))
+        if code >= len(DTYPES):
+            raise DataError(f"{path}: record {name} has unknown dtype code {code}")
         shape = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name}"))
-        n = math.prod(shape)  # a Python int: corrupt extents cannot wrap around
-        need(4 * n, f"data of {name}")  # before allocating, as in `take`
-        arr = np.empty(shape, dtype="<f4")
-        advance(4 * n, f.readinto(arr))
+        n = DTYPES[code].itemsize * math.prod(shape)  # Python ints: corrupt extents cannot wrap
+        need(n, f"data of {name}")  # before allocating, as in `take`
+        try:
+            arr = np.empty(shape, dtype=DTYPES[code])
+        except ValueError as exc:  # too many axes, or a zero extent beside huge ones
+            raise DataError(f"{path}: record {name} has an impossible shape {shape}") from exc
+        advance(n, f.readinto(arr))
+        crc = zlib.crc32(arr, crc)
         out[name] = arr
+    expected = crc
+    (stored,) = struct.unpack("<I", take(4, "checksum"))
     if offset != size:
-        raise DataError(f"{path}: trailing bytes after last record")
+        raise DataError(f"{path}: trailing bytes after the checksum")
+    if stored != expected:
+        raise DataError(f"{path}: checksum mismatch: the container is corrupt")
     return out

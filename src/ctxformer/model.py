@@ -249,16 +249,15 @@ class Seq2SeqModel:
 
     The structured per-layer params hold the autodiff leaves: each head
     family is one head-stacked leaf per weight. `leaves` maps a name to
-    each leaf (`enc.0.mha.self.v` for a family); Adam and `zero_grad` run
-    over it. The flat name -> Tensor map `params` (the checkpoint naming
-    convention) names one entry per head: `enc.0.mha.self.3.v` is a Tensor
-    whose `.data` and `.grad` are views of head 3's slice of the family
-    leaf and of its grad. Every other entry is the leaf itself, under the
-    same name in both maps. Every leaf's grad is a buffer allocated at
-    build, and a parameter's `.data` and `.grad` are never rebound, only
-    written in place (backward, Adam, `zero_grad`, `load_state`), so the
-    views stay views. `param_views` gives the same per-head views of any
-    per-leaf arrays, such as Adam's moments.
+    each leaf (`enc.0.mha.self.v` for a family); Adam, `zero_grad` and the
+    checkpoints (`state_arrays`, `load_state`) run over it. The flat map
+    `params` names one entry per head and is kept for the finite-difference
+    checks that perturb one head: `enc.0.mha.self.3.v` is a Tensor whose
+    `.data` and `.grad` are views of head 3's slice of the family leaf and
+    of its grad. Every other entry is the leaf itself, under the same name.
+    Every leaf's grad is a buffer allocated at build, and a parameter's
+    `.data` and `.grad` are never rebound, only written in place (backward,
+    Adam, `zero_grad`, `load_state`), so the views stay views.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
@@ -267,7 +266,6 @@ class Seq2SeqModel:
         self.dtype = np.dtype(dtype)
         self.params: dict[str, Tensor] = {}
         self.leaves: dict[str, Tensor] = {}
-        self._views: dict[str, tuple] = {}  # param name -> (leaf name, head or None)
         self._rng = np.random.default_rng((seed, 0xC0FFEE))
         self._build()
         self._pe = sinusoidal_positions(config.max_len, config.d_model).astype(self.dtype)
@@ -295,7 +293,6 @@ class Seq2SeqModel:
     def _whole(self, name: str, data: np.ndarray) -> Tensor:
         """A leaf that is also one parameter, under one name."""
         self.params[name] = self._leaf(name, data)
-        self._views[name] = (name, None)
         return self.params[name]
 
     def _heads(self, prefix: str, n: int, fields: dict) -> list:
@@ -315,7 +312,6 @@ class Seq2SeqModel:
                 view = Tensor(leaf.data[j], requires_grad=True)
                 view.grad = leaf.grad[j]
                 self.params[f"{prefix}.{j}.{name}"] = view
-                self._views[f"{prefix}.{j}.{name}"] = (f"{prefix}.{name}", j)
         return leaves
 
     def _mha(self, prefix: str, taps: int) -> MultiHeadParams:
@@ -499,31 +495,23 @@ class Seq2SeqModel:
     # -- parameter plumbing -------------------------------------------------
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data for name, t in self.params.items()}
+        return {name: t.data for name, t in self.leaves.items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        missing = set(self.params) - set(arrays)
-        extra = set(arrays) - set(self.params)
+        missing = set(self.leaves) - set(arrays)
+        extra = set(arrays) - set(self.leaves)
         if missing or extra:
             raise DataError(
                 f"checkpoint does not match model: missing {sorted(missing)[:3]}, "
                 f"unexpected {sorted(extra)[:3]}"
             )
-        for name, t in self.params.items():
+        for name, t in self.leaves.items():
             arr = np.asarray(arrays[name], dtype=self.dtype)
             if arr.shape != t.data.shape:
                 raise DataError(
                     f"parameter {name}: checkpoint shape {arr.shape} != {t.data.shape}"
                 )
             t.data[...] = arr
-
-    def param_views(self, per_leaf: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Arrays shaped like the leaves, keyed by leaf name, as views named
-        and shaped like `params` (head j of a family leaf is its slice j)."""
-        return {
-            name: per_leaf[leaf] if head is None else per_leaf[leaf][head]
-            for name, (leaf, head) in self._views.items()
-        }
 
     def zero_grad(self) -> None:
         for t in self.leaves.values():

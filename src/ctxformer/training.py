@@ -211,7 +211,7 @@ class Checkpoint:
     v: dict[str, np.ndarray]
 
     def validate(self) -> None:
-        """No optimizer moments at all, or m and v each one per parameter."""
+        """No moments at all, or m and v each named and shaped like the parameters."""
         if not self.m and not self.v:
             return
         for space, table in (("m", self.m), ("v", self.v)):
@@ -230,12 +230,9 @@ STEP_KEY = "__step__"
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Write parameters, moments and the step; the container stores float32,
-    so a step it cannot hold exactly (past 2**24) is refused, not rounded."""
-    step = np.array([ckpt.step], dtype=np.float32)
-    if ckpt.step < 0 or float(step[0]) != ckpt.step:
-        raise DataError(f"step {ckpt.step} cannot be stored exactly as a float32 step record")
-    named = {STEP_KEY: step}
+    """Write parameters and moments, each in its own dtype, and the step as
+    one int64 record."""
+    named = {STEP_KEY: np.array([ckpt.step], dtype=np.int64)}
     named.update(ckpt.params)
     named.update({f"adam.m.{k}": arr for k, arr in ckpt.m.items()})
     named.update({f"adam.v.{k}": arr for k, arr in ckpt.v.items()})
@@ -246,11 +243,9 @@ def load_checkpoint(path) -> Checkpoint:
     named = ckpt_io.load_arrays(path)
     if STEP_KEY not in named:
         raise DataError(f"{path}: missing step record")
-    record = named.pop(STEP_KEY).reshape(-1)
-    if record.size != 1 or not np.isfinite(record[0]) or record[0] < 0 or record[0] % 1:
-        raise DataError(
-            f"{path}: step record must be one finite non-negative integer, got {record.tolist()}"
-        )
+    record = named.pop(STEP_KEY)
+    if record.dtype != np.int64 or record.shape != (1,) or record[0] < 0:
+        raise DataError(f"{path}: step record must be one int64 >= 0, got {record.dtype} {record}")
     step = int(record[0])
     params, m, v = {}, {}, {}
     for name, arr in named.items():
@@ -272,7 +267,7 @@ def _digest(params: dict[str, np.ndarray]) -> str:
     h = hashlib.sha256()
     for name in sorted(params):
         h.update(name.encode())
-        h.update(np.ascontiguousarray(params[name], dtype="<f4").tobytes())
+        h.update(params[name].tobytes())
     return h.hexdigest()
 
 
@@ -355,16 +350,9 @@ class Trainer:
 
     def resume_from(self, path) -> None:
         ck = load_checkpoint(path)
-        self.model.load_state(ck.params)
-        # The checkpoint holds the moments per parameter; they are written
-        # back through the same views of the per-leaf moments they were read
-        # from.
-        self.state.m, self.state.v = {}, {}
-        if ck.m:
-            self.state.m, self.state.v = init_moments(self.model.leaves)
-            for moments, records in ((self.state.m, ck.m), (self.state.v, ck.v)):
-                for name, view in self.model.param_views(moments).items():
-                    view[...] = records[name]
+        self.model.load_state(ck.params)  # the names and shapes `validate` matched m and v to
+        self.state.m = {k: arr.astype(self.model.dtype, copy=False) for k, arr in ck.m.items()}
+        self.state.v = {k: arr.astype(self.model.dtype, copy=False) for k, arr in ck.v.items()}
         self.state.opt_step = ck.step
         self.state.micro_step = ck.step * self.cfg.accum_steps
         self.model.zero_grad()
@@ -389,15 +377,11 @@ class Trainer:
             ]
 
     def _checkpoint(self) -> Checkpoint:
-        def per_param(moments):
-            views = self.model.param_views(moments) if moments else {}
-            return {k: arr.copy() for k, arr in views.items()}
-
         return Checkpoint(
             step=self.state.opt_step,
-            params={k: t.data.copy() for k, t in self.model.params.items()},
-            m=per_param(self.state.m),
-            v=per_param(self.state.v),
+            params={k: arr.copy() for k, arr in self.model.state_arrays().items()},
+            m={k: arr.copy() for k, arr in self.state.m.items()},
+            v={k: arr.copy() for k, arr in self.state.v.items()},
         )
 
     def _save_cadence_checkpoint(self) -> None:

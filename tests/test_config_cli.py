@@ -365,7 +365,8 @@ def test_cli_train_resume_from_moments_without_v_exits_3(tmp_path, capsys):
     data = tmp_path / "data"
     assert main(["gen", "--config", str(cfg), "--out", str(data)]) == 0
     ckpt = tmp_path / "m_only.bin"
-    save_arrays(ckpt, {STEP_KEY: np.array([1.0]), "w": np.ones(3), "adam.m.w": np.zeros(3)})
+    step = np.array([1], np.int64)
+    save_arrays(ckpt, {STEP_KEY: step, "w": np.ones(3), "adam.m.w": np.zeros(3)})
     capsys.readouterr()
     code = main(
         ["train", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "run"),
@@ -374,6 +375,28 @@ def test_cli_train_resume_from_moments_without_v_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("data error:") and str(ckpt) in err and "Traceback" not in err
+    assert "optimizer moments v do not match the parameters at w" in err
+
+
+def test_cli_translate_version_1_checkpoint_exits_3(tmp_path, capsys):
+    import struct
+
+    cfg = _toy_flags(tmp_path)
+    data = tmp_path / "data"
+    main(["gen", "--config", str(cfg), "--out", str(data)])
+    ckpt = tmp_path / "v1.bin"
+    # a version-1 header: step and weights were float32 records named per head
+    ckpt.write_bytes(b"CTXF" + struct.pack("<II", 1, 0))
+    inp = tmp_path / "i.txt"
+    inp.write_text("the fox sees a dog\n")
+    capsys.readouterr()
+    code = main(
+        ["translate", "--config", str(cfg), "--data", str(data), str(inp),
+         "--checkpoint", str(ckpt)]
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "unsupported container version 1" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

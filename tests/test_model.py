@@ -381,18 +381,13 @@ def test_every_per_head_name_is_a_live_view_of_its_family_leaf():
         assert not _family_leaf(model, name)[0].grad.any(), name
 
 
-def test_leaves_hold_each_parameter_once_and_param_views_name_them_like_params():
+def test_leaves_hold_each_parameter_once():
     model = tiny_model(seed=15, d_model=16, h=4)
     assert model.leaves["enc.0.mha.self.q"] is model.enc_layers[0].mha.w_q
     assert model.leaves["dec.2.xmha.conv.w_a"] is model.dec_layers[2].xmha.conv.w_a
     assert model.leaves["out_proj.w"] is model.params["out_proj.w"]
     total = sum(t.size for t in model.leaves.values())
     assert total == sum(t.size for t in model.params.values()) == model.parameter_count()
-    views = model.param_views({name: leaf.grad for name, leaf in model.leaves.items()})
-    assert list(views) == list(model.params)
-    for name, view in views.items():
-        grad = model.params[name].grad
-        assert view.shape == grad.shape and view.ctypes.data == grad.ctypes.data, name
 
 
 @pytest.mark.parametrize(
@@ -485,16 +480,18 @@ def test_parameter_count_matches_closed_form():
 
 
 def test_checkpoint_naming_convention():
+    # checkpoints name the leaves: one record per head family and weight
     model = tiny_model()
-    names = set(model.params)
+    names = set(model.state_arrays())
+    assert names == set(model.leaves)
     for expected in (
         "src_embed",
         "tgt_embed",
-        "enc.0.mha.self.0.q",
-        "enc.0.mha.conv.0.w_in",
-        "enc.0.mha.conv.0.w_a",
-        "enc.0.mha.conv.0.w_s",
-        "enc.0.mha.conv.0.w_q",
+        "enc.0.mha.self.q",
+        "enc.0.mha.conv.w_in",
+        "enc.0.mha.conv.w_a",
+        "enc.0.mha.conv.w_s",
+        "enc.0.mha.conv.w_q",
         "enc.0.mha.w_o",
         "pos_head.w",
         "ner_head.b",
@@ -510,7 +507,7 @@ def test_state_roundtrip():
     other = tiny_model(seed=99)
     other.load_state(arrays)
     for name in arrays:
-        assert np.array_equal(other.params[name].data, arrays[name])
+        assert np.array_equal(other.leaves[name].data, arrays[name])
     with pytest.raises(DataError):
         other.load_state({"src_embed": arrays["src_embed"]})
 

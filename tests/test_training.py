@@ -1,14 +1,20 @@
 """Schedule, Adam, multi-task loss, accumulation, checkpoint averaging."""
 
+import dataclasses
+import itertools
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxformer import data as D
 from ctxformer import training as TR
 from ctxformer import tensor as T
 from ctxformer.checkpoint import load_arrays, save_arrays
+from ctxformer.config import preset_run_config
 from ctxformer.errors import ConfigError, DataError, NumericsError
 from ctxformer.model import ModelConfig, Seq2SeqModel
 
@@ -332,6 +338,21 @@ def test_average_permutation_invariant():
         assert np.array_equal(a.params[name], b.params[name])
 
 
+def test_average_of_float64_checkpoints_is_the_same_in_every_input_order():
+    # Same step, differences far below float32 resolution: only the stored
+    # float64 bytes tell these checkpoints apart for the canonical order.
+    base = _random_ckpt(0, step=3, dtype=np.float64).params
+    cks = [
+        TR.Checkpoint(step=3, params={k: a * (1 + 1e-12 * i) for k, a in base.items()}, m={}, v={})
+        for i in range(3)
+    ]
+    results = {
+        b"".join(avg.params[k].tobytes() for k in sorted(base))
+        for avg in map(TR.average_checkpoints, itertools.permutations(cks))
+    }
+    assert len(results) == 1
+
+
 def test_average_rejects_mismatched_names():
     a = _random_ckpt(0)
     b = _random_ckpt(1)
@@ -352,50 +373,69 @@ def test_average_rejects_mismatched_shapes():
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    model = small_model(seed=19, dtype=np.float32)
-    state = TR.TrainState()
-    state.m, state.v = TR.init_moments(model.params)
-    ck = TR.Checkpoint(
-        step=42,
-        params={k: t.data for k, t in model.params.items()},
-        m=state.m,
-        v=state.v,
-    )
-    path = tmp_path / "model.bin"
-    TR.save_checkpoint(path, ck)
-    loaded = TR.load_checkpoint(path)
-    assert loaded.step == 42
-    for name, arr in ck.params.items():
-        assert np.array_equal(loaded.params[name], arr)
-        assert np.array_equal(loaded.m[name], state.m[name])
-    manifest = (tmp_path / "model.bin.manifest").read_text()
-    assert "out_proj.w 16x47" in manifest
-    assert "__step__ 1" in manifest
+    # one record per leaf and moment, each read back bitwise in its dtype
+    for dtype in (np.float32, np.float64):
+        model = small_model(seed=19, dtype=dtype)
+        rng = np.random.default_rng(20)
+        m, v = TR.init_moments(model.leaves)
+        for table in (m, v):
+            for arr in table.values():
+                arr[...] = rng.normal(size=arr.shape)
+        ck = TR.Checkpoint(step=42, params=model.state_arrays(), m=m, v=v)
+        path = tmp_path / f"{np.dtype(dtype).name}.bin"
+        TR.save_checkpoint(path, ck)
+        loaded = TR.load_checkpoint(path)
+        assert loaded.step == 42
+        for space in ("params", "m", "v"):
+            saved, read = getattr(ck, space), getattr(loaded, space)
+            assert list(read) == list(model.leaves)
+            for name, arr in saved.items():
+                assert read[name].dtype == dtype and read[name].tobytes() == arr.tobytes(), name
+        manifest = path.with_name(path.name + ".manifest").read_text().splitlines()
+        assert len(manifest) == 3 * len(model.leaves) + 1
+        assert f"out_proj.w {np.dtype(dtype).name} 16x47" in manifest
+        assert "__step__ int64 1" in manifest
+
+
+def test_a_paper_heads_checkpoint_has_one_record_per_leaf_and_moment(tmp_path):
+    paper = preset_run_config("paper").model
+    config = dataclasses.replace(paper, d_model=32, vocab_src=16, vocab_tgt=16, max_len=16)
+    model = Seq2SeqModel(config)
+    assert len(model.leaves) == 218
+    m, v = TR.init_moments(model.leaves)
+    path = tmp_path / "paper.bin"
+    TR.save_checkpoint(path, TR.Checkpoint(step=1, params=model.state_arrays(), m=m, v=v))
+    (count,) = struct.unpack("<I", path.read_bytes()[8:12])
+    assert count == 3 * 218 + 1 == 655
 
 
 @pytest.mark.parametrize(
     "record",
-    [[np.nan], [np.inf], [], [2.5], [-1.0], [3.0, 4.0]],
-    ids=["nan", "inf", "empty", "fractional", "negative", "two-values"],
+    [
+        np.array([np.nan]),
+        np.array([np.inf]),
+        np.array([], np.int64),
+        np.array([2.5]),
+        np.array([2.0]),
+        np.array([-1], np.int64),
+        np.array([3, 4], np.int64),
+        np.array(3, np.int64),
+    ],
+    ids=["nan", "inf", "empty", "fractional", "float", "negative", "two-values", "rank-0"],
 )
 def test_load_rejects_a_step_record_that_is_not_one_natural_number(tmp_path, record):
     path = tmp_path / "bad_step.bin"
-    save_arrays(path, {TR.STEP_KEY: np.array(record), "w": np.ones(3)})
+    save_arrays(path, {TR.STEP_KEY: record, "w": np.ones(3)})
     with pytest.raises(DataError, match="step record") as info:
         TR.load_checkpoint(path)
     assert str(path) in str(info.value)
 
 
-def test_save_refuses_a_step_float32_cannot_hold_exactly(tmp_path):
-    params = {"w": np.ones(3, np.float32)}
-    exact = tmp_path / "exact.bin"
-    TR.save_checkpoint(exact, TR.Checkpoint(step=2**24, params=params, m={}, v={}))
-    assert TR.load_checkpoint(exact).step == 2**24
-    for step in (2**24 + 1, -1):
-        path = tmp_path / f"step_{step}.bin"
-        with pytest.raises(DataError, match=str(step)):
-            TR.save_checkpoint(path, TR.Checkpoint(step=step, params=params, m={}, v={}))
-        assert not path.exists()
+def test_step_round_trips_exactly_past_float32_range(tmp_path):
+    path = tmp_path / "step.bin"
+    for step in (0, 2**24 + 1, 2**40):
+        TR.save_checkpoint(path, TR.Checkpoint(step=step, params={"w": np.ones(3)}, m={}, v={}))
+        assert TR.load_checkpoint(path).step == step
 
 
 @pytest.mark.parametrize(
@@ -408,7 +448,8 @@ def test_save_refuses_a_step_float32_cannot_hold_exactly(tmp_path):
 )
 def test_load_rejects_moment_tables_that_do_not_cover_every_parameter(tmp_path, moments, offender):
     path = tmp_path / "moments.bin"
-    save_arrays(path, {TR.STEP_KEY: np.array([2.0]), "w": np.ones(3), "u": np.ones(2), **moments})
+    step = np.array([2], np.int64)
+    save_arrays(path, {TR.STEP_KEY: step, "w": np.ones(3), "u": np.ones(2), **moments})
     with pytest.raises(DataError, match=offender) as info:
         TR.load_checkpoint(path)
     assert str(path) in str(info.value)
@@ -425,7 +466,7 @@ def test_zero_dim_array_keeps_its_shape_through_a_round_trip(tmp_path):
     save_arrays(path, {"scalar": np.array(2.5), "row": np.array([1.0, 2.0])})
     loaded = load_arrays(path)
     assert loaded["scalar"].shape == ()
-    assert loaded["scalar"] == np.float32(2.5)
+    assert loaded["scalar"] == 2.5
     assert loaded["row"].shape == (2,)
 
 
@@ -451,7 +492,66 @@ def test_failed_write_keeps_the_previous_file_and_leaves_no_temp_file(tmp_path):
     loaded = load_arrays(path)
     for name, arr in previous.items():
         assert np.array_equal(loaded[name], arr)
-    assert (tmp_path / "model.bin.manifest").read_text() == "a 2x3\nb 4\n"
+    assert (tmp_path / "model.bin.manifest").read_text() == "a float64 2x3\nb float64 4\n"
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.int32, np.bool_])
+def test_save_refuses_other_dtypes_and_keeps_the_previous_file(tmp_path, dtype):
+    path = tmp_path / "model.bin"
+    save_arrays(path, {"a": np.arange(3.0)})
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(DataError, match=np.dtype(dtype).name):
+        save_arrays(path, {"ok": np.ones(2), "bad": np.zeros(2, dtype)})
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+_RECORD = st.tuples(
+    st.sampled_from([np.float32, np.float64, np.int64]),
+    st.lists(st.integers(0, 3), min_size=0, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.text(min_size=1, max_size=8), _RECORD, max_size=4))
+def test_containers_round_trip_every_record_bitwise_in_its_dtype(tmp_path_factory, records):
+    named = {}
+    for name, (dtype, shape, seed) in records.items():
+        # Raw random bits: NaN payloads, infinities and signed zeros included.
+        size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+        raw = np.random.default_rng(seed).integers(0, 256, size=size, dtype=np.uint8)
+        named[name] = raw.view(dtype).reshape(shape)
+    path = tmp_path_factory.mktemp("roundtrip") / "c.bin"
+    save_arrays(path, named)
+    loaded = load_arrays(path)
+    assert list(loaded) == list(named)
+    for name, arr in named.items():
+        got = loaded[name]
+        assert got.dtype == arr.dtype and got.shape == arr.shape, name
+        assert got.tobytes() == arr.tobytes(), name
+
+
+def _mixed_arrays():
+    return {
+        "w": np.arange(6, dtype=np.float32).reshape(2, 3),
+        "one": np.array([[2.5]], dtype=np.float32),
+        "b": np.array([-1.0, 4.0], dtype=np.float32),
+        "wide": np.array([1 / 3, -0.0], dtype=np.float64),
+        "step": np.array([2**40 + 1], dtype=np.int64),
+    }
+
+
+def test_a_flipped_bit_anywhere_raises_data_error(tmp_path):
+    full = tmp_path / "full.bin"
+    save_arrays(full, {k: _mixed_arrays()[k] for k in ("one", "wide", "step")})
+    blob = bytearray(full.read_bytes())
+    bad = tmp_path / "bad.bin"
+    for bit in range(8 * len(blob)):
+        blob[bit // 8] ^= 1 << (bit % 8)
+        bad.write_bytes(blob)
+        with pytest.raises(DataError):
+            load_arrays(bad)
+        blob[bit // 8] ^= 1 << (bit % 8)
 
 
 def test_checkpoint_detects_corruption(tmp_path):
@@ -477,11 +577,7 @@ def test_load_holds_the_file_once(tmp_path):
 
 
 def test_truncated_container_raises_data_error_at_every_length(tmp_path):
-    arrays = {
-        "w": np.arange(6, dtype=np.float32).reshape(2, 3),
-        "one": np.array([[2.5]], dtype=np.float32),
-        "b": np.array([-1.0, 4.0], dtype=np.float32),
-    }
+    arrays = _mixed_arrays()
     full = tmp_path / "full.bin"
     save_arrays(full, arrays)
     blob = full.read_bytes()
@@ -493,15 +589,16 @@ def test_truncated_container_raises_data_error_at_every_length(tmp_path):
     loaded = load_arrays(full)
     assert list(loaded) == list(arrays)
     for name, arr in arrays.items():
-        assert loaded[name].shape == arr.shape and np.array_equal(loaded[name], arr)
+        assert loaded[name].dtype == arr.dtype and loaded[name].shape == arr.shape
+        assert loaded[name].tobytes() == arr.tobytes(), name
 
 
 # ------------------------------------------------------------------ trainer
 
 
-def _toy_training_setup(tmp_path, total_steps, seed=1, out=None, keep_last=3):
+def _toy_training_setup(tmp_path, total_steps, seed=1, out=None, keep_last=3, dtype=np.float32):
     pairs, _ = D.generate_corpus(29, 120)
-    model = small_model(seed=23, dtype=np.float32, dropout=0.05, residual_dropout=0.05)
+    model = small_model(seed=23, dtype=dtype, dropout=0.05, residual_dropout=0.05)
     cfg = TR.TrainConfig(
         warmup_steps=20,
         total_steps=total_steps,
@@ -557,6 +654,8 @@ def test_trainer_resume_in_place_matches_uninterrupted_run(tmp_path, keep_last):
 
     resumed = tmp_path / "resumed"
     _toy_training_setup(tmp_path, total_steps=5, out=resumed, keep_last=keep_last)[0].run()
+    # what a write killed mid-way leaves behind; nothing may read it
+    (resumed / ".ckpt_0000010.bin.12345.tmp").write_bytes(b"CTXF\x02\x00")
     trainer, _ = _toy_training_setup(tmp_path, total_steps=15, out=resumed, keep_last=keep_last)
     trainer.resume_from(resumed / "ckpt_0000005.bin")
     trainer.run()
@@ -572,6 +671,24 @@ def test_trainer_resume_in_place_matches_uninterrupted_run(tmp_path, keep_last):
 
     assert len(without_wall_clock(resumed)) == 16
     assert without_wall_clock(straight) == without_wall_clock(resumed)
+
+
+def test_float64_resume_is_bitwise_the_uninterrupted_run(tmp_path):
+    straight, resumed = tmp_path / "straight", tmp_path / "resumed"
+    trainer_a, model_a = _toy_training_setup(tmp_path, 10, out=straight, dtype=np.float64)
+    trainer_a.run()
+    _toy_training_setup(tmp_path, 5, out=resumed, dtype=np.float64)[0].run()
+    trainer_c, model_c = _toy_training_setup(tmp_path, 10, out=resumed, dtype=np.float64)
+    trainer_c.resume_from(resumed / "ckpt_0000005.bin")
+    trainer_c.run()
+    for space in ("m", "v"):
+        a, c = getattr(trainer_a.state, space), getattr(trainer_c.state, space)
+        assert list(a) == list(c) == list(model_a.leaves)
+        for name in a:
+            assert a[name].dtype == np.float64 and a[name].tobytes() == c[name].tobytes(), name
+    for name, arr in model_a.state_arrays().items():
+        assert arr.tobytes() == model_c.leaves[name].data.tobytes(), name
+    assert (straight / "averaged.bin").read_bytes() == (resumed / "averaged.bin").read_bytes()
 
 
 def test_trainer_streams_metrics_log_before_a_crash(tmp_path, monkeypatch):
@@ -608,8 +725,8 @@ def test_trainer_saves_the_last_step_off_the_cadence(tmp_path):
     kept = sorted(out.glob("ckpt_*.bin"))
     assert [p.name for p in kept] == ["ckpt_0000005.bin", "ckpt_0000007.bin"]
     last = TR.load_checkpoint(out / "ckpt_0000007.bin")
-    for name, t in model.params.items():
-        assert np.array_equal(last.params[name], t.data)
+    for name, arr in model.state_arrays().items():
+        assert np.array_equal(last.params[name], arr)
     averaged = TR.load_checkpoint(out / "averaged.bin")
     assert averaged.step == 7
     manual = TR.average_checkpoints([TR.load_checkpoint(p) for p in kept])
