@@ -11,25 +11,25 @@ and linearly recombined.
 
 Each head family is stored head-stacked, one leaf per weight with a
 leading head axis, and runs as one: a single projection onto every head
-(`head_columns`), then one graph node for all heads of the family,
-`scaled_dot_product_attention` for the dot-product heads and
+(`head_columns`, one node), then one graph node for all heads of the
+family, `scaled_dot_product_attention` for the dot-product heads and
 `dynamic_conv_head` for the conv heads. Each node computes its forward in
 array code and has a hand-written backward that keeps only the arrays it
 needs.
 
-Layouts: numpy reduces over a short innermost axis (d_h = 8, and T and F
-up to 15 in the paper's setting) 5 to 8 times slower than over a leading
-axis, so each node puts the axis it reduces over first.
+Layouts: both nodes take and return heads as column blocks, (..., T, n * d_h)
+with head j in block j. Inside, numpy reduces over a short innermost axis
+(d_h = 8, and T and F up to 15 in the paper's setting) 5 to 8 times slower
+than over a leading axis, so each node puts the axis it reduces over first.
 
 - `scaled_dot_product_attention` holds its scores and weights key-leading,
-  (T_k, ..., T_q). The softmax and its backward reduce over axis 0.
-- `dynamic_conv_head` works time-leading, on (T, B, n * d_h) with head j
-  in block j. The tap loop of Eq. 2 adds whole time slices. The softmax of
-  Eq. 3 runs over axis 0: over (T, B * n) in full mode, over the prefix
-  weights (T_key, B * n, T_query) in causal mode. The per-head w_q scores
-  and the per-head gate sums of Eq. 4 are GEMMs with block-diagonal
-  (n * d_h, n) matrices, and the per-head w_s products one GEMM with the
-  block-diagonal (n * d_h, n * d_h) matrix.
+  (T_k, n, ..., T_q). The softmax and its backward reduce over axis 0.
+- `dynamic_conv_head` works time-leading, on (T, B, n * d_h). The tap loop of
+  Eq. 2 adds whole time slices. The softmax of Eq. 3 runs over axis 0: over
+  (T, B * n) in full mode, over the prefix weights (T_key, B * n, T_query) in
+  causal mode. The per-head w_q scores and the per-head gate sums of Eq. 4 are
+  GEMMs with block-diagonal (n * d_h, n) matrices, and the per-head w_s
+  products one GEMM with the block-diagonal (n * d_h, n * d_h) matrix.
 
 Also hosts the per-layer complexity model. `test_complexity_validation`
 checks it on the products the nodes run: `attention_scores` and
@@ -101,21 +101,21 @@ def head_columns(w: Tensor) -> Tensor:
     """Head-stacked weights (n, d, w) as the (d, n * w) matrix that projects
     onto every head at once, head j in columns j * w ... (j + 1) * w - 1."""
     n, d, width = w.shape
-    return tn.reshape(tn.transpose(w, (1, 0, 2)), (d, n * width))
+
+    def bwd(g):
+        w._accumulate(g.reshape(d, n, width).transpose(1, 0, 2))
+
+    return tn._make(w.data.transpose(1, 0, 2).reshape(d, n * width), (w,), bwd)
 
 
-def _split_heads(x: Tensor, n: int) -> Tensor:
-    """(..., T, n * w) -> (n, ..., T, w)."""
-    x = tn.reshape(x, x.shape[:-1] + (n, x.shape[-1] // n))
-    nd = x.ndim
-    return tn.transpose(x, (nd - 2,) + tuple(range(nd - 2)) + (nd - 1,))
+def _head_blocks(x: np.ndarray, heads: int, nd: int) -> np.ndarray:
+    """(..., T, heads * w) as a (heads, ..., T, w) view padded to nd axes; head j is block j."""
+    return np.moveaxis(x.reshape((1,) * (nd - 1 - x.ndim) + x.shape[:-1] + (heads, -1)), -2, 0)
 
 
-def _merge_heads(x: Tensor) -> Tensor:
-    """(n, ..., T, w) -> (..., T, n * w), the inverse of `_split_heads`."""
-    nd = x.ndim
-    x = tn.transpose(x, tuple(range(1, nd - 1)) + (0, nd - 1))
-    return tn.reshape(x, x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+def _block_columns(x: np.ndarray, shape: tuple) -> np.ndarray:
+    """(heads, ..., T, w) as column blocks of `shape`, the inverse of `_head_blocks`."""
+    return np.moveaxis(x, 0, -2).reshape(shape)
 
 
 def causal_mask(t_len: int) -> np.ndarray:
@@ -159,39 +159,40 @@ def scaled_dot_product_attention(
     v: Tensor,
     causal: bool = False,
     attn_dropout=None,
+    heads: int = 1,
 ) -> Tensor:
-    """softmax(q k^T / sqrt(d_k)) v, as one node.
+    """softmax(q k^T / sqrt(d_k)) v for each of `heads` heads, as one node.
 
+    q, k, v and the output are (..., T, heads * d), head j in block j.
     `causal` lets query t attend keys 0..t only, giving later keys exactly
     zero weight; it needs as many queries as keys. `attn_dropout` is an
     optional (p, rng) pair applied to the attention weights during
-    training; its mask has the weights' shape (..., T_q, T_k).
+    training; its mask is drawn head-major, (heads, ..., T_q, T_k).
 
-    The scores and weights are held key-leading, (T_k, ..., T_q), so that
-    the softmax and its backward reduce over axis 0. The backward keeps the
-    weights, the dropout mask and q, k, v.
+    It works on (heads, ..., T, d) views, scores and weights key-leading,
+    (T_k, heads, ..., T_q), so that the softmax and its backward reduce over
+    axis 0. The backward keeps the weights, the dropout mask and q, k, v.
     """
     q, k, v = tn.as_tensor(q), tn.as_tensor(k), tn.as_tensor(v)
-    d_k = q.shape[-1]
-    if k.shape[-1] != d_k:
-        raise DimensionError(f"query width {d_k} != key width {k.shape[-1]}")
-    if k.shape[-2] != v.shape[-2]:
-        raise DimensionError(
-            f"key length {k.shape[-2]} != value length {v.shape[-2]}"
-        )
-    if causal and q.shape[-2] != k.shape[-2]:
+    nd = 1 + max(q.ndim, k.ndim, v.ndim)
+    qh, kh, vh = (_head_blocks(t.data, heads, nd) for t in (q, k, v))
+    d_k = qh.shape[-1]
+    if kh.shape[-1] != d_k:
+        raise DimensionError(f"query width {d_k} != key width {kh.shape[-1]}")
+    if kh.shape[-2] != vh.shape[-2]:
+        raise DimensionError(f"key length {kh.shape[-2]} != value length {vh.shape[-2]}")
+    if causal and qh.shape[-2] != kh.shape[-2]:
         raise DimensionError(
             f"causal attention needs as many queries as keys, "
-            f"got {q.shape[-2]} and {k.shape[-2]}"
+            f"got {qh.shape[-2]} and {kh.shape[-2]}"
         )
     scale = q.dtype.type(1.0 / math.sqrt(d_k))
-    raw = attention_scores(q.data, k.data)  # (..., T_k, T_q)
-    nd = raw.ndim
-    keys_first = (nd - 2,) + tuple(range(nd - 2)) + (nd - 1,)  # -> (T_k, ..., T_q)
+    raw = attention_scores(qh, kh)  # (heads, ..., T_k, T_q)
+    keys_first = (nd - 2,) + tuple(range(nd - 2)) + (nd - 1,)  # -> (T_k, heads, ..., T_q)
     keys_back = tuple(range(1, nd - 1)) + (0, nd - 1)  # its inverse
     scores = np.multiply(raw.transpose(keys_first), scale, order="C")
     if causal:
-        scores += _causal_bias(q.shape[-2], q.dtype).reshape(
+        scores += _causal_bias(qh.shape[-2], q.dtype).reshape(
             scores.shape[:1] + (1,) * (nd - 2) + scores.shape[-1:]
         )
     weights = tn.softmax_array(scores, axis=0)
@@ -202,26 +203,29 @@ def scaled_dot_product_attention(
     if mask is not None:
         mask = np.swapaxes(mask, -1, -2).transpose(keys_first)  # key-leading view
     dropped = weights if mask is None else weights * mask
-    data = attention_values(np.swapaxes(dropped.transpose(keys_back), -1, -2), v.data)
+    data = attention_values(np.swapaxes(dropped.transpose(keys_back), -1, -2), vh)
 
     def bwd(g):
+        g = _head_blocks(g, heads, nd)
         if v.requires_grad:
             kept = weights if mask is None else weights * mask
-            v._accumulate(tn._unbroadcast(kept.transpose(keys_back) @ g, v.shape))
+            dv = kept.transpose(keys_back) @ g
+            v._accumulate(_block_columns(tn._unbroadcast(dv, vh.shape), v.shape))
         if not (q.requires_grad or k.requires_grad):
             return
-        dw = (v.data @ np.swapaxes(g, -1, -2)).transpose(keys_first)
+        dw = (vh @ np.swapaxes(g, -1, -2)).transpose(keys_first)
         dw = np.multiply(dw, mask, order="C") if mask is not None else np.ascontiguousarray(dw)
         ds = dw - (dw * weights).sum(axis=0)
         ds *= weights
         ds *= scale
-        ds = ds.transpose(keys_back)  # (..., T_k, T_q)
+        ds = ds.transpose(keys_back)  # (heads, ..., T_k, T_q)
         if q.requires_grad:
-            q._accumulate(tn._unbroadcast(np.swapaxes(ds, -1, -2) @ k.data, q.shape))
+            dq = np.swapaxes(ds, -1, -2) @ kh
+            q._accumulate(_block_columns(tn._unbroadcast(dq, qh.shape), q.shape))
         if k.requires_grad:
-            k._accumulate(tn._unbroadcast(ds @ q.data, k.shape))
+            k._accumulate(_block_columns(tn._unbroadcast(ds @ qh, kh.shape), k.shape))
 
-    return tn._make(data, (q, k, v), bwd)
+    return tn._make(_block_columns(data, data.shape[1:-1] + (-1,)), (q, k, v), bwd)
 
 
 # ---------------------------------------------------------- Eq. (2) - (4)
@@ -415,15 +419,14 @@ def dot_product_family(
 ) -> Tensor:
     """Dot-product heads run as one, (..., T_q, n * d_v), head j in block j.
 
-    One projection each for queries, keys and values, then one
-    `scaled_dot_product_attention` over a leading head axis. Dropout masks
+    One projection each for queries, keys and values onto every head, then
+    one `scaled_dot_product_attention` on the column blocks. Dropout masks
     are drawn head-major, as a loop over the heads would draw them.
     """
-    n = params.w_q.shape[0]
-    q = _split_heads(tn.matmul(query_seq, head_columns(params.w_q)), n)
-    k = _split_heads(tn.matmul(key_seq, head_columns(params.w_k)), n)
-    v = _split_heads(tn.matmul(key_seq, head_columns(params.w_v)), n)
-    return _merge_heads(scaled_dot_product_attention(q, k, v, causal, attn_dropout))
+    q = tn.matmul(query_seq, head_columns(params.w_q))
+    k = tn.matmul(key_seq, head_columns(params.w_k))
+    v = tn.matmul(key_seq, head_columns(params.w_v))
+    return scaled_dot_product_attention(q, k, v, causal, attn_dropout, heads=params.w_q.shape[0])
 
 
 def conv_family(

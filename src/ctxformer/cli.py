@@ -5,7 +5,7 @@ Shared flags: --config PATH, --seed N, --preset {paper,toy}, --out PATH.
 The CTXFORMER_THREADS environment variable caps BLAS parallelism (read
 before numpy loads, which is why heavyweight imports happen lazily).
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 runtime/numerical.
+Exit codes: 0 success, 2 config error, 3 data error, 4 numerical or OS error.
 """
 
 from __future__ import annotations

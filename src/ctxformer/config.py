@@ -64,6 +64,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; expected one of {PRESETS}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_pairs < 1:
             raise ConfigError(f"n_pairs must be >= 1, got {self.n_pairs}")
         if self.max_sentence_len < MIN_SENTENCE_LEN:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tn
-from .attention import local_context, scaled_dot_product_attention
+from .attention import dot_product_family, local_context
 from .data import BOS_ID, EOS_ID, tag_ids
 from .errors import ConfigError, DataError, NumericsError
 
@@ -229,8 +229,7 @@ def cosine_probe(
         if layer == "embedding":
             reps = x.data
         elif layer == "self_head":
-            q, k, v = (tn.matmul(x, tn.Tensor(w.data[0])) for w in (mha.w_q, mha.w_k, mha.w_v))
-            reps = scaled_dot_product_attention(q, k, v).data
+            reps = dot_product_family(x, x, mha).data[:, : mha.w_v.shape[-1]]
         else:
             conv = mha.conv
             kernel = tn.softmax_array(conv.w_a.data[0], axis=0)

@@ -41,6 +41,8 @@ class TrainConfig:
     max_tokens: int = 1024  # per-batch token budget
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.accum_steps < 1:
             raise ConfigError(f"accum_steps must be >= 1, got {self.accum_steps}")
         if not (self.lambda_pos >= 0 and self.lambda_ner >= 0):  # NaN fails too

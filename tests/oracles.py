@@ -2,7 +2,7 @@
 
 Everything here is plain numpy with explicit loops, deliberately sharing
 no code with the package; the tests compare library outputs against these.
-Two exceptions:
+The exceptions:
 
 - `beam_search_oracle` drives a model's full-prefix decoder pass, the
   reference for incremental decoding;
@@ -11,6 +11,12 @@ Two exceptions:
   elementwise, matmul and softmax graph ops, one node per step. They are
   the references the one-node attention heads are checked against,
   forward, backward, and mask draws;
+- `composed_dot_product_family` runs the dot-product heads with the head
+  layout as graph nodes: a transpose and a reshape per projection weight,
+  a reshape and a transpose splitting each of q, k and v into a leading
+  head axis, the single-head-layout `scaled_dot_product_attention` over
+  that axis, and a transpose and a reshape merging the heads. It is the
+  reference the column-block node is checked against, bit for bit;
 - `composed_sublayer` builds the post-norm residual sublayer as three
   nodes, dropout -> add -> layer norm, the last one a layer-norm node with
   a backward through `ndarray.mean`. It is the reference the one-node
@@ -21,6 +27,7 @@ import math
 
 import numpy as np
 
+from ctxformer import attention as A
 from ctxformer import tensor as T
 
 
@@ -195,6 +202,35 @@ def composed_attention(q, k, v, causal=False, attn_dropout=None):
     if attn_dropout is not None:
         weights = T.dropout(weights, *attn_dropout)
     return T.matmul(weights, v)
+
+
+def _composed_head_columns(w):
+    """Head-stacked (n, d, w) weights as the (d, n * w) projection, two nodes."""
+    n, d, width = w.shape
+    return T.reshape(T.transpose(w, (1, 0, 2)), (d, n * width))
+
+
+def _split_heads(x, n):
+    """(..., T, n * w) -> (n, ..., T, w), two nodes."""
+    x = T.reshape(x, x.shape[:-1] + (n, x.shape[-1] // n))
+    nd = x.ndim
+    return T.transpose(x, (nd - 2,) + tuple(range(nd - 2)) + (nd - 1,))
+
+
+def _merge_heads(x):
+    """(n, ..., T, w) -> (..., T, n * w), the inverse of `_split_heads`."""
+    nd = x.ndim
+    x = T.transpose(x, tuple(range(1, nd - 1)) + (0, nd - 1))
+    return T.reshape(x, x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+
+
+def composed_dot_product_family(query_seq, key_seq, params, causal=False, attn_dropout=None):
+    """The dot-product heads with every head-layout step a graph node."""
+    n = params.w_q.shape[0]
+    q = _split_heads(T.matmul(query_seq, _composed_head_columns(params.w_q)), n)
+    k = _split_heads(T.matmul(key_seq, _composed_head_columns(params.w_k)), n)
+    v = _split_heads(T.matmul(key_seq, _composed_head_columns(params.w_v)), n)
+    return _merge_heads(A.scaled_dot_product_attention(q, k, v, causal, attn_dropout))
 
 
 def local_conv(s, params, kernel_dropconnect=None):

@@ -13,6 +13,7 @@ from oracles import (
     adaptive_query_prefix_oracle,
     composed_attention,
     composed_conv_head,
+    composed_dot_product_family,
     dynamic_head_oracle,
     kernel_softmax_oracle,
     local_conv_oracle,
@@ -290,16 +291,35 @@ def test_dynamic_head_gradients_through_both_softmaxes():
 
 def test_sdpa_gradients_match_finite_differences():
     rng = np.random.default_rng(29)
-    for t_q, t_k, causal in ((5, 5, True), (3, 6, False), (1, 1, True)):
+    cases = ((1, 5, 5, True), (1, 3, 6, False), (1, 1, 1, True), (2, 5, 5, True), (2, 3, 6, False))
+    for heads, t_q, t_k, causal in cases:
         q, k, v = (T.Tensor(rng.normal(size=(2, t, 4))) for t in (t_q, t_k, t_k))
         weights = rng.normal(size=(2, t_q, 4))
         for i, x in enumerate((q, k, v)):
             def loss(probe):
                 args = [probe if j == i else t for j, t in enumerate((q, k, v))]
-                return T.tsum(T.mul(A.scaled_dot_product_attention(*args, causal), weights))
+                out = A.scaled_dot_product_attention(*args, causal, heads=heads)
+                return T.tsum(T.mul(out, weights))
 
             report = T.finite_difference_check(loss, x, tol=1e-4)
-            assert report.passed, f"T_q={t_q} T_k={t_k} causal={causal} input {i}: {report}"
+            assert report.passed, (
+                f"heads={heads} T_q={t_q} T_k={t_k} causal={causal} input {i}: {report}"
+            )
+
+
+def test_sdpa_heads_broadcast_a_query_of_lower_rank():
+    # The head axis leads every operand, so a (T, heads * d) query meets
+    # (B, T, heads * d) keys as if it were repeated over B.
+    rng = np.random.default_rng(32)
+    q = T.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    repeated = T.Tensor(np.repeat(q.data[None], 3, axis=0), requires_grad=True)
+    k, v = (T.Tensor(rng.normal(size=(3, 6, 4))) for _ in range(2))
+    weights = rng.normal(size=(3, 5, 4))
+    outs = [A.scaled_dot_product_attention(x, k, v, heads=2) for x in (q, repeated)]
+    for out in outs:
+        T.tsum(T.mul(out, weights)).backward()
+    assert np.max(np.abs(outs[0].data - outs[1].data)) < 1e-12
+    assert np.max(np.abs(q.grad - repeated.grad.sum(axis=0))) < 1e-12
 
 
 def _node_and_reference(node, reference, inputs, args, grad_out, p):
@@ -351,6 +371,34 @@ def test_nodes_match_their_composed_references(dtype, tol):
             for a, b in zip(got, want):
                 assert a.dtype == dtype and a.shape == b.shape
                 assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b)), node.__name__
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("causal,cross", [(False, False), (True, False), (False, True)])
+def test_dot_product_family_is_bitwise_the_composed_head_layout(dtype, causal, cross):
+    # Column blocks into and out of one node against the head layout as
+    # graph nodes around the head-leading node: the output, every leaf grad
+    # and the rng state after the dropout draw are the same bits.
+    rng = np.random.default_rng(31)
+    bundle = rand_multi_head(rng, 16, 8)
+    weights = [
+        T.Tensor(w.data.astype(dtype), requires_grad=True)
+        for w in (bundle.w_q, bundle.w_k, bundle.w_v)
+    ]
+    params = A.MultiHeadParams(*weights, bundle.conv, bundle.w_o)
+    y = T.Tensor(rng.normal(size=(3, 6, 16)).astype(dtype), requires_grad=True)
+    memory = T.Tensor(rng.normal(size=(3, 7, 16)).astype(dtype), requires_grad=True)
+    key_seq = memory if cross else y
+    inputs = weights + [y, memory] if cross else weights + [y]
+    grad_out = rng.normal(size=(3, 6, 8)).astype(dtype)
+    for p in (0.0, 0.3):
+        (got, got_state), (want, want_state) = _node_and_reference(
+            A.dot_product_family, composed_dot_product_family, inputs,
+            (y, key_seq, params, causal), grad_out, p,
+        )
+        assert got_state == want_state
+        for a, b in zip(got, want):
+            assert a.dtype == dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # ----------------------------------------------------------- multi-head mix

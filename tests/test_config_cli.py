@@ -423,13 +423,14 @@ def test_cli_translate_version_1_checkpoint_exits_3(tmp_path, capsys):
         ("[train]\nseed = 3\n", "[run] seed"),
         ("[model]\nvocab_src = 40\n", "vocab_src"),
         ("[model]\nvocab_tgt = 40\n", "vocab_tgt"),
+        ("[run]\nseed = -1\n", "seed"),
     ],
     ids=["one-beta", "no-beta", "three-betas", "zero-width", "negative-width",
          "zero-max-tokens", "zero-dilation", "nan-alpha", "removed-cross-conv",
          "removed-n-pos-tags", "zero-adam-eps", "negative-adam-eps", "nan-adam-eps",
          "nan-lambda-pos", "nan-lambda-ner", "sentences-shorter-than-the-grammar",
          "overflowing-alpha", "vanishing-alpha", "derived-train-seed", "derived-vocab-src",
-         "derived-vocab-tgt"],
+         "derived-vocab-tgt", "negative-seed"],
 )
 def test_cli_gen_rejects_values_that_would_fail_later(tmp_path, capsys, text, key):
     cfg = tmp_path / "bad.cfg"
@@ -437,6 +438,13 @@ def test_cli_gen_rejects_values_that_would_fail_later(tmp_path, capsys, text, ke
     assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_negative_seed_flag_exits_2(tmp_path, capsys):
+    assert main(["gen", "--seed", "-1", "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "seed" in err and "Traceback" not in err
     assert not (tmp_path / "x").exists()
 
 

@@ -466,6 +466,56 @@ def test_forward_train_loss_matches_manual_composition():
     assert abs(loss.item() - cross_entropy_oracle(mt.data, tgt_out)) < 1e-10
 
 
+# ------------------------------------------------------------ graph size
+
+
+def test_graph_node_counts_of_attention_sublayers_and_a_toy_train_step(monkeypatch):
+    # Heads cross node boundaries as column blocks only. Self-attention: per
+    # q, k and v a head_columns node and a projection, then the dot-product
+    # node (7); per conv family head_columns, projection and node (3); the
+    # concat and w_o (2). Cross-attention adds the pooling mean (sum, scale)
+    # and its broadcast.
+    rc = preset_run_config("toy")
+    model = M.Seq2SeqModel(rc.model, seed=0)
+    rng = np.random.default_rng(6)
+    y, memory = (
+        T.Tensor(rng.normal(size=(2, t, 64)).astype(np.float32), requires_grad=True)
+        for t in (5, 7)
+    )
+    pairs = [
+        D.TaggedPair(
+            src=list(rng.integers(4, 16, size=5)),
+            tgt=list(rng.integers(4, 16, size=6)),
+            pos_tags=list(rng.integers(0, 6, size=5)),
+            ner_tags=list(rng.integers(0, 3, size=5)),
+        )
+        for _ in range(3)
+    ]
+    made, make = 0, T._make
+
+    def counting_make(*args):
+        nonlocal made
+        made += 1
+        return make(*args)
+
+    reg = M._Regularizers.from_config(model.config, True, np.random.default_rng(7))
+    calls = {
+        "self-attention": lambda: A.multi_head_forward(y, model.dec_layers[0].mha, True, reg.attn),
+        "cross-attention": lambda: M._cross_attention(y, memory, model.dec_layers[0].xmha, reg),
+        "toy train_step": lambda: TR.train_step(
+            D.collate(pairs), model, TR.TrainState(), rc.train
+        ),
+    }
+    counts = {}
+    for name, call in calls.items():
+        made = 0
+        with monkeypatch.context() as m:
+            m.setattr(T, "_make", counting_make)
+            call()
+        counts[name] = made
+    assert counts == {"self-attention": 12, "cross-attention": 15, "toy train_step": 175}
+
+
 # ------------------------------------------------------------ param count
 
 

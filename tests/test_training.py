@@ -285,6 +285,15 @@ def test_aux_head_values_do_not_change_translation_trajectory():
     assert np.array_equal(finals[0], finals[1])
 
 
+def test_train_config_rejects_a_negative_seed():
+    # The Trainer validates its config on its own, apart from the run config.
+    with pytest.raises(ConfigError, match="seed"):
+        TR.TrainConfig(seed=-1).validate()
+    pairs, _ = D.generate_corpus(29, 10)
+    with pytest.raises(ConfigError, match="seed"):
+        TR.Trainer(small_model(), pairs, TR.TrainConfig(seed=-1))
+
+
 def test_train_step_rejects_empty_batch():
     with pytest.raises(DataError):
         D.collate([])
