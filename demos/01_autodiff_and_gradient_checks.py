@@ -8,17 +8,17 @@ finite differences.
 import numpy as np
 
 from ctxformer import tensor as tn
+from ctxformer.attention import scaled_dot_product_attention
 
 rng = np.random.default_rng(0)
 
-# A small expression: loss = sum(softmax(x W) * targets)
+# A small expression: loss = cross_entropy(x W, targets)
 x = tn.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
 w = tn.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-targets = rng.normal(size=(3, 5))
+targets = rng.integers(0, 5, size=3)
 
 logits = tn.matmul(x, w)
-probs = tn.softmax(logits, axis=-1)
-loss = tn.tsum(tn.mul(probs, targets))
+loss = tn.cross_entropy(logits, targets)
 loss.backward()
 
 print("loss:", loss.item())
@@ -28,19 +28,19 @@ print("grad wrt w (first row):", np.round(w.grad[0], 4))
 # Gradients accumulate across backward calls, which is what gradient
 # accumulation over micro-batches relies on.
 before = x.grad.copy()
-loss2 = tn.tsum(tn.mul(tn.softmax(tn.matmul(x, w), axis=-1), targets))
+loss2 = tn.cross_entropy(tn.matmul(x, w), targets)
 loss2.backward()
 print("second backward doubled the gradient:", np.allclose(x.grad, 2 * before))
 
 # Central finite differences confirm the chain rule on any composition.
 def f(probe):
-    h = tn.matmul(probe, w)
-    return tn.tsum(tn.mul(tn.softmax(h, axis=-1), targets))
+    return tn.cross_entropy(tn.matmul(probe, w), targets)
 
 report = tn.finite_difference_check(f, x, h=1e-4, tol=1e-4)
 print(report)
 
-# Masked softmax sends forbidden positions to exactly zero weight.
-scores = tn.Tensor(np.array([[1.0, 2.0, 3.0]]))
-masked = tn.masked_fill(scores, np.array([[True, True, False]]), -np.inf)
-print("masked attention row:", tn.softmax(masked, axis=-1).data)
+# Causal attention gives later positions exactly zero weight: with identity
+# values, each output row is its query's row of attention weights.
+q = tn.Tensor(rng.normal(size=(3, 2)))
+rows = scaled_dot_product_attention(q, q, tn.Tensor(np.eye(3)), causal=True)
+print("causal attention rows:\n", np.round(rows.data, 4))

@@ -171,7 +171,8 @@ def scaled_dot_product_attention(
 
     It works on (heads, ..., T, d) views, scores and weights key-leading,
     (T_k, heads, ..., T_q), so that the softmax and its backward reduce over
-    axis 0. The backward keeps the weights, the dropout mask and q, k, v.
+    axis 0. The backward keeps the weights, the dropout keep bits and q, k,
+    v; it recomputes the dropped weights.
     """
     q, k, v = tn.as_tensor(q), tn.as_tensor(k), tn.as_tensor(v)
     nd = 1 + max(q.ndim, k.ndim, v.ndim)
@@ -196,25 +197,28 @@ def scaled_dot_product_attention(
             scores.shape[:1] + (1,) * (nd - 2) + scores.shape[-1:]
         )
     weights = tn.softmax_array(scores, axis=0)
-    mask = None
+    keep = drop = None  # the keep bits, key-leading, and the dropout scale
     if attn_dropout is not None:
         p, rng = attn_dropout
-        mask = tn.dropout_mask(raw.shape[:-2] + (raw.shape[-1], raw.shape[-2]), p, rng, q.dtype)
-    if mask is not None:
-        mask = np.swapaxes(mask, -1, -2).transpose(keys_first)  # key-leading view
-    dropped = weights if mask is None else weights * mask
+        drawn = tn.dropout_mask(raw.shape[:-2] + (raw.shape[-1], raw.shape[-2]), p, rng, q.dtype)
+        if drawn is not None:
+            keep, drop = np.swapaxes(drawn[0], -1, -2).transpose(keys_first), drawn[1]
+    dropped = weights if keep is None else tn.apply_dropout(weights, keep, drop)
     data = attention_values(np.swapaxes(dropped.transpose(keys_back), -1, -2), vh)
 
     def bwd(g):
         g = _head_blocks(g, heads, nd)
         if v.requires_grad:
-            kept = weights if mask is None else weights * mask
+            kept = weights if keep is None else tn.apply_dropout(weights, keep, drop)
             dv = kept.transpose(keys_back) @ g
             v._accumulate(_block_columns(tn._unbroadcast(dv, vh.shape), v.shape))
         if not (q.requires_grad or k.requires_grad):
             return
         dw = (vh @ np.swapaxes(g, -1, -2)).transpose(keys_first)
-        dw = np.multiply(dw, mask, order="C") if mask is not None else np.ascontiguousarray(dw)
+        if keep is None:
+            dw = np.ascontiguousarray(dw)
+        else:
+            dw = tn.apply_dropout(dw, keep, drop, order="C")
         ds = dw - (dw * weights).sum(axis=0)
         ds *= weights
         ds *= scale
@@ -294,9 +298,9 @@ def dynamic_conv_head(
     during training; its mask has the shape of `params.w_a`.
 
     The node works time-leading (see the module docstring). The backward
-    keeps the input, the masked kernel, the local context, the softmax
-    weights of the query, the query and the gate; it recomputes the
-    projection of Eq. 3, one GEMM.
+    keeps the input, the masked kernel and its DropConnect keep bits, the
+    local context, the softmax weights of the query, the query and the gate;
+    it recomputes the projection of Eq. 3, one GEMM.
     """
     x = tn.as_tensor(s_proj)
     w_a, w_s, w_q = params.w_a, params.w_s, params.w_q
@@ -315,13 +319,13 @@ def dynamic_conv_head(
     heads = s.shape[1] * n  # B * n (batch, head) pairs, head-minor
     # Eq. 2: the kernel softmaxed over its taps, then DropConnect.
     soft = tn.softmax_array(_taps_first(w_a.data, n), axis=0)  # (F, C)
-    mask = None
+    keep = drop = None
     if kernel_dropconnect is not None:
         p, rng = kernel_dropconnect
-        mask = tn.dropout_mask(w_a.shape, p, rng, w_a.dtype)
-    if mask is not None:
-        mask = _taps_first(mask, n)
-    kernel = soft if mask is None else soft * mask
+        drawn = tn.dropout_mask(w_a.shape, p, rng, w_a.dtype)
+        if drawn is not None:
+            keep, drop = _taps_first(drawn[0], n), drawn[1]
+    kernel = soft if keep is None else tn.apply_dropout(soft, keep, drop)
     local = local_context(s, kernel).reshape(t_len, heads, d_h)
     # Eq. 3: each head's projection and position scores.
     proj_blocks = _block_diagonal(w_s.data.reshape(n, d_h, d_h))
@@ -396,8 +400,8 @@ def dynamic_conv_head(
             dkernel = np.zeros_like(kernel)
             for j in range(min(taps, t_len)):
                 dkernel[j] = np.einsum("tbc,tbc->c", dlocal[j:], s[: t_len - j])
-            if mask is not None:
-                dkernel *= mask
+            if keep is not None:
+                tn.apply_dropout(dkernel, keep, drop, out=dkernel)
             dkernel -= (dkernel * soft).sum(axis=0)
             dkernel *= soft
             w_a._accumulate(

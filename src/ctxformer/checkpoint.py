@@ -23,6 +23,7 @@ import struct
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -74,23 +75,28 @@ def save_arrays(path, named: dict[str, np.ndarray]) -> None:
         out.write(("\n".join(manifest_lines) + "\n").encode("utf-8"))
 
 
-def load_arrays(path) -> dict[str, np.ndarray]:
+SKIP_CHUNK = 1 << 20  # bytes of a skipped record read at a time
+
+
+def load_arrays(path, skip: Optional[str] = None) -> dict[str, np.ndarray]:
     """Read a container; an unreadable, truncated, malformed or corrupt one
     raises DataError.
 
     Every extent is checked against the file's size before it is read, and
     each record's data is read straight into its own array, so a load holds
-    the file's contents once.
+    the file's contents once. Records whose names start with `skip` are left
+    out: their data is read through the checksum in chunks of `SKIP_CHUNK`
+    bytes and not kept, so a corrupt skipped record still raises.
     """
     path = Path(path)
     try:
         with open(path, "rb") as f:
-            return _read_records(path, f)
+            return _read_records(path, f, skip)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _read_records(path: Path, f) -> dict[str, np.ndarray]:
+def _read_records(path: Path, f, skip: Optional[str]) -> dict[str, np.ndarray]:
     size = os.fstat(f.fileno()).st_size
     offset = 0
     crc = 0
@@ -122,6 +128,7 @@ def _read_records(path: Path, f) -> dict[str, np.ndarray]:
     if version != VERSION:
         raise DataError(f"{path}: unsupported container version {version}")
     out: dict[str, np.ndarray] = {}
+    chunk = None  # the buffer skipped records are read through
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
         start = offset
@@ -135,6 +142,14 @@ def _read_records(path: Path, f) -> dict[str, np.ndarray]:
         shape = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name}"))
         n = DTYPES[code].itemsize * math.prod(shape)  # Python ints: corrupt extents cannot wrap
         need(n, f"data of {name}")  # before allocating, as in `take`
+        if skip is not None and name.startswith(skip):
+            if chunk is None:
+                chunk = memoryview(bytearray(SKIP_CHUNK))
+            for done in range(0, n, SKIP_CHUNK):
+                part = chunk[: min(SKIP_CHUNK, n - done)]
+                advance(len(part), f.readinto(part))
+                crc = zlib.crc32(part, crc)
+            continue
         try:
             arr = np.empty(shape, dtype=DTYPES[code])
         except ValueError as exc:  # too many axes, or a zero extent beside huge ones

@@ -163,20 +163,14 @@ class _Regularizers:
         )
 
 
-def _maybe_dropout(x: Tensor, pair) -> Tensor:
-    if pair is None:
-        return x
-    p, rng = pair
-    return tn.dropout(x, p, rng)
-
-
 # ----------------------------------------------------------- layer forwards
 
 
 def _feed_forward(x: Tensor, ffn: FeedForwardParams, reg: _Regularizers) -> Tensor:
+    """relu(x w1 + b1) w2 + b2, the hidden dropout drawn by the second
+    `linear`: the graph keeps its keep bits, not a dropped copy of the hidden."""
     hidden = tn.relu(tn.linear(x, ffn.w1, ffn.b1))
-    hidden = _maybe_dropout(hidden, reg.hidden)
-    return tn.linear(hidden, ffn.w2, ffn.b2)
+    return tn.linear(hidden, ffn.w2, ffn.b2, input_dropout=reg.hidden)
 
 
 def _sublayer(x: Tensor, out: Tensor, ln: LayerNormParams, reg: _Regularizers) -> Tensor:

@@ -23,13 +23,16 @@ float32 `x` stays float32.
 Softmax, log-softmax, sigmoid and the layer-norm standardisation are one
 array kernel each (`softmax_array`, `log_softmax_array`, `sigmoid_array`,
 `standardize`), run by the graph ops, the attention nodes and graph-free
-decoding alike. Every dropout mask comes from one kernel, `dropout_mask`.
+decoding alike. Every dropout decision comes from one kernel,
+`dropout_mask`, as boolean keep bits and a scale; every node that drops
+keeps those bits, one byte per decision, never a float mask.
 `layer_norm` also runs a post-norm residual sublayer, LN(x + dropout(out)),
 as one node.
 
 `linear` is a matmul plus bias as one node: one GEMM forward, and a
 backward of two GEMMs and one column sum for the bias. `matmul` with a
-2-D right operand is `linear` without the bias.
+2-D right operand is `linear` without the bias. `linear` can also drop out
+its own input, keeping the keep bits instead of the dropped input.
 
 All operations are deterministic for a fixed seed and BLAS thread count.
 """
@@ -250,31 +253,6 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
 # -- shape manipulation ----------------------------------------------------
 
 
-def reshape(x, shape) -> Tensor:
-    x = as_tensor(x)
-    data = x.data.reshape(shape)
-
-    def bwd(g):
-        if x.requires_grad:
-            x._accumulate(g.reshape(x.data.shape))
-
-    return _make(data, (x,), bwd)
-
-
-def transpose(x, axes) -> Tensor:
-    """Permute the axes, as np.transpose."""
-    x = as_tensor(x)
-    axes = tuple(axes)
-    data = np.transpose(x.data, axes)
-    inverse = tuple(np.argsort(axes))
-
-    def bwd(g):
-        if x.requires_grad:
-            x._accumulate(np.transpose(g, inverse))
-
-    return _make(data, (x,), bwd)
-
-
 def broadcast_to(x, shape) -> Tensor:
     x = as_tensor(x)
     data = np.broadcast_to(x.data, shape).copy()
@@ -355,9 +333,9 @@ def matmul(a, b) -> Tensor:
     return _make(data, (a, b), bwd)
 
 
-def linear(x, w, b=None) -> Tensor:
+def linear(x, w, b=None, input_dropout=None) -> Tensor:
     """x @ w (+ b) for x (..., d), w (d, k) and an optional bias b (k,), as
-    one node.
+    one node; with `input_dropout`, dropout(x) @ w (+ b).
 
     The forward is one (N, d) x (d, k) GEMM over the flattened rows, plus
     the bias. The backward is g2 w^T for x, x2^T g2 for w and one column
@@ -365,6 +343,12 @@ def linear(x, w, b=None) -> Tensor:
     and (N, d) rows: the weight gradient is one GEMM, not one product per
     leading index followed by a sum over them. `matmul` runs every product
     with a 2-D right operand here.
+
+    `input_dropout` is an optional (p, rng) pair; its mask is drawn here, as
+    `dropout(x, p, rng)` would draw it. The node then keeps the keep bits,
+    not the dropped input: its backward recomputes the dropped rows for the
+    weight grad and drops the input grad by the same bits. Every output and
+    grad is bitwise that of the composed dropout -> linear graph.
     """
     x, w = as_tensor(x), as_tensor(w)
     bias = None if b is None else as_tensor(b)
@@ -378,7 +362,11 @@ def linear(x, w, b=None) -> Tensor:
             f"linear bias must be ({w.data.shape[1]},), got {bias.data.shape}"
         )
     x2 = x.data.reshape(-1, d)
-    out = x2 @ w.data
+    drawn = None
+    if input_dropout is not None:
+        p, rng = input_dropout
+        drawn = dropout_mask(x2.shape, p, rng, x.data.dtype)
+    out = (x2 if drawn is None else apply_dropout(x2, *drawn)) @ w.data
     if bias is not None:
         out += bias.data
     data = out.reshape(x.data.shape[:-1] + (w.data.shape[1],))
@@ -386,9 +374,12 @@ def linear(x, w, b=None) -> Tensor:
     def bwd(g):
         g2 = g.reshape(-1, g.shape[-1])
         if x.requires_grad:
-            x._accumulate((g2 @ w.data.T).reshape(x.data.shape))
+            gx = g2 @ w.data.T
+            if drawn is not None:
+                apply_dropout(gx, *drawn, out=gx)
+            x._accumulate(gx.reshape(x.data.shape))
         if w.requires_grad:
-            w._accumulate(x2.T @ g2)
+            w._accumulate((x2 if drawn is None else apply_dropout(x2, *drawn)).T @ g2)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g2.sum(axis=0))
 
@@ -420,34 +411,6 @@ def standardize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     return centered, inv_std
 
 
-def softmax(x, axis: int = -1) -> Tensor:
-    """Shift-invariant softmax; -inf entries map to exactly zero weight."""
-    x = as_tensor(x)
-    if not (-x.data.ndim <= axis < x.data.ndim):
-        raise DimensionError(f"softmax axis {axis} out of range for rank {x.data.ndim}")
-    data = softmax_array(x.data, axis)
-
-    def bwd(g):
-        if x.requires_grad:
-            inner = (g * data).sum(axis=axis, keepdims=True)
-            x._accumulate(data * (g - inner))
-
-    return _make(data, (x,), bwd)
-
-
-def masked_fill(x, keep_mask: np.ndarray, value: float) -> Tensor:
-    """Replace entries where keep_mask is False by `value` (no grad there)."""
-    x = as_tensor(x)
-    keep = np.asarray(keep_mask, dtype=bool)
-    data = np.where(keep, x.data, x.data.dtype.type(value))
-
-    def bwd(g):
-        if x.requires_grad:
-            x._accumulate(_unbroadcast(np.where(keep, g, 0.0), x.data.shape))
-
-    return _make(data, (x,), bwd)
-
-
 def layer_norm(
     x, gamma, beta, eps: float = 1e-5, sublayer=None, residual_dropout=None
 ) -> Tensor:
@@ -457,9 +420,9 @@ def layer_norm(
     `residual_dropout` is an optional (p, rng) pair for the sublayer output;
     its mask is drawn here, as `dropout(sublayer, p, rng)` would draw it.
     Either way this is one node: it keeps only the standardized sum, the
-    inverse standard deviations and the mask, and its backward computes its
-    row means as sum / d, bitwise `ndarray.mean`. Every output and grad is
-    bitwise that of the composed dropout -> add -> layer-norm graph.
+    inverse standard deviations and the keep bits, and its backward computes
+    its row means as sum / d, bitwise `ndarray.mean`. Every output and grad
+    is bitwise that of the composed dropout -> add -> layer-norm graph.
     """
     if eps <= 0:
         raise ConfigError(f"layer_norm eps must be positive, got {eps}")
@@ -471,7 +434,7 @@ def layer_norm(
             f"{gamma.data.shape} and {beta.data.shape}"
         )
     parents = (x, gamma, beta)
-    mask = None
+    drawn = None
     if sublayer is None:
         total = x.data
     else:
@@ -484,8 +447,8 @@ def layer_norm(
         parents += (sublayer,)
         if residual_dropout is not None:
             p, rng = residual_dropout
-            mask = dropout_mask(sublayer.data.shape, p, rng, sublayer.data.dtype)
-        total = sublayer.data * mask if mask is not None else sublayer.data.copy()
+            drawn = dropout_mask(sublayer.data.shape, p, rng, sublayer.data.dtype)
+        total = sublayer.data.copy() if drawn is None else apply_dropout(sublayer.data, *drawn)
         total += x.data
     xhat, inv_std = standardize(total, eps)
     del total
@@ -509,7 +472,7 @@ def layer_norm(
         if x.requires_grad:
             x._accumulate(gx_hat)
         if sublayer is not None and sublayer.requires_grad:
-            sublayer._accumulate(gx_hat * mask if mask is not None else gx_hat)
+            sublayer._accumulate(gx_hat if drawn is None else apply_dropout(gx_hat, *drawn))
 
     return _make(data, parents, bwd)
 
@@ -586,24 +549,40 @@ def cross_entropy(logits, targets: np.ndarray, ignore_id: int = -1) -> Tensor:
 # -- stochastic regularizers ---------------------------------------------------
 
 
-def dropout_mask(shape, p: float, rng: np.random.Generator, dtype) -> Optional[np.ndarray]:
-    """The inverted-dropout multiplier for an array of `shape`: 1 / (1 - p)
-    where a uniform draw in `dtype` is >= p, else 0; None when p == 0, which
-    draws nothing.
+def dropout_mask(
+    shape, p: float, rng: np.random.Generator, dtype
+) -> Optional[tuple[np.ndarray, np.generic]]:
+    """The inverted-dropout decisions for an array of `shape`: the boolean
+    keep bits, True where a uniform draw in `dtype` is >= p, and the scale
+    1 / (1 - p) in `dtype`; None when p == 0, which draws nothing.
 
-    `dropout`, `layer_norm` and the attention nodes draw every mask here, so
-    the masks and the rng stream do not depend on which of them asks. The
-    mask and the generator's state after the draw are bitwise those of
-    `rng.random(shape, dtype) >= p` with p a Python float (rounded to
-    `dtype` for the comparison), read off raw words; see `_uniforms_at_least`.
+    `dropout`, `layer_norm`, `linear` and the attention nodes draw every
+    mask here, so the masks and the rng stream do not depend on which of
+    them asks. The keep bits and the generator's state after the draw are
+    bitwise those of `rng.random(shape, dtype) >= p` with p a Python float
+    (rounded to `dtype` for the comparison), read off raw words; see
+    `_uniforms_at_least`. `apply_dropout` applies them.
     """
     if not (0.0 <= p < 1.0):
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     if p == 0.0:
         return None
     dtype = np.dtype(dtype)
-    keep = _uniforms_at_least(shape, float(p), rng, dtype)
-    return np.multiply(keep, dtype.type(1.0 / (1.0 - p)), dtype=dtype)
+    return _uniforms_at_least(shape, float(p), rng, dtype), dtype.type(1.0 / (1.0 - p))
+
+
+def apply_dropout(x: np.ndarray, keep: np.ndarray, scale, **multiply_kw) -> np.ndarray:
+    """x * (keep * scale) without the float mask: one multiply by the keep
+    bits, then one in-place scale; `multiply_kw` (`out`, `order`) goes to
+    the multiply.
+
+    Bitwise the product with the float mask for every x: a kept element
+    gives x * scale, a dropped one x * 0, the zero of x's sign, or NaN for
+    a NaN or an infinity.
+    """
+    out = np.multiply(x, keep, **multiply_kw)
+    out *= scale
+    return out
 
 
 def _uniforms_at_least(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray:
@@ -642,18 +621,19 @@ def _uniforms_at_least(shape, p: float, rng: np.random.Generator, dtype) -> np.n
 
 
 def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
-    """Zero each element with probability p and rescale survivors by 1/(1-p)."""
+    """Zero each element with probability p and rescale survivors by 1/(1-p).
+
+    The node keeps the keep bits, one byte per element."""
     x = as_tensor(x)
-    mask = dropout_mask(x.data.shape, p, rng, x.data.dtype)
-    if mask is None:
+    drawn = dropout_mask(x.data.shape, p, rng, x.data.dtype)
+    if drawn is None:
         return x
-    data = x.data * mask
 
     def bwd(g):
         if x.requires_grad:
-            x._accumulate(g * mask)
+            x._accumulate(apply_dropout(g, *drawn))
 
-    return _make(data, (x,), bwd)
+    return _make(apply_dropout(x.data, *drawn), (x,), bwd)
 
 
 # -- verification ---------------------------------------------------------------

@@ -241,8 +241,10 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     ckpt_io.save_arrays(path, named)
 
 
-def load_checkpoint(path) -> Checkpoint:
-    named = ckpt_io.load_arrays(path)
+def load_checkpoint(path, moments: bool = True) -> Checkpoint:
+    """Read a checkpoint; `moments=False` leaves out the Adam moments, which
+    are then checksummed but not kept, and returns empty `m` and `v`."""
+    named = ckpt_io.load_arrays(path, skip=None if moments else "adam.")
     if STEP_KEY not in named:
         raise DataError(f"{path}: missing step record")
     record = named.pop(STEP_KEY)
@@ -442,6 +444,6 @@ class Trainer:
             self._save_cadence_checkpoint()  # so averaged.bin includes the last updates
         if self.out_dir is not None:
             tail = self._saved_paths[-cfg.keep_last :]
-            averaged = average_checkpoints([load_checkpoint(p) for p in tail])
+            averaged = average_checkpoints([load_checkpoint(p, moments=False) for p in tail])
             save_checkpoint(self.out_dir / "averaged.bin", averaged)
         return self._log_lines

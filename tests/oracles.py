@@ -20,10 +20,21 @@ The exceptions:
 - `composed_sublayer` builds the post-norm residual sublayer as three
   nodes, dropout -> add -> layer norm, the last one a layer-norm node with
   a backward through `ndarray.mean`. It is the reference the one-node
-  residual `layer_norm` is checked against, bit for bit.
+  residual `layer_norm` is checked against, bit for bit;
+- the graph ops `reshape`, `transpose`, `softmax` and `masked_fill`, which
+  only the composed forms and the tests use;
+- `float_mask_dropout` and the nodes around it (`mask_dropout`,
+  `composed_feed_forward`, `float_mask_sites`) keep dropout as the float
+  mask keep * (1 / (1 - p)) in the activation dtype, drawn from the
+  package's keep-bit kernel. They are the reference every keep-bit dropout
+  site is checked against, bit for bit;
+- `graph_bytes` walks a built graph and adds up the buffers its interior
+  nodes hold, the figure the memory guard pins.
 """
 
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 
@@ -118,6 +129,162 @@ def dynamic_head_oracle(s_proj, w_a, w_s, w_q, causal):
     return gate[:, None] * local
 
 
+# ------------------------------------------------------------ graph ops
+
+
+def reshape(x, shape):
+    x = T.as_tensor(x)
+    data = x.data.reshape(shape)
+
+    def bwd(g):
+        if x.requires_grad:
+            x._accumulate(g.reshape(x.data.shape))
+
+    return T._make(data, (x,), bwd)
+
+
+def transpose(x, axes):
+    """Permute the axes, as np.transpose."""
+    x = T.as_tensor(x)
+    axes = tuple(axes)
+    inverse = tuple(np.argsort(axes))
+
+    def bwd(g):
+        if x.requires_grad:
+            x._accumulate(np.transpose(g, inverse))
+
+    return T._make(np.transpose(x.data, axes), (x,), bwd)
+
+
+def softmax(x, axis=-1):
+    """Shift-invariant softmax; -inf entries map to exactly zero weight."""
+    x = T.as_tensor(x)
+    data = T.softmax_array(x.data, axis)
+
+    def bwd(g):
+        if x.requires_grad:
+            inner = (g * data).sum(axis=axis, keepdims=True)
+            x._accumulate(data * (g - inner))
+
+    return T._make(data, (x,), bwd)
+
+
+def masked_fill(x, keep_mask, value):
+    """Replace entries where keep_mask is False by `value` (no grad there)."""
+    x = T.as_tensor(x)
+    keep = np.asarray(keep_mask, dtype=bool)
+    data = np.where(keep, x.data, x.data.dtype.type(value))
+
+    def bwd(g):
+        if x.requires_grad:
+            x._accumulate(T._unbroadcast(np.where(keep, g, 0.0), x.data.shape))
+
+    return T._make(data, (x,), bwd)
+
+
+# ------------------------------------------------- float-mask dropout
+
+
+_KEEP_BITS = T.dropout_mask  # the package kernel, also inside `float_mask_sites`
+
+
+def float_mask_dropout(shape, p, rng, dtype):
+    """The float inverted-dropout mask keep * (1 / (1 - p)) in `dtype`, from
+    the package's keep bits; None at p == 0."""
+    drawn = _KEEP_BITS(shape, p, rng, dtype)
+    if drawn is None:
+        return None
+    keep, _ = drawn
+    dtype = np.dtype(dtype)
+    return np.multiply(keep, dtype.type(1.0 / (1.0 - p)), dtype=dtype)
+
+
+def mask_dropout(x, p, rng):
+    """The dropout node that keeps a float mask: x * mask, g * mask."""
+    mask = float_mask_dropout(x.data.shape, p, rng, x.data.dtype)
+    if mask is None:
+        return x
+
+    def bwd(g):
+        if x.requires_grad:
+            x._accumulate(g * mask)
+
+    return T._make(x.data * mask, (x,), bwd)
+
+
+def composed_feed_forward(x, ffn, hidden_dropout=None):
+    """linear -> relu -> dropout -> linear, the dropout a float-mask node."""
+    hidden = T.relu(T.linear(x, ffn.w1, ffn.b1))
+    if hidden_dropout is not None:
+        hidden = mask_dropout(hidden, *hidden_dropout)
+    return T.linear(hidden, ffn.w2, ffn.b2)
+
+
+@contextmanager
+def float_mask_sites():
+    """A context in which every package dropout site multiplies by the float
+    mask: `dropout_mask` hands out (float mask, None) and `apply_dropout`
+    multiplies by the mask alone, so each site computes x * mask where it
+    computes x * keep * scale. The rng stream is untouched. The rest of each
+    node runs the same either way; the composed forms check that part."""
+
+    def mask_kernel(shape, p, rng, dtype):
+        mask = float_mask_dropout(shape, p, rng, dtype)
+        return None if mask is None else (mask, None)
+
+    def multiply(x, mask, scale, **multiply_kw):
+        return np.multiply(x, mask, **multiply_kw)
+
+    with mock.patch.object(T, "dropout_mask", mask_kernel):
+        with mock.patch.object(T, "apply_dropout", multiply):
+            yield
+
+
+# ------------------------------------------------------ graph memory
+
+
+def _buffer(arr):
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def graph_bytes(loss):
+    """Bytes held by the interior nodes of the graph under `loss`: the unique
+    base buffers of their data and of the arrays in their backward closures'
+    cells, directly or in a tuple. Leaves' data, and arrays whose base it
+    is, are not counted. Returns (bytes, [(cell name, array), ...])."""
+    leaves, interior, seen, stack = set(), [], set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward_fn is None:
+            leaves.add(id(_buffer(node.data)))
+        else:
+            interior.append(node)
+        stack.extend(node._parents)
+    held, cells = {}, []
+    for node in interior:
+        arrays = [node.data]
+        fn = node._backward_fn
+        for name, cell in zip(fn.__code__.co_freevars, fn.__closure__ or ()):
+            try:
+                value = cell.cell_contents
+            except ValueError:  # a cell never assigned
+                continue
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, np.ndarray):
+                    arrays.append(item)
+                    cells.append((name, item))
+        for arr in arrays:
+            base = _buffer(arr)
+            if id(base) not in leaves:
+                held[id(base)] = base.nbytes
+    return sum(held.values()), cells
+
+
 # ------------------------------------------- composed graph forms of Eq. 1-4
 
 
@@ -194,11 +361,11 @@ def composed_sublayer(x, out, gamma, beta, dropout=None, eps=1e-5):
 def composed_attention(q, k, v, causal=False, attn_dropout=None):
     """Eq. 1 composed: softmax(q k^T / sqrt(d_k)) v, dropout on the weights."""
     d_k = q.shape[-1]
-    k_t = T.transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
+    k_t = transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
     scores = T.mul(T.matmul(q, k_t), 1.0 / math.sqrt(d_k))
     if causal:
-        scores = T.masked_fill(scores, np.tril(np.ones((q.shape[-2],) * 2, bool)), -np.inf)
-    weights = T.softmax(scores, axis=-1)
+        scores = masked_fill(scores, np.tril(np.ones((q.shape[-2],) * 2, bool)), -np.inf)
+    weights = softmax(scores, axis=-1)
     if attn_dropout is not None:
         weights = T.dropout(weights, *attn_dropout)
     return T.matmul(weights, v)
@@ -207,21 +374,21 @@ def composed_attention(q, k, v, causal=False, attn_dropout=None):
 def _composed_head_columns(w):
     """Head-stacked (n, d, w) weights as the (d, n * w) projection, two nodes."""
     n, d, width = w.shape
-    return T.reshape(T.transpose(w, (1, 0, 2)), (d, n * width))
+    return reshape(transpose(w, (1, 0, 2)), (d, n * width))
 
 
 def _split_heads(x, n):
     """(..., T, n * w) -> (n, ..., T, w), two nodes."""
-    x = T.reshape(x, x.shape[:-1] + (n, x.shape[-1] // n))
+    x = reshape(x, x.shape[:-1] + (n, x.shape[-1] // n))
     nd = x.ndim
-    return T.transpose(x, (nd - 2,) + tuple(range(nd - 2)) + (nd - 1,))
+    return transpose(x, (nd - 2,) + tuple(range(nd - 2)) + (nd - 1,))
 
 
 def _merge_heads(x):
     """(n, ..., T, w) -> (..., T, n * w), the inverse of `_split_heads`."""
     nd = x.ndim
-    x = T.transpose(x, tuple(range(1, nd - 1)) + (0, nd - 1))
-    return T.reshape(x, x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+    x = transpose(x, tuple(range(1, nd - 1)) + (0, nd - 1))
+    return reshape(x, x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
 
 
 def composed_dot_product_family(query_seq, key_seq, params, causal=False, attn_dropout=None):
@@ -235,7 +402,7 @@ def composed_dot_product_family(query_seq, key_seq, params, causal=False, attn_d
 
 def local_conv(s, params, kernel_dropconnect=None):
     """Eq. 2 composed: the causal convolution with the softmaxed kernel."""
-    kernel = T.softmax(params.w_a, axis=-2)
+    kernel = softmax(params.w_a, axis=-2)
     if kernel_dropconnect is not None:
         kernel = T.dropout(kernel, *kernel_dropconnect)
     return _graph_causal_conv(s, kernel)
@@ -246,17 +413,17 @@ def adaptive_query(s, params, causal=False):
     (..., T, d_h) when causal. Head-stacked params take s as (n, ..., T, d_h)."""
     heads = params.w_s.shape[:-2]
     d_h = params.w_s.shape[-1]
-    rows = T.reshape(s, heads + (-1, d_h))
-    proj = T.reshape(T.matmul(rows, params.w_s), s.shape)
-    scores = T.reshape(
-        T.matmul(rows, T.reshape(params.w_q, heads + (d_h, 1))), s.shape[:-1] + (1,)
+    rows = reshape(s, heads + (-1, d_h))
+    proj = reshape(T.matmul(rows, params.w_s), s.shape)
+    scores = reshape(
+        T.matmul(rows, reshape(params.w_q, heads + (d_h, 1))), s.shape[:-1] + (1,)
     )
     if not causal:
-        return T.tsum(T.mul(proj, T.softmax(scores, axis=-2)), axis=-2)
+        return T.tsum(T.mul(proj, softmax(scores, axis=-2)), axis=-2)
     t_len = s.shape[-2]
-    rows = T.transpose(scores, tuple(range(scores.ndim - 2)) + (scores.ndim - 1, scores.ndim - 2))
-    masked = T.masked_fill(rows, np.tril(np.ones((t_len, t_len), bool)), -np.inf)
-    return T.matmul(T.softmax(masked, axis=-1), proj)
+    rows = transpose(scores, tuple(range(scores.ndim - 2)) + (scores.ndim - 1, scores.ndim - 2))
+    masked = masked_fill(rows, np.tril(np.ones((t_len, t_len), bool)), -np.inf)
+    return T.matmul(softmax(masked, axis=-1), proj)
 
 
 def composed_conv_head(s_proj, params, causal=False, kernel_dropconnect=None):
@@ -266,17 +433,17 @@ def composed_conv_head(s_proj, params, causal=False, kernel_dropconnect=None):
     d_h = params.w_a.shape[-1]
     s = s_proj
     if params.w_a.ndim == 3:  # (..., T, n * d_h) -> (n, ..., T, d_h)
-        s = T.reshape(s, s.shape[:-1] + (n, d_h))
-        s = T.transpose(s, (s.ndim - 2,) + tuple(range(s.ndim - 2)) + (s.ndim - 1,))
+        s = reshape(s, s.shape[:-1] + (n, d_h))
+        s = transpose(s, (s.ndim - 2,) + tuple(range(s.ndim - 2)) + (s.ndim - 1,))
     local = local_conv(s, params, kernel_dropconnect)
     query = adaptive_query(s, params, causal)
     if not causal:
-        query = T.reshape(query, query.shape[:-1] + (1, d_h))
+        query = reshape(query, query.shape[:-1] + (1, d_h))
     score = T.mul(T.tsum(T.mul(local, query), axis=-1, keepdims=True), 1.0 / math.sqrt(d_h))
     out = T.mul(_graph_sigmoid(score), local)
     if params.w_a.ndim == 3:  # back to (..., T, n * d_h)
-        out = T.transpose(out, tuple(range(1, out.ndim - 1)) + (0, out.ndim - 1))
-        out = T.reshape(out, out.shape[:-2] + (n * d_h,))
+        out = transpose(out, tuple(range(1, out.ndim - 1)) + (0, out.ndim - 1))
+        out = reshape(out, out.shape[:-2] + (n * d_h,))
     return out
 
 

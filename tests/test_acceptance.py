@@ -222,15 +222,15 @@ def test_normalization_suite():
         d_k = int(rng.integers(1, 8))
         q = rng.normal(size=(t_q, d_k)) * rng.uniform(0.1, 10)
         k = rng.normal(size=(t_k, d_k))
-        k_t = T.transpose(T.Tensor(k), (1, 0))
-        scores = T.softmax(T.mul(T.matmul(T.Tensor(q), k_t), 1.0), axis=-1)
+        k_t = O.transpose(T.Tensor(k), (1, 0))
+        scores = O.softmax(T.mul(T.matmul(T.Tensor(q), k_t), 1.0), axis=-1)
         sums = scores.data.sum(axis=-1)
         if np.max(np.abs(sums - 1.0)) > 1e-9 or scores.data.min() < 0:
             failures.append(f"attention rows trial {trial}")
         taps = int(rng.choice([1, 3, 5, 7]))
         d_h = int(rng.integers(1, 8))
         w_a = rng.normal(size=(taps, d_h)) * rng.uniform(0.1, 10)
-        kernel = T.softmax(T.Tensor(w_a), axis=0)
+        kernel = O.softmax(T.Tensor(w_a), axis=0)
         if np.max(np.abs(kernel.data.sum(axis=0) - 1.0)) > 1e-9:
             failures.append(f"kernel columns trial {trial}")
         if w_a.size != taps * d_h:

@@ -18,6 +18,7 @@ from oracles import (
     cross_entropy_oracle,
     decoder_layer_oracle,
     encoder_layer_oracle,
+    graph_bytes,
     layer_norm_oracle,
 )
 from test_attention import conv_head
@@ -469,6 +470,19 @@ def test_forward_train_loss_matches_manual_composition():
 # ------------------------------------------------------------ graph size
 
 
+def _toy_step_pairs(rng):
+    """Three pairs of 5 source and 6 target tokens: the toy train_step's batch."""
+    return [
+        D.TaggedPair(
+            src=list(rng.integers(4, 16, size=5)),
+            tgt=list(rng.integers(4, 16, size=6)),
+            pos_tags=list(rng.integers(0, 6, size=5)),
+            ner_tags=list(rng.integers(0, 3, size=5)),
+        )
+        for _ in range(3)
+    ]
+
+
 def test_graph_node_counts_of_attention_sublayers_and_a_toy_train_step(monkeypatch):
     # Heads cross node boundaries as column blocks only. Self-attention: per
     # q, k and v a head_columns node and a projection, then the dot-product
@@ -482,15 +496,7 @@ def test_graph_node_counts_of_attention_sublayers_and_a_toy_train_step(monkeypat
         T.Tensor(rng.normal(size=(2, t, 64)).astype(np.float32), requires_grad=True)
         for t in (5, 7)
     )
-    pairs = [
-        D.TaggedPair(
-            src=list(rng.integers(4, 16, size=5)),
-            tgt=list(rng.integers(4, 16, size=6)),
-            pos_tags=list(rng.integers(0, 6, size=5)),
-            ner_tags=list(rng.integers(0, 3, size=5)),
-        )
-        for _ in range(3)
-    ]
+    pairs = _toy_step_pairs(rng)
     made, make = 0, T._make
 
     def counting_make(*args):
@@ -513,7 +519,40 @@ def test_graph_node_counts_of_attention_sublayers_and_a_toy_train_step(monkeypat
             m.setattr(T, "_make", counting_make)
             call()
         counts[name] = made
-    assert counts == {"self-attention": 12, "cross-attention": 15, "toy train_step": 175}
+    assert counts == {"self-attention": 12, "cross-attention": 15, "toy train_step": 169}
+
+
+def test_toy_train_step_graph_holds_keep_bits_and_no_float_mask(monkeypatch):
+    # The bytes the graph holds when backward starts (see `graph_bytes`). With
+    # a float mask per dropout site and a dropped copy of each FFN hidden it
+    # was 1486853; with keep bits, and the FFN's hidden dropout drawn inside
+    # its output linear, it is 1198961.
+    rc = preset_run_config("toy")
+    model = M.Seq2SeqModel(rc.model, seed=0)
+    batch = D.collate(_toy_step_pairs(np.random.default_rng(6)))
+    seen, backward = [], T.Tensor.backward
+
+    def measured_backward(loss):
+        seen.append(graph_bytes(loss))
+        backward(loss)
+
+    monkeypatch.setattr(T.Tensor, "backward", measured_backward)
+    TR.train_step(batch, model, TR.TrainState(), rc.train)
+    (held, cells), = seen
+    assert held == 1198961
+    cfg = rc.model
+    scales = {np.float32(1 / (1 - p)) for p in (cfg.dropout, cfg.residual_dropout) if p > 0}
+    assert scales and cfg.dropconnect == 0.0
+    n_keep = 0
+    for name, arr in cells:
+        if arr.dtype == bool and name != "valid":  # cross_entropy keeps its target mask
+            n_keep += 1
+        elif arr.dtype.kind == "f" and arr.size > 1:
+            values = set(np.unique(arr).tolist())
+            assert not any(values == {0.0, s} for s in scales), f"{name} is a float dropout mask"
+    # Keep bits in the 2 embeddings, the 6 encoder and 9 decoder residual
+    # norms, the 9 dot-product families and the 6 FFN output linears.
+    assert n_keep == 2 + 15 + 9 + 6
 
 
 # ------------------------------------------------------------ param count

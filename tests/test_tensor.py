@@ -1,5 +1,6 @@
 """Tensor core: oracle equivalence, gradient checks, invariants."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxformer import attention as A
+from ctxformer import model as M
 from ctxformer import tensor as T
 from ctxformer.errors import ConfigError, DataError, DimensionError, NumericsError
 
+import oracles as O
 from oracles import composed_sublayer
 
 
@@ -124,19 +127,19 @@ def test_linear_rejects_mismatched_shapes():
 
 
 def test_softmax_uniform():
-    out = T.softmax(T.Tensor([0.0, 0.0, 0.0]), axis=-1)
+    out = O.softmax(T.Tensor([0.0, 0.0, 0.0]), axis=-1)
     assert np.allclose(out.data, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
 
 def test_softmax_masked_entry_is_exact_zero():
-    out = T.softmax(T.Tensor([0.0, -np.inf]), axis=-1)
+    out = O.softmax(T.Tensor([0.0, -np.inf]), axis=-1)
     assert out.data[0] == 1.0
     assert out.data[1] == 0.0
 
 
 def test_softmax_matches_direct_formula():
     x = np.array([1.0, 2.0, 3.0])
-    out = T.softmax(T.Tensor(x), axis=-1)
+    out = O.softmax(T.Tensor(x), axis=-1)
     assert np.max(np.abs(out.data - softmax_oracle(x))) < 1e-12
 
 
@@ -144,7 +147,7 @@ def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(2)
     for _ in range(100):
         x = rng.normal(size=(4, 7)) * rng.uniform(0.1, 30)
-        out = T.softmax(T.Tensor(x), axis=-1)
+        out = O.softmax(T.Tensor(x), axis=-1)
         assert np.all(np.abs(out.data.sum(axis=-1) - 1.0) <= 1e-9)
         assert np.all(out.data >= 0)
 
@@ -152,8 +155,8 @@ def test_softmax_rows_sum_to_one():
 def test_softmax_shift_invariance():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(5,))
-    a = T.softmax(T.Tensor(x), axis=-1).data
-    b = T.softmax(T.Tensor(x + 17.3), axis=-1).data
+    a = O.softmax(T.Tensor(x), axis=-1).data
+    b = O.softmax(T.Tensor(x + 17.3), axis=-1).data
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -342,7 +345,7 @@ def test_graph_ops_run_the_shared_kernels(dtype):
     rng = np.random.default_rng(42)
     x = rng.normal(size=(3, 9)).astype(dtype)
     gamma, beta = rng.normal(size=9).astype(dtype), rng.normal(size=9).astype(dtype)
-    assert np.array_equal(T.softmax(T.Tensor(x), axis=0).data, shifted_softmax(x, 0))
+    assert np.array_equal(O.softmax(T.Tensor(x), axis=0).data, shifted_softmax(x, 0))
     ln = T.layer_norm(T.Tensor(x), T.Tensor(gamma), T.Tensor(beta), eps=1e-5).data
     assert np.array_equal(ln, gamma * mean_standardize(x, 1e-5) + beta)
 
@@ -450,11 +453,11 @@ def test_dropout_mask_is_the_uniform_formula_bit_for_bit(seed, carried, shape, p
     reference, rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for gen in (reference, rng):
         gen.random(carried, dtype=np.float32)
-    keep = reference.random(shape, dtype=dtype) >= p
-    expected = keep.astype(dtype) * dtype(1.0 / (1.0 - p))
-    mask = T.dropout_mask(shape, p, rng, dtype)
-    assert mask.dtype == dtype and mask.shape == expected.shape
-    assert mask.tobytes() == expected.tobytes()
+    expected = reference.random(shape, dtype=dtype) >= p
+    keep, scale = T.dropout_mask(shape, p, rng, dtype)
+    assert keep.dtype == bool and keep.shape == expected.shape
+    assert keep.tobytes() == expected.tobytes()
+    assert type(scale) is dtype and scale == dtype(1.0 / (1.0 - p))
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
@@ -473,8 +476,8 @@ def test_dropout_draws_its_uniforms_in_the_activation_dtype():
     for dtype in (np.float64, np.float32):
         keep = np.random.default_rng(5).random((7, 9), dtype=dtype) >= 0.3
         expected = np.where(keep, dtype(1.0 / 0.7), 0)
-        mask = T.dropout_mask((7, 9), 0.3, np.random.default_rng(5), dtype)
-        assert mask.dtype == dtype and np.array_equal(mask, expected)
+        bits, scale = T.dropout_mask((7, 9), 0.3, np.random.default_rng(5), dtype)
+        assert scale.dtype == dtype and np.array_equal(np.where(bits, scale, 0), expected)
         x = T.Tensor(np.ones((7, 9), dtype=dtype), requires_grad=True)
         out = T.dropout(x, 0.3, np.random.default_rng(5))
         assert out.dtype == dtype
@@ -497,6 +500,93 @@ def test_dropout_draws_its_uniforms_in_the_activation_dtype():
         s[0] = 1
         out = A.dynamic_conv_head(T.Tensor(s), params, False, (0.3, np.random.default_rng(5)))
         assert np.array_equal(out.data, dtype(0.5) * (T.softmax_array(w_a, axis=0) * expected))
+
+
+# ------------------------------------- keep bits against the float mask
+# Every dropout site keeps boolean keep bits and applies them as a multiply
+# and an in-place scale; the reference is the float mask keep * (1 / (1 - p))
+# in the activation dtype. Inputs and grads carry -0.0, NaN and +-inf.
+
+SPECIALS = (-0.0, np.nan, np.inf, -np.inf)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_apply_dropout_is_the_float_mask_product_for_every_value(dtype):
+    x = np.array(SPECIALS + (0.0, 1.5, -2.25, 1e-40, 3e38), dtype=dtype)
+    x = np.repeat(x, 2)
+    keep = np.tile([True, False], x.size // 2)
+    scale = dtype(1.0 / (1.0 - 0.3))
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = T.apply_dropout(x, keep, scale)
+        expected = x * np.multiply(keep, scale, dtype=dtype)
+    assert got.dtype == dtype and got.tobytes() == expected.tobytes()
+
+
+def _special_rows(rng, dtype, *shape):
+    """Normals with -0.0, NaN, +inf and -inf in the first row; rows past it stay finite."""
+    a = (rng.normal(size=shape) * 2).astype(dtype)
+    a.reshape(-1, shape[-1])[0, : len(SPECIALS)] = SPECIALS
+    return a
+
+
+def _dropout_site(site, dtype, reference):
+    """Output, leaf grads and rng state after one forward and backward
+    through a dropout site. The float-mask reference is an oracle node for
+    `dropout` and the FFN, and the node itself under `float_mask_sites` for
+    the others."""
+    rng = np.random.default_rng(31)
+
+    def leaf(*shape, specials=True):
+        data = _special_rows(rng, dtype, *shape) if specials else rng.normal(size=shape)
+        return T.Tensor(data.astype(dtype), requires_grad=True)
+
+    drop = np.random.default_rng(5)
+    in_node = reference and site in ("layer_norm", "attention", "dropconnect")
+    reference_sites = O.float_mask_sites() if in_node else contextlib.nullcontext()
+    with reference_sites, np.errstate(invalid="ignore", over="ignore"):
+        if site == "dropout":
+            leaves = [leaf(3, 5, 8)]
+            y = (O.mask_dropout if reference else T.dropout)(leaves[0], 0.3, drop)
+        elif site == "layer_norm":
+            leaves = [leaf(3, 5, 8), leaf(3, 5, 8), leaf(8), leaf(8)]
+            x, out, gamma, beta = leaves
+            y = T.layer_norm(x, gamma, beta, sublayer=out, residual_dropout=(0.3, drop))
+        elif site == "attention":
+            leaves = [leaf(2, 5, 8), leaf(2, 5, 8), leaf(2, 5, 8)]
+            y = A.scaled_dot_product_attention(*leaves, True, (0.3, drop), heads=2)
+        elif site == "dropconnect":
+            # A NaN in any input reaches every head through the block-diagonal
+            # GEMMs, so only the upstream grad carries specials here; a -inf
+            # tap weight gives the masked kernel an exact zero.
+            shapes = ((2, 6, 8), (2, 3, 4), (2, 4, 4), (2, 4))
+            leaves = [leaf(*shape, specials=False) for shape in shapes]
+            leaves[1].data[0, 0, 0] = -np.inf
+            params = A.ConvHeadParams(T.Tensor(np.zeros((2, 8, 4), dtype)), *leaves[1:])
+            y = A.dynamic_conv_head(leaves[0], params, True, (0.3, drop))
+        else:
+            weights = ((8, 32), (32,), (32, 8), (8,))
+            leaves = [leaf(3, 5, 8)] + [leaf(*shape, specials=False) for shape in weights]
+            ffn = M.FeedForwardParams(*leaves[1:])
+            if reference:
+                y = O.composed_feed_forward(leaves[0], ffn, (0.3, drop))
+            else:
+                y = M._feed_forward(leaves[0], ffn, M._Regularizers(hidden=(0.3, drop)))
+        T.tsum(T.mul(y, _special_rows(rng, dtype, *y.shape))).backward()
+    return y.data, [t.grad for t in leaves], drop.bit_generator.state
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "site", ["dropout", "layer_norm", "attention", "dropconnect", "feed_forward"]
+)
+def test_keep_bit_dropout_sites_are_bitwise_the_float_mask(site, dtype):
+    y, grads, state = _dropout_site(site, dtype, reference=False)
+    y_ref, grads_ref, state_ref = _dropout_site(site, dtype, reference=True)
+    assert y.dtype == dtype and y.tobytes() == y_ref.tobytes()
+    assert not np.isnan(y).all()
+    for g, g_ref in zip(grads, grads_ref, strict=True):
+        assert g.dtype == dtype and g.tobytes() == g_ref.tobytes()
+    assert state == state_ref
 
 
 # ---------------------------------------------------------------- dtype
@@ -559,7 +649,7 @@ def test_backward_releases_interior_grads_and_leaves_keep_accumulating():
     x = T.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     w = T.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     hidden = T.matmul(x, w)
-    act = T.softmax(hidden, axis=-1)
+    act = O.softmax(hidden, axis=-1)
     loss = T.tsum(T.mul(act, act))
     loss.backward()
     first_x, first_w = x.grad.copy(), w.grad.copy()
@@ -640,7 +730,7 @@ def test_fd_check_on_sum_is_exact():
 
 def test_fd_check_softmax_pick():
     def f(x):
-        return T.tsum(T.mul(T.softmax(x, axis=-1), np.array([1.0, 0.0, 0.0, 0.0])))
+        return T.tsum(T.mul(O.softmax(x, axis=-1), np.array([1.0, 0.0, 0.0, 0.0])))
 
     report = T.finite_difference_check(f, T.Tensor(np.array([0.3, -1.2, 0.7, 0.1])))
     assert report.passed
@@ -678,12 +768,16 @@ def _fd_cases(rng):
     cp = rng.normal(size=(2, 2, 5))
     cb = rng.normal(size=(5, 20))
     co = rng.normal(size=(d, 20))
+
+    def drop():  # the same mask on every call, so f stays deterministic
+        return 0.3, np.random.default_rng(7)
+
     return {
         "add": lambda x: T.tsum(T.add(x, 1.5)),
         "mul": lambda x: T.tsum(T.mul(x, x)),
         "matmul": lambda x: T.tsum(T.matmul(x, T.Tensor(weights))),
         "relu": lambda x: T.tsum(T.mul(T.relu(x), c1)),
-        "softmax": lambda x: T.tsum(T.mul(T.softmax(x, axis=-1), c1)),
+        "softmax": lambda x: T.tsum(T.mul(O.softmax(x, axis=-1), c1)),
         "layer_norm": lambda x: T.tsum(
             T.mul(T.layer_norm(x, T.Tensor(gamma), T.Tensor(beta)), c3)
         ),
@@ -706,20 +800,26 @@ def _fd_cases(rng):
             T.mul(T.linear(T.Tensor(ct), x, T.Tensor(c2[0])), c3[:d])
         ),
         "linear_bias": lambda x: T.tsum(
-            T.mul(T.linear(T.Tensor(ct), T.Tensor(cb), T.reshape(x, (20,))), co)
+            T.mul(T.linear(T.Tensor(ct), T.Tensor(cb), O.reshape(x, (20,))), co)
+        ),
+        "linear_input_dropout": lambda x: T.tsum(
+            T.mul(T.linear(x, T.Tensor(weights), input_dropout=drop()), c4[:, :2])
+        ),
+        "linear_input_dropout_weight": lambda x: T.tsum(
+            T.mul(T.linear(T.Tensor(ct), x, input_dropout=drop()), c3[:d])
         ),
         "cross_entropy": lambda x: T.cross_entropy(x, targets),
         "mean": lambda x: T.tmean(T.mul(x, x)),
         "concat": lambda x: T.tsum(T.mul(T.concat([x, T.mul(x, 2.0)], axis=-1), 0.7)),
-        "transpose": lambda x: T.tsum(T.mul(T.transpose(x, (1, 0)), ct)),
-        "reshape": lambda x: T.tsum(T.mul(T.reshape(x, (d, 5)), cr)),
+        "transpose": lambda x: T.tsum(T.mul(O.transpose(x, (1, 0)), ct)),
+        "reshape": lambda x: T.tsum(T.mul(O.reshape(x, (d, 5)), cr)),
         "masked_fill": lambda x: T.tsum(
-            T.mul(T.softmax(T.masked_fill(x, keep, -np.inf), axis=-1), cm)
+            T.mul(O.softmax(O.masked_fill(x, keep, -np.inf), axis=-1), cm)
         ),
         "broadcast": lambda x: T.tsum(
             T.mul(T.broadcast_to(T.tsum(x, axis=-1, keepdims=True), (5, d)), 0.3)
         ),
-        "permute": lambda x: T.tsum(T.mul(T.transpose(T.reshape(x, (5, 2, 2)), (1, 2, 0)), cp)),
+        "permute": lambda x: T.tsum(T.mul(O.transpose(O.reshape(x, (5, 2, 2)), (1, 2, 0)), cp)),
     }
 
 

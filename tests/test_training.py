@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ctxformer import data as D
 from ctxformer import training as TR
 from ctxformer import tensor as T
-from ctxformer.checkpoint import load_arrays, save_arrays
+from ctxformer.checkpoint import SKIP_CHUNK, load_arrays, save_arrays
 from ctxformer.config import preset_run_config
 from ctxformer.errors import ConfigError, DataError, NumericsError
 from ctxformer.model import ModelConfig, Seq2SeqModel
@@ -583,6 +583,52 @@ def test_load_holds_the_file_once(tmp_path):
         tracemalloc.stop()
     assert len(loaded) == 8
     assert peak <= 1.25 * size, f"peak {peak} bytes for a {size}-byte file"
+
+
+def test_a_skipping_load_keeps_the_rest_and_still_checks_every_byte(tmp_path):
+    arrays = _mixed_arrays()
+    arrays = {"adam.m.w": arrays["w"], **arrays, "adam.v.w": -arrays["w"]}
+    full = tmp_path / "full.bin"
+    save_arrays(full, arrays)
+    loaded = load_arrays(full, skip="adam.")
+    assert list(loaded) == [n for n in arrays if not n.startswith("adam.")]
+    for name, arr in loaded.items():
+        assert arr.dtype == arrays[name].dtype and arr.tobytes() == arrays[name].tobytes()
+    blob = bytearray(full.read_bytes())
+    bad = tmp_path / "bad.bin"
+    for bit in range(8 * len(blob)):
+        blob[bit // 8] ^= 1 << (bit % 8)
+        bad.write_bytes(blob)
+        with pytest.raises(DataError):
+            load_arrays(bad, skip="adam.")
+        blob[bit // 8] ^= 1 << (bit % 8)
+
+
+def test_a_skipping_load_does_not_hold_the_skipped_records(tmp_path):
+    path = tmp_path / "big.bin"
+    rng = np.random.default_rng(9)
+    kept = rng.normal(size=(64, 64))
+    save_arrays(path, {"w": kept, **{f"adam.m.{i}": rng.normal(size=(512, 384)) for i in range(3)}})
+    tracemalloc.start()
+    try:
+        loaded = load_arrays(path, skip="adam.")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(loaded) == ["w"] and loaded["w"].tobytes() == kept.tobytes()
+    assert peak <= kept.nbytes + SKIP_CHUNK + 64 * 1024, f"peak {peak} bytes"
+
+
+def test_load_checkpoint_without_moments_reads_the_same_parameters(tmp_path):
+    params = {"w": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.ones(3, np.float32)}
+    moments = {k: 2 * a for k, a in params.items()}
+    path = tmp_path / "ck.bin"
+    TR.save_checkpoint(path, TR.Checkpoint(step=4, params=params, m=moments, v=moments))
+    full, lean = TR.load_checkpoint(path), TR.load_checkpoint(path, moments=False)
+    assert lean.step == full.step == 4 and not lean.m and not lean.v
+    assert full.m and full.v
+    for name, arr in full.params.items():
+        assert lean.params[name].tobytes() == arr.tobytes()
 
 
 def test_truncated_container_raises_data_error_at_every_length(tmp_path):
