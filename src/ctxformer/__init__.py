@@ -6,7 +6,26 @@ convolutional word-context heads, a multi-task encoder with POS/NER
 auxiliary heads, an Adam training loop with warmup and checkpoint
 averaging, synthetic tagged corpora, beam-search decoding, and BLEU
 evaluation, all verified against brute-force oracles.
+
+The CTXFORMER_THREADS environment variable caps BLAS parallelism. It is
+applied here, before any submodule loads numpy, because the BLAS libraries
+read their thread variables once, when they load: it sets
+OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS where they are
+unset. A variable already set wins, and so does a numpy imported before
+this package.
 """
+
+
+def _cap_blas_threads() -> None:
+    import os
+
+    cap = os.environ.get("CTXFORMER_THREADS")
+    if cap:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.setdefault(var, cap)
+
+
+_cap_blas_threads()
 
 from .attention import (
     ConvHeadParams,

@@ -80,7 +80,7 @@ SKIP_CHUNK = 1 << 20  # bytes of a skipped record read at a time
 
 def load_arrays(path, skip: Optional[str] = None) -> dict[str, np.ndarray]:
     """Read a container; an unreadable, truncated, malformed or corrupt one
-    raises DataError.
+    raises DataError, and so does one that names a record twice.
 
     Every extent is checked against the file's size before it is read, and
     each record's data is read straight into its own array, so a load holds
@@ -128,6 +128,7 @@ def _read_records(path: Path, f, skip: Optional[str]) -> dict[str, np.ndarray]:
     if version != VERSION:
         raise DataError(f"{path}: unsupported container version {version}")
     out: dict[str, np.ndarray] = {}
+    names = set()  # kept and skipped
     chunk = None  # the buffer skipped records are read through
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
@@ -136,6 +137,9 @@ def _read_records(path: Path, f, skip: Optional[str]) -> dict[str, np.ndarray]:
             name = take(name_len, "name").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: record name at offset {start} is not utf-8") from exc
+        if name in names:
+            raise DataError(f"{path}: record {name} appears twice")
+        names.add(name)
         code, rank = struct.unpack("<II", take(8, f"dtype and rank of {name}"))
         if code >= len(DTYPES):
             raise DataError(f"{path}: record {name} has unknown dtype code {code}")

@@ -2,8 +2,9 @@
 
 Subcommands: gen (synthetic corpus), train, translate, eval, probe.
 Shared flags: --config PATH, --seed N, --preset {paper,toy}, --out PATH.
-The CTXFORMER_THREADS environment variable caps BLAS parallelism (read
-before numpy loads, which is why heavyweight imports happen lazily).
+The CTXFORMER_THREADS environment variable caps BLAS parallelism. The cap
+is applied in the package's `__init__`, which runs before this module and
+before any submodule loads numpy.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numerical or OS error.
 """
@@ -11,16 +12,8 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numerical or OS error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
-
-
-def _cap_threads() -> None:
-    cap = os.environ.get("CTXFORMER_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
@@ -227,7 +220,6 @@ def cmd_probe(args) -> int:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     from .errors import ConfigError, DataError, NumericsError
 
     parser = build_parser()

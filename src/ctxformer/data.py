@@ -7,6 +7,10 @@ mapping of the source with one reordering rule: the verb moves to the end
 of the sentence. POS tags are the syntactic slot of each token and NER
 tags come from the entity lexicon, so both auxiliary tasks have exact
 ground truth and translation quality can be scored by exact match.
+
+A seed's corpus is the one that making each of the grammar's draws as one
+scalar `rng.integers`/`rng.random` call gives (see `generate_corpus`); the
+draws are read off the generator's raw words in blocks instead.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import collections
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,44 +132,134 @@ class TaggedPair:
             raise DataError("pairs must be nonempty on both sides")
 
 
-def translate_tokens(src_words) -> list[str]:
-    """Deterministic reference translation: map every token, verb to the end."""
-    mapped, verbs = [], []
-    for w in src_words:
-        if w not in SOURCE_LEXICON:
-            raise DataError(f"word {w!r} is not in the source lexicon")
-        if SOURCE_LEXICON[w][0] == "VERB":
-            verbs.append(TARGET_OF[w])
-        else:
-            mapped.append(TARGET_OF[w])
-    return mapped + verbs
+# -- raw-word draws ------------------------------------------------------
+
+_MASK32 = 0xFFFFFFFF
+_RAW_BLOCK = 1024  # words fetched from the bit generator at a time
 
 
-def _sample_noun_phrase(rng):
-    words = [DETERMINERS[rng.integers(len(DETERMINERS))]]
-    if rng.random() < 0.55:
-        words.append(ADJECTIVES[rng.integers(len(ADJECTIVES))])
-    roll = rng.random()
-    if roll < 0.5:
-        words.append(NOUNS[rng.integers(len(NOUNS))])
-    elif roll < 0.75:
-        words.append(PERSONS[rng.integers(len(PERSONS))])
-    else:
-        words.append(LOCATIONS[rng.integers(len(LOCATIONS))])
-    return words
+class RawDraws:
+    """The scalar draws `rng.integers(k)` and `rng.random()` of a numpy
+    Generator on PCG64 (what `default_rng` makes), read off its bit
+    generator's raw 64-bit words.
+
+    `random()` is (word >> 11) * 2**-53 of one whole word. `integers(k)`,
+    for 1 <= k <= 2**32, is numpy's Lemire bounded draw on a 32-bit half:
+    the low half of a word is used first and the high half is kept for the
+    next 32-bit draw (a `random()` leaves it kept). A draw whose product
+    half * k has low 32 bits below (2**32 - k) % k is redrawn, and k == 1
+    draws nothing. Each draw equals the one the Generator's own call would
+    return from the same state, the kept half included. Words are fetched
+    `_RAW_BLOCK` at a time, so the Generator runs ahead of the draws and is
+    spent once read.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        bitgen = rng.bit_generator
+        state = bitgen.state
+        self._half = state["uinteger"] if state["has_uint32"] else None
+        self._raw = bitgen.random_raw
+        self._words = iter(())
+
+    def _word(self) -> int:
+        word = next(self._words, None)
+        if word is None:
+            self._words = iter(self._raw(_RAW_BLOCK).tolist())
+            word = next(self._words)
+        return word
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is None:
+            word = self._word()
+            self._half = word >> 32
+            return word & _MASK32
+        self._half = None
+        return half
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0**-53
+
+    def integers(self, k: int) -> int:
+        if k == 1:
+            return 0
+        m = self._uint32() * k
+        if (m & _MASK32) < k:
+            threshold = (2**32 - k) % k
+            while (m & _MASK32) < threshold:
+                m = self._uint32() * k
+        return m >> 32
 
 
-def sample_sentence(rng) -> list[str]:
-    words = _sample_noun_phrase(rng)
-    words.append(VERBS[rng.integers(len(VERBS))])
-    if rng.random() < 0.4:
-        words.append(ADVERBS[rng.integers(len(ADVERBS))])
-    words.extend(_sample_noun_phrase(rng))
-    return words
+# -- the grammar ------------------------------------------------------------
+
+
+class _Piece(NamedTuple):
+    """A noun phrase, verb or adverb slot of a sentence: the ids of its
+    source words, of their translations, POS and NER tags, and each of those
+    as record text. The adverb slot's texts start with a space, so the
+    empty adverb adds nothing to a record."""
+
+    src: list
+    tgt: list
+    pos: list
+    ner: list
+    src_text: str
+    tgt_text: str
+    pos_text: str
+    ner_text: str
+
+
+_HEADS = (NOUNS, PERSONS, LOCATIONS)  # a noun phrase's last word, by kind
+
+
+def _grammar_tables():
+    """The pieces sentences are made of: noun phrases as
+    phrases[determiner][adjective][head kind][head], with adjective 0 for
+    none and i + 1 for ADJECTIVES[i]; verbs; adverbs, 0 for none."""
+    src_index, tgt_index = source_vocabulary().index, target_vocabulary().index
+
+    def piece(words, lead=""):
+        pos = [SOURCE_LEXICON[w][0] for w in words]
+        ner = [SOURCE_LEXICON[w][1] for w in words]
+        tgt = [TARGET_OF[w] for w in words]
+        return _Piece(
+            [src_index[w] for w in words],
+            [tgt_index[w] for w in tgt],
+            [POS_TAGS.index(t) for t in pos],
+            [NER_TAGS.index(t) for t in ner],
+            *(lead * bool(words) + " ".join(field) for field in (words, tgt, pos, ner)),
+        )
+
+    def optional(words):  # no word, then each word alone
+        return ((),) + tuple((w,) for w in words)
+
+    phrases = tuple(
+        tuple(
+            tuple(tuple(piece((det, *adj, head)) for head in heads) for heads in _HEADS)
+            for adj in optional(ADJECTIVES)
+        )
+        for det in DETERMINERS
+    )
+    verbs = tuple(piece((v,)) for v in VERBS)
+    adverbs = tuple(piece(words, " ") for words in optional(ADVERBS))
+    return phrases, verbs, adverbs
 
 
 def generate_corpus(grammar_seed: int, n_pairs: int, max_len: int = 12):
-    """Sample tagged pairs; returns (pairs, corpus-format text lines)."""
+    """Sample tagged pairs; returns (pairs, corpus-format text lines).
+
+    The corpus is the one that scalar `rng.integers(k)` and `rng.random()`
+    calls on `np.random.default_rng((grammar_seed, 0x5EED))` give, drawn in
+    this order per sentence: a noun phrase, the verb, the adverb, a second
+    noun phrase. A noun phrase draws its determiner, then `random() < 0.55`
+    and if so its adjective, then a `random()` that picks a noun, person or
+    location below 0.5, 0.75 or 1, then that word. The adverb is
+    `random() < 0.4` and if so the word. Each word is `integers(k)` of its
+    list of k. A sentence longer than `max_len` is dropped and the next one
+    drawn. `RawDraws` reads the draws off raw words, and each pair is put
+    together from the precomputed ids and text of its pieces.
+    """
     if n_pairs < 1:
         raise ConfigError(f"n_pairs must be >= 1, got {n_pairs}")
     if max_len < MIN_SENTENCE_LEN:
@@ -172,34 +267,43 @@ def generate_corpus(grammar_seed: int, n_pairs: int, max_len: int = 12):
             f"max_sentence_len must be >= {MIN_SENTENCE_LEN}, the grammar's shortest "
             f"sentence, got {max_len}"
         )
-    rng = np.random.default_rng((grammar_seed, 0x5EED))
-    src_vocab, tgt_vocab = source_vocabulary(), target_vocabulary()
+    draws = RawDraws(np.random.default_rng((grammar_seed, 0x5EED)))
+    integers, random = draws.integers, draws.random
+    phrases, verbs, adverbs = _grammar_tables()
+
+    def noun_phrase():
+        by_adjective = phrases[integers(len(DETERMINERS))]
+        by_kind = by_adjective[integers(len(ADJECTIVES)) + 1 if random() < 0.55 else 0]
+        roll = random()
+        heads = by_kind[0 if roll < 0.5 else 1 if roll < 0.75 else 2]
+        return heads[integers(len(heads))]
+
     pairs, lines = [], []
-    for _ in range(n_pairs):
-        src_words = sample_sentence(rng)
-        while len(src_words) > max_len:
-            src_words = sample_sentence(rng)
-        tgt_words = translate_tokens(src_words)
-        pos_names = [SOURCE_LEXICON[w][0] for w in src_words]
-        ner_names = [SOURCE_LEXICON[w][1] for w in src_words]
+    while len(pairs) < n_pairs:
+        a = noun_phrase()
+        verb = verbs[integers(len(verbs))]
+        adverb = adverbs[integers(len(ADVERBS)) + 1 if random() < 0.4 else 0]
+        b = noun_phrase()
+        if len(a.src) + 1 + len(adverb.src) + len(b.src) > max_len:
+            continue
         pairs.append(
             TaggedPair(
-                src_vocab.encode(src_words),
-                tgt_vocab.encode(tgt_words),
-                *tag_ids(src_words, pos_names, ner_names),
+                a.src + verb.src + adverb.src + b.src,
+                a.tgt + adverb.tgt + b.tgt + verb.tgt,
+                a.pos + verb.pos + adverb.pos + b.pos,
+                a.ner + verb.ner + adverb.ner + b.ner,
             )
         )
-        lines.append(format_record(src_words, tgt_words, pos_names, ner_names))
+        lines.append(
+            f"{a.src_text} {verb.src_text}{adverb.src_text} {b.src_text} ||| "
+            f"{a.tgt_text}{adverb.tgt_text} {b.tgt_text} {verb.tgt_text} ||| "
+            f"{a.pos_text} {verb.pos_text}{adverb.pos_text} {b.pos_text} ||| "
+            f"{a.ner_text} {verb.ner_text}{adverb.ner_text} {b.ner_text}"
+        )
     return pairs, lines
 
 
 # ----------------------------------------------------------- corpus files
-
-
-def format_record(src_words, tgt_words, pos_names, ner_names) -> str:
-    return " ||| ".join(
-        " ".join(part) for part in (src_words, tgt_words, pos_names, ner_names)
-    )
 
 
 def parse_record(line: str):

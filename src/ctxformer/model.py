@@ -168,8 +168,15 @@ class _Regularizers:
 
 def _feed_forward(x: Tensor, ffn: FeedForwardParams, reg: _Regularizers) -> Tensor:
     """relu(x w1 + b1) w2 + b2, the hidden dropout drawn by the second
-    `linear`: the graph keeps its keep bits, not a dropped copy of the hidden."""
-    hidden = tn.relu(tn.linear(x, ffn.w1, ffn.b1))
+    `linear`: the graph keeps its keep bits, not a dropped copy of the hidden.
+
+    Once relu has read the pre-activation, its node's data becomes the
+    relu output, so the graph holds one (N, d_ff) hidden array: nothing
+    reads the pre-activation again but relu's backward, and its mask
+    pre > 0 is hidden > 0 for every pre, -0.0 and NaN included."""
+    pre = tn.linear(x, ffn.w1, ffn.b1)
+    hidden = tn.relu(pre)
+    pre.data = hidden.data
     return tn.linear(hidden, ffn.w2, ffn.b2, input_dropout=reg.hidden)
 
 

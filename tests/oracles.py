@@ -29,7 +29,12 @@ The exceptions:
   package's keep-bit kernel. They are the reference every keep-bit dropout
   site is checked against, bit for bit;
 - `graph_bytes` walks a built graph and adds up the buffers its interior
-  nodes hold, the figure the memory guard pins.
+  nodes hold, the figure the memory guard pins;
+- `generate_corpus_oracle` is the corpus generator that makes one scalar
+  `rng.integers`/`rng.random` call per grammar draw and puts each pair
+  together word by word, through the package's lexicon, vocabularies and
+  `tag_ids`. It is the reference `generate_corpus` is checked against, bit
+  for bit.
 """
 
 import math
@@ -39,6 +44,7 @@ from unittest import mock
 import numpy as np
 
 from ctxformer import attention as A
+from ctxformer import data as D
 from ctxformer import tensor as T
 
 
@@ -558,3 +564,67 @@ def beam_search_oracle(src_ids, model, beam_size, alpha, max_decode_len, bos_id,
             best, best_score = (tokens, log_prob), score
     tokens, log_prob = best
     return [t for t in tokens if t != eos_id], log_prob, best_score, bool(finished)
+
+
+# ------------------------------------------------------- synthetic corpus
+
+
+def translate_tokens(src_words):
+    """The reference translation: map every token, verb to the end."""
+    mapped, verbs = [], []
+    for w in src_words:
+        if D.SOURCE_LEXICON[w][0] == "VERB":
+            verbs.append(D.TARGET_OF[w])
+        else:
+            mapped.append(D.TARGET_OF[w])
+    return mapped + verbs
+
+
+def format_record(src_words, tgt_words, pos_names, ner_names):
+    return " ||| ".join(" ".join(part) for part in (src_words, tgt_words, pos_names, ner_names))
+
+
+def _sample_noun_phrase(rng):
+    words = [D.DETERMINERS[rng.integers(len(D.DETERMINERS))]]
+    if rng.random() < 0.55:
+        words.append(D.ADJECTIVES[rng.integers(len(D.ADJECTIVES))])
+    roll = rng.random()
+    if roll < 0.5:
+        words.append(D.NOUNS[rng.integers(len(D.NOUNS))])
+    elif roll < 0.75:
+        words.append(D.PERSONS[rng.integers(len(D.PERSONS))])
+    else:
+        words.append(D.LOCATIONS[rng.integers(len(D.LOCATIONS))])
+    return words
+
+
+def sample_sentence(rng):
+    words = _sample_noun_phrase(rng)
+    words.append(D.VERBS[rng.integers(len(D.VERBS))])
+    if rng.random() < 0.4:
+        words.append(D.ADVERBS[rng.integers(len(D.ADVERBS))])
+    words.extend(_sample_noun_phrase(rng))
+    return words
+
+
+def generate_corpus_oracle(grammar_seed, n_pairs, max_len=12):
+    """`generate_corpus` with one scalar Generator call per draw."""
+    rng = np.random.default_rng((grammar_seed, 0x5EED))
+    src_vocab, tgt_vocab = D.source_vocabulary(), D.target_vocabulary()
+    pairs, lines = [], []
+    for _ in range(n_pairs):
+        src_words = sample_sentence(rng)
+        while len(src_words) > max_len:
+            src_words = sample_sentence(rng)
+        tgt_words = translate_tokens(src_words)
+        pos_names = [D.SOURCE_LEXICON[w][0] for w in src_words]
+        ner_names = [D.SOURCE_LEXICON[w][1] for w in src_words]
+        pairs.append(
+            D.TaggedPair(
+                src_vocab.encode(src_words),
+                tgt_vocab.encode(tgt_words),
+                *D.tag_ids(src_words, pos_names, ner_names),
+            )
+        )
+        lines.append(format_record(src_words, tgt_words, pos_names, ner_names))
+    return pairs, lines

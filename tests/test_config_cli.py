@@ -1,11 +1,19 @@
 """Run configuration, presets, CLI commands, and exit codes."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ctxformer import config as C
 from ctxformer.cli import main
 from ctxformer.errors import ConfigError
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # ------------------------------------------------------------------ presets
@@ -641,3 +649,52 @@ def test_cli_eval_corpus_with_an_unknown_tag_exits_3(tmp_path, capsys, tiny_run)
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "'XYZ'" in err and "Traceback" not in err
     assert not (tmp_path / "o.txt").exists()
+
+
+# ------------------------------------------------------------ BLAS threads
+
+_BLAS_THREADS_PROBE = """
+import ctypes, json, os
+import ctxformer  # loads numpy, and with it OpenBLAS
+
+threads = None
+try:
+    with open("/proc/self/maps") as f:
+        maps = f.read().splitlines()
+except OSError:
+    maps = []
+for path in sorted({line.split()[-1] for line in maps if "openblas" in line.lower()}):
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+        if hasattr(lib, symbol):
+            get_num_threads = getattr(lib, symbol)
+            get_num_threads.argtypes, get_num_threads.restype = [], ctypes.c_int
+            threads = get_num_threads()
+            break
+names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+print(json.dumps({"threads": threads, "env": [os.environ.get(n) for n in names]}))
+"""
+
+
+@pytest.mark.parametrize(
+    "preset, want_env",
+    [({}, ["1", "1", "1"]), ({"OPENBLAS_NUM_THREADS": "2"}, ["1", "2", "1"])],
+    ids=["unset", "a-variable-already-set-wins"],
+)
+def test_ctxformer_threads_caps_blas_when_the_package_is_imported(preset, want_env):
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    }
+    env.update(preset, CTXFORMER_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+    run = subprocess.run(
+        [sys.executable, "-c", _BLAS_THREADS_PROBE],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    seen = json.loads(run.stdout)
+    assert seen["env"] == want_env
+    if seen["threads"] is not None and not preset:  # an OpenBLAS that reports its count
+        assert seen["threads"] == 1

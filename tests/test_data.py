@@ -7,6 +7,7 @@ import pytest
 
 from ctxformer import data as D
 from ctxformer.errors import ConfigError, DataError
+from oracles import format_record, generate_corpus_oracle
 
 
 # ---------------------------------------------------------------- corpus
@@ -63,6 +64,57 @@ def test_corpus_rejects_a_length_cap_below_the_shortest_sentence():
         D.generate_corpus(13, 1, max_len=D.MIN_SENTENCE_LEN - 1)
 
 
+@pytest.mark.parametrize(
+    "seed, n_pairs, max_len",
+    [(0, 7680, 12), (1, 600, 5), (2, 600, 7), (3, 600, 12), (4, 2000, 6), (5, 400, 8)],
+)
+def test_corpus_is_the_scalar_draw_oracle_bit_for_bit(seed, n_pairs, max_len):
+    pairs, lines = D.generate_corpus(seed, n_pairs, max_len)
+    want_pairs, want_lines = generate_corpus_oracle(seed, n_pairs, max_len)
+    assert lines == want_lines
+    assert [(p.src, p.tgt, p.pos_tags, p.ner_tags) for p in pairs] == [
+        (p.src, p.tgt, p.pos_tags, p.ner_tags) for p in want_pairs
+    ]
+
+
+# 2**31 + 1 redraws about half its halves, so the rejection loop runs on
+# real words.
+RAW_DRAW_BOUNDS = (1, 2, 3, 4, 6, 8, 7, 1000003, 2**31 + 1)
+
+
+def _used(seed, steps):
+    """A generator after `steps`; some leave a 32-bit half kept."""
+    rng = np.random.default_rng(seed)
+    for step in steps:
+        step(rng)
+    return rng
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        (),
+        (lambda r: r.integers(5),),
+        (lambda r: r.random(3), lambda r: r.integers(7), lambda r: r.random()),
+        (lambda r: r.integers(9, size=5), lambda r: r.random(dtype=np.float32)),
+        (lambda r: r.integers(5), lambda r: r.integers(5)),
+    ],
+    ids=["fresh", "kept-half", "mixed", "arrays", "two-halves"],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_raw_draws_are_the_generators_scalar_draws(seed, steps):
+    ref = _used(seed, steps)
+    draws = D.RawDraws(_used(seed, steps))
+    plan = np.random.default_rng((seed, 99))
+    for _ in range(8000):  # about 5,000 words: six blocks
+        if plan.random() < 0.3:
+            assert draws.random() == ref.random()
+        else:
+            k = RAW_DRAW_BOUNDS[plan.integers(len(RAW_DRAW_BOUNDS))]
+            got, want = draws.integers(k), ref.integers(k)
+            assert type(got) is int and got == want, k
+
+
 def test_tagged_pair_validates_tag_lengths():
     with pytest.raises(DataError):
         D.TaggedPair(src=[4, 5], tgt=[4], pos_tags=[0], ner_tags=[0, 0])
@@ -74,7 +126,7 @@ def test_corpus_roundtrip_via_file(tmp_path):
     D.write_corpus(path, lines)
     records = D.read_corpus(path)
     assert len(records) == 20
-    rebuilt = [D.format_record(*r) for r in records]
+    rebuilt = [format_record(*r) for r in records]
     assert rebuilt == lines
 
 

@@ -15,6 +15,7 @@ from ctxformer.config import preset_run_config
 from ctxformer.errors import ConfigError, DataError
 
 from oracles import (
+    composed_feed_forward,
     cross_entropy_oracle,
     decoder_layer_oracle,
     encoder_layer_oracle,
@@ -526,7 +527,8 @@ def test_toy_train_step_graph_holds_keep_bits_and_no_float_mask(monkeypatch):
     # The bytes the graph holds when backward starts (see `graph_bytes`). With
     # a float mask per dropout site and a dropped copy of each FFN hidden it
     # was 1486853; with keep bits, and the FFN's hidden dropout drawn inside
-    # its output linear, it is 1198961.
+    # its output linear, 1198961; with each FFN's pre-activation let go once
+    # relu has read it, it is 1079153.
     rc = preset_run_config("toy")
     model = M.Seq2SeqModel(rc.model, seed=0)
     batch = D.collate(_toy_step_pairs(np.random.default_rng(6)))
@@ -539,7 +541,7 @@ def test_toy_train_step_graph_holds_keep_bits_and_no_float_mask(monkeypatch):
     monkeypatch.setattr(T.Tensor, "backward", measured_backward)
     TR.train_step(batch, model, TR.TrainState(), rc.train)
     (held, cells), = seen
-    assert held == 1198961
+    assert held == 1079153
     cfg = rc.model
     scales = {np.float32(1 / (1 - p)) for p in (cfg.dropout, cfg.residual_dropout) if p > 0}
     assert scales and cfg.dropconnect == 0.0
@@ -553,6 +555,34 @@ def test_toy_train_step_graph_holds_keep_bits_and_no_float_mask(monkeypatch):
     # Keep bits in the 2 embeddings, the 6 encoder and 9 decoder residual
     # norms, the 9 dot-product families and the 6 FFN output linears.
     assert n_keep == 2 + 15 + 9 + 6
+
+
+def test_feed_forward_letting_go_of_the_pre_activation_is_bitwise_linear_relu_linear():
+    # Pre-activations of both signs of zero, NaN and both infinities: the
+    # relu mask read off the hidden must be the one read off the
+    # pre-activation, in every output and grad bit.
+    xs = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1.5, -2.0], np.float32)[:, None]
+    results = []
+    for feed_forward in (
+        lambda x, ffn: M._feed_forward(x, ffn, M._Regularizers()),
+        composed_feed_forward,
+    ):
+        leaves = [
+            T.Tensor(a, requires_grad=True)
+            for a in (
+                xs.copy(),
+                np.array([[1.0, -1.0, 0.5]], np.float32),
+                np.array([-0.0, -0.0, 0.25], np.float32),
+                np.array([[1.0], [2.0], [-3.0]], np.float32),
+                np.array([0.5], np.float32),
+            )
+        ]
+        with np.errstate(invalid="ignore"):
+            y = feed_forward(leaves[0], M.FeedForwardParams(*leaves[1:]))
+            g = np.array([[1.0], [-1.0], [2.0], [np.nan], [-0.0], [3.0], [1.0]], np.float32)
+            T.tsum(T.mul(y, g)).backward()
+        results.append([y.data.tobytes()] + [leaf.grad.tobytes() for leaf in leaves])
+    assert results[0] == results[1]
 
 
 # ------------------------------------------------------------ param count

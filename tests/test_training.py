@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -561,6 +562,30 @@ def test_a_flipped_bit_anywhere_raises_data_error(tmp_path):
         with pytest.raises(DataError):
             load_arrays(bad)
         blob[bit // 8] ^= 1 << (bit % 8)
+
+
+def _container(records):
+    """A version-2 container of (name, float32 array) records, with a valid
+    checksum, written byte by byte: `save_arrays` takes a dict and cannot
+    repeat a name."""
+    blob = b"CTXF" + struct.pack("<II", 2, len(records))
+    for name, arr in records:
+        raw = name.encode()
+        blob += struct.pack(f"<I{len(raw)}sII{arr.ndim}I", len(raw), raw, 0, arr.ndim, *arr.shape)
+        blob += arr.astype("<f4").tobytes()
+    return blob + struct.pack("<I", zlib.crc32(blob))
+
+
+@pytest.mark.parametrize("skip", [None, "adam."])
+@pytest.mark.parametrize("repeated", ["w", "adam.m.w"])
+def test_a_record_named_twice_raises_data_error_naming_it(tmp_path, repeated, skip):
+    first, second = np.ones((2, 2), np.float32), np.full((2, 2), 7.0, np.float32)
+    path = tmp_path / "twice.bin"
+    path.write_bytes(_container([(repeated, first), ("b", first[0]), (repeated, second)]))
+    with pytest.raises(DataError, match=f"record {repeated} appears twice"):
+        load_arrays(path, skip=skip)
+    path.write_bytes(_container([("w", first), ("b", first[0])]))  # the crafting is sound
+    assert load_arrays(path)["w"].tobytes() == first.tobytes()
 
 
 def test_checkpoint_detects_corruption(tmp_path):
