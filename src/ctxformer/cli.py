@@ -6,7 +6,8 @@ The CTXFORMER_THREADS environment variable caps BLAS parallelism. The cap
 is applied in the package's `__init__`, which runs before this module and
 before any submodule loads numpy.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numerical or OS error.
+Exit codes: 0 success, 2 config error, 3 data error, 4 numerical or OS
+error or a failed allocation.
 """
 
 from __future__ import annotations
@@ -237,6 +238,9 @@ def main(argv=None) -> int:
         return 4
     except OSError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"runtime error: out of memory. {exc}".rstrip(), file=sys.stderr)
         return 4
 
 

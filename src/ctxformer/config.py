@@ -108,8 +108,6 @@ def preset_run_config(name: str) -> RunConfig:
                 warmup_steps=4000,
                 total_steps=320_000,
                 accum_steps=10,
-                betas=(0.9, 0.98),
-                adam_eps=1e-9,
                 checkpoint_every=500,
                 keep_last=10,
                 max_tokens=4096,
@@ -154,10 +152,7 @@ def _coerce(raw: str, fieldname: str, current):
         if isinstance(current, float):
             return float(raw)
         if isinstance(current, tuple):
-            parts = [p.strip() for p in raw.split(",") if p.strip()]
-            if current and isinstance(current[0], float):
-                return tuple(float(p) for p in parts)
-            return tuple(int(p) for p in parts)
+            return tuple(int(p) for p in raw.split(",") if p.strip())
         return raw
     except ValueError as exc:
         raise ConfigError(f"cannot parse {fieldname} = {raw!r}: {exc}") from exc

@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-NumericsError and OSError -> 4; any other exception ends in a traceback.
+NumericsError, OSError and MemoryError -> 4; any other exception ends in a
+traceback.
 """
 
 

@@ -9,12 +9,10 @@ the live hypotheses, ranked with one `lexsort` per step, and a list of
 finished (tokens, log_prob) pairs in the order they finished.
 
 Decoding is incremental. The source is encoded once and
-`model.start_decoding` builds a decoder cache from the memory. Per decoder
-layer it holds append-only prefixes of the self-attention keys, values and
-projected conv inputs, and the cross-attention keys, values and conv half,
-computed once per sentence. Each step then feeds only the last token of
+`model.start_decoding` builds a decoder cache from the memory (its layout
+is described in `incremental`). Each step then feeds only the last token of
 every live hypothesis to `model.decode(..., cache=cache)`, and
-`cache.select` reorders and duplicates the cached states after pruning.
+`cache.select` reorders and duplicates the cached hypotheses after pruning.
 The full-prefix `model.decode` is the training path and the reference
 these steps are tested against.
 """

@@ -436,11 +436,8 @@ class Seq2SeqModel:
         return EncoderOutput(memory=x, pos_logits=pos_logits, ner_logits=ner_logits)
 
     def start_decoding(self, memory: Tensor):
-        """An empty `DecoderCache` for one sentence's (T_src, d) memory.
-
-        It joins the decoder's q|k|v|w_in projections and computes everything
-        that depends only on the memory: the cross-attention keys and values and
-        the conv half of cross-attention. Build a new one after the
+        """An empty `DecoderCache` for one sentence's (T_src, d) memory; its
+        layout is described in `incremental`. Build a new one after the
         parameters change.
         """
         from .incremental import DecoderCache
@@ -463,11 +460,8 @@ class Seq2SeqModel:
         from `start_decoding(memory)`, `tgt_in_ids` holds the next token of
         each cached hypothesis, shape (B, 1), at position `cache.length`;
         the call returns the (B, 1, vocab) logits of that position only and
-        appends it to the cache. The cache holds, per layer, three
-        append-only prefixes (the self-attention keys, its values and the
-        projected conv inputs after F - 1 zero rows) and the cross-attention
-        keys, values and conv half computed once from the memory; see
-        `incremental`. Cached decoding is inference only.
+        appends it to the cache (see `incremental`). Cached decoding is
+        inference only.
         """
         tgt_in_ids = np.asarray(tgt_in_ids)
         if cache is not None:

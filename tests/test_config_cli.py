@@ -1,17 +1,27 @@
 """Run configuration, presets, CLI commands, and exit codes."""
 
+import configparser
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxformer import config as C
+from ctxformer import training
 from ctxformer.cli import main
 from ctxformer.errors import ConfigError
+from ctxformer.inference import DecodeConfig
+from ctxformer.model import ModelConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -30,7 +40,8 @@ def test_paper_preset_pins_published_recipe():
     assert rc.train.accum_steps == 10
     assert rc.train.total_steps == 320_000
     assert rc.train.warmup_steps == 4000
-    assert rc.train.betas == (0.9, 0.98)
+    assert not hasattr(rc.train, "betas") and not hasattr(rc.train, "adam_eps")
+    assert (training.ADAM_BETAS, training.ADAM_EPS) == ((0.9, 0.98), 1e-9)
     assert rc.decode.beam_size == 5
     assert rc.decode.alpha == 0.5
 
@@ -698,3 +709,165 @@ def test_ctxformer_threads_caps_blas_when_the_package_is_imported(preset, want_e
     assert seen["env"] == want_env
     if seen["threads"] is not None and not preset:  # an OpenBLAS that reports its count
         assert seen["threads"] == 1
+
+
+# ------------------------------------------------------- failed allocations
+
+
+def _address_space_limit(limit):
+    """A `preexec_fn` that caps the child's address space at `limit` bytes."""
+    import resource
+
+    def cap():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+    return cap
+
+
+def test_cli_train_that_cannot_allocate_exits_4(tmp_path, tiny_run):
+    # a 99999999999-row position table needs 745 GiB; the child may map 4 GiB
+    cfg = tmp_path / "huge.cfg"
+    text = tiny_run["cfg"].read_text()
+    cfg.write_text(text.replace("[model]\n", "[model]\nmax_len = 99999999999\n"))
+    env = dict(os.environ, CTXFORMER_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+    run = subprocess.run(
+        [sys.executable, "-m", "ctxformer.cli", "train", "--config", str(cfg),
+         "--data", str(tiny_run["data"]), "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, preexec_fn=_address_space_limit(4 << 30),
+    )
+    assert run.returncode == 4
+    assert run.stderr.startswith("runtime error: out of memory") and "Traceback" not in run.stderr
+    assert len(run.stderr.splitlines()) == 1
+
+
+def test_cli_maps_a_memory_error_anywhere_to_exit_4(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("ctxformer.data.generate_corpus", refuse)
+    assert main(["gen", "--out", str(tmp_path / "x")]) == 4
+    assert capsys.readouterr().err == "runtime error: out of memory.\n"
+
+
+# ------------------------------------------------------------------ fuzzing
+
+# Each example rewrites one key of the tiny run's config, or adds or drops a
+# key, or flips or cuts the file's bytes; then it trains with a changed
+# [train] section and translates with a changed [model] or [decode] one. Or it
+# translates with a flipped or cut checkpoint. A train always keeps a small
+# total_steps: a dropped key or a cut file would train the preset's 1,200
+# steps, so those only translate. Values stay small, except 10**12 outside
+# [train], which fails validation or an allocation; the address space is
+# capped meanwhile, so no value can take more than FUZZ_HEADROOM bytes.
+FUZZ_HEADROOM = 1 << 30
+_FUZZ_SECTIONS = {
+    "model": [f.name for f in dataclasses.fields(ModelConfig)],
+    "train": [f.name for f in dataclasses.fields(training.TrainConfig)],
+    "decode": [f.name for f in dataclasses.fields(DecodeConfig)],
+}
+_SMALL_VALUES = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.lists(st.integers(-1, 9), max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    st.sampled_from(
+        ["", "0.5", "-0.5", "1.5", "1e-12", "nan", "inf", "-inf", "1e999", "x", "3,,5", "0x10",
+         "%", "\u00e9"]
+    ),
+)
+_FUZZ_VALUES = {
+    "model": st.one_of(_SMALL_VALUES, st.just("1000000000000")),
+    "train": _SMALL_VALUES,  # a train's work grows with total_steps
+    "decode": st.one_of(_SMALL_VALUES, st.just("1000000000000")),
+}
+
+
+@contextlib.contextmanager
+def _capped_address_space():
+    import resource
+
+    with open("/proc/self/statm") as f:
+        mapped = int(f.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = mapped + FUZZ_HEADROOM
+    resource.setrlimit(
+        resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard)
+    )
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def _run_cli(argv):
+    """Exit code and stderr of `main(argv)`; any exception it lets out fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        with _capped_address_space():
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse
+                code = exc.code
+    return code, err.getvalue()
+
+
+def _translate_argv(run, root, cfg=None, ckpt=None):
+    return ["translate", str(run["text"]), "--config", str(cfg or run["cfg"]),
+            "--data", str(run["data"]), "--checkpoint", str(ckpt or run["ckpt"]),
+            "--out", str(root / "hyp.txt")]
+
+
+def _mutate(data: bytes, how: str, where: int) -> bytes:
+    """`data` cut to `where` bytes, or with bit `where` flipped, both modulo its size."""
+    if how == "cut":
+        return data[: where % len(data)]
+    byte, bit = divmod(where % (8 * len(data)), 8)
+    return data[:byte] + bytes([data[byte] ^ (1 << bit)]) + data[byte + 1 :]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    how=st.sampled_from(["key", "new-key", "drop-key", "cut", "flip"]),
+    section=st.sampled_from(sorted(_FUZZ_SECTIONS)),
+    pick=st.integers(0, 1 << 16),
+    data=st.data(),
+)
+def test_cli_fuzzed_config_ends_in_an_exit_code(tiny_run, how, section, pick, data):
+    sections = configparser.ConfigParser(interpolation=None)  # writes "%" as it is
+    sections.read_string(tiny_run["cfg"].read_text())
+    keys = _FUZZ_SECTIONS[section]
+    value = data.draw(_FUZZ_VALUES[section], label="value")
+    if how == "key":
+        sections[section][keys[pick % len(keys)]] = value
+    elif how == "new-key":
+        sections[section][f"k{pick}"] = value
+    elif how == "drop-key":
+        keys = [k for k in sections[section] if k != "total_steps"]
+        del sections[section][keys[pick % len(keys)]]
+    text = io.StringIO()
+    sections.write(text)
+    raw = text.getvalue().encode("utf-8")
+    if how in ("cut", "flip"):
+        raw = _mutate(raw, how, pick)
+    with tempfile.TemporaryDirectory() as root:
+        cfg = Path(root) / "fuzz.cfg"
+        cfg.write_bytes(raw)
+        if section == "train" and how != "cut":
+            argv = ["train", "--config", str(cfg), "--data", str(tiny_run["data"]), "--out", root]
+        else:
+            argv = _translate_argv(tiny_run, Path(root), cfg=cfg)
+        code, err = _run_cli(argv)
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(how=st.sampled_from(["cut", "flip"]), where=st.integers(0, 1 << 24))
+def test_cli_fuzzed_checkpoint_exits_3(tiny_run, how, where):
+    raw = tiny_run["ckpt"].read_bytes()
+    with tempfile.TemporaryDirectory() as root:
+        ckpt = Path(root) / "fuzz.bin"
+        ckpt.write_bytes(_mutate(raw, how, where))
+        code, err = _run_cli(_translate_argv(tiny_run, Path(root), ckpt=ckpt))
+    assert code == 3, err
+    assert err.startswith("data error:") and "Traceback" not in err

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from ctxformer import attention as A
 from ctxformer import data as D
+from ctxformer import incremental
 from ctxformer import inference as I
+from ctxformer import model as M
 from ctxformer import tensor as T
 from ctxformer.errors import ConfigError, DataError, DimensionError
 from ctxformer.model import ModelConfig, Seq2SeqModel
@@ -81,6 +84,53 @@ def test_cache_built_after_load_state_uses_the_new_weights():
         model.start_decoding(model.encode([5, 6, 7]).memory)  # must leave nothing behind
     model.load_state(other.state_arrays())
     assert step_vs_full(model) <= TOL64
+
+
+# ------------------------------------------------------- sublayer equivalence
+
+# float64; the cache and the training nodes group their sums differently (the
+# worst gap seen is 1.1e-16)
+SUBLAYER_TOL = 1e-14
+
+
+def _stacked_layers(model, seed=0, t_src=5):
+    rng = np.random.default_rng(seed)
+    memory = T.Tensor(rng.normal(size=(t_src, model.config.d_model)))
+    return memory, [incremental._stack_layer(layer, memory) for layer in model.dec_layers]
+
+
+# prefixes of 1 to 12 positions: below and above every layer's window, F = 3
+# for "h2", 3, 5 and 7 for "h8", 7, 9 and 11 for "wide-kernels"
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_cached_self_attention_is_the_causal_multi_head_forward(name):
+    model = make_model(name)
+    _, layers = _stacked_layers(model)
+    rng = np.random.default_rng(1)
+    b, length, d = 3, 12, model.config.d_model
+    x = rng.normal(size=(b, length, d))
+    for layer, w in zip(model.dec_layers, layers):
+        state = np.zeros((b, 3, w.n, 0, w.d_h))
+        for t in range(length):
+            out, state = incremental._self_attention(x[:, t], w, state)
+            with T.no_grad():
+                full = A.multi_head_forward(T.Tensor(x[:, : t + 1]), layer.mha, causal=True)
+            assert state.shape == (b, 3, w.n, t + 1, w.d_h)
+            assert np.abs(out - full.data[:, -1]).max() <= SUBLAYER_TOL, t
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("length", [1, 4, 12])
+def test_cached_cross_attention_is_the_models_cross_attention(name, length):
+    model = make_model(name)
+    memory, layers = _stacked_layers(model)
+    b = 3
+    y = np.random.default_rng(2).normal(size=(b, length, model.config.d_model))
+    batched = T.Tensor(np.broadcast_to(memory.data, (b,) + memory.shape).copy())
+    for layer, w in zip(model.dec_layers, layers):
+        with T.no_grad():
+            full = M._cross_attention(T.Tensor(y), batched, layer.xmha, M._Regularizers())
+        out = incremental._cross_attention(y[:, -1], w)
+        assert np.abs(out - full.data[:, -1]).max() <= SUBLAYER_TOL
 
 
 # ----------------------------------------------------------------- misuse
