@@ -25,11 +25,12 @@ than over a leading axis, so each node puts the axis it reduces over first.
 - `scaled_dot_product_attention` holds its scores and weights key-leading,
   (T_k, n, ..., T_q). The softmax and its backward reduce over axis 0.
 - `dynamic_conv_head` works time-leading, on (T, B, n * d_h). The tap loop of
-  Eq. 2 adds whole time slices. The softmax of Eq. 3 runs over axis 0: over
-  (T, B * n) in full mode, over the prefix weights (T_key, B * n, T_query) in
-  causal mode. The per-head w_q scores and the per-head gate sums of Eq. 4 are
-  GEMMs with block-diagonal (n * d_h, n) matrices, and the per-head w_s
-  products one GEMM with the block-diagonal (n * d_h, n * d_h) matrix.
+  Eq. 2 adds whole time slices. Eq. 3's projection and scores are one batched
+  matmul of each head's rows with its own [w_s | w_q], written into
+  (T, B * n, d_h + 1). Its softmax runs over axis 0: over (T, B * n) in full
+  mode, over the prefix weights (T_key, B * n, T_query) in causal mode. Eq. 4's
+  gate sums are the (T * B * n, d_h) rows times ones(d_h). No head's
+  arithmetic reads another head's columns, so a NaN or inf stays in its head.
 
 Also hosts the per-layer complexity model. `test_complexity_validation`
 checks it on the products the nodes run: `attention_scores` and
@@ -261,23 +262,6 @@ def _taps_first(w: np.ndarray, n: int) -> np.ndarray:
     return w.reshape(n, taps, d_h).transpose(1, 0, 2).reshape(taps, n * d_h)
 
 
-def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
-    """n blocks (n, r, c) as the block-diagonal (n * r, n * c) matrix."""
-    n, r, c = blocks.shape
-    out = np.zeros((n, r, n, c), dtype=blocks.dtype)
-    heads = np.arange(n)
-    out[heads, :, heads] = blocks
-    return out.reshape(n * r, n * c)
-
-
-def _diagonal_blocks(matrix: np.ndarray, n: int) -> np.ndarray:
-    """The n diagonal blocks (n, r, c) of an (n * r, n * c) matrix, the
-    inverse of `_block_diagonal`."""
-    rows, cols = matrix.shape
-    heads = np.arange(n)
-    return matrix.reshape(n, rows // n, n, cols // n)[heads, :, heads]
-
-
 def dynamic_conv_head(
     s_proj: Tensor,
     params: ConvHeadParams,
@@ -297,10 +281,13 @@ def dynamic_conv_head(
     `kernel_dropconnect` is an optional (p, rng) pair zeroing kernel taps
     during training; its mask has the shape of `params.w_a`.
 
-    The node works time-leading (see the module docstring). The backward
-    keeps the input, the masked kernel and its DropConnect keep bits, the
-    local context, the softmax weights of the query, the query and the gate;
-    it recomputes the projection of Eq. 3, one GEMM.
+    The node works time-leading, head by head (see the module docstring).
+    The backward keeps the input, the masked kernel and its DropConnect keep
+    bits, the local context, the softmax weights of the query, the query,
+    the gate and the per-head [w_s | w_q]. It recomputes Eq. 3's batched
+    matmul for the projection, packs the grads of the projection and the
+    scores per head as [dproj | dscores], and gets the input's grad and the
+    w_s and w_q grads from one batched matmul each.
     """
     x = tn.as_tensor(s_proj)
     w_a, w_s, w_q = params.w_a, params.w_s, params.w_q
@@ -315,7 +302,6 @@ def dynamic_conv_head(
     dtype = x.dtype
     t_len = x.shape[-2]
     s = _time_leading(x.data)  # (T, B, C)
-    rows = s.reshape(-1, width)
     heads = s.shape[1] * n  # B * n (batch, head) pairs, head-minor
     # Eq. 2: the kernel softmaxed over its taps, then DropConnect.
     soft = tn.softmax_array(_taps_first(w_a.data, n), axis=0)  # (F, C)
@@ -327,11 +313,19 @@ def dynamic_conv_head(
             keep, drop = _taps_first(drawn[0], n), drawn[1]
     kernel = soft if keep is None else tn.apply_dropout(soft, keep, drop)
     local = local_context(s, kernel).reshape(t_len, heads, d_h)
-    # Eq. 3: each head's projection and position scores.
-    proj_blocks = _block_diagonal(w_s.data.reshape(n, d_h, d_h))
-    score_blocks = _block_diagonal(w_q.data.reshape(n, d_h, 1))
-    proj = (rows @ proj_blocks).reshape(t_len, heads, d_h)  # recomputed in bwd
-    scores = (rows @ score_blocks).reshape(t_len, heads)
+    # Eq. 3: each head's projection and position scores, one batched matmul
+    # of its rows against its [w_s | w_q], into (T, B * n, d_h + 1).
+    stacked = np.concatenate((w_s.data.reshape(n, d_h, d_h), w_q.data.reshape(n, d_h, 1)), -1)
+    head_rows = s.reshape(-1, n, d_h).transpose(1, 0, 2)  # (n, T * B, d_h)
+
+    def per_head(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a (n, T * B, k) @ b (n, k, m) as (T, B * n, m)."""
+        out = np.empty((t_len, heads, b.shape[-1]), dtype)
+        np.matmul(a, b, out=out.reshape(-1, n, b.shape[-1]).transpose(1, 0, 2))
+        return out
+
+    projected = per_head(head_rows, stacked)
+    proj, scores = projected[..., :d_h], projected[..., d_h]
     if causal:
         # weights[u, i, t]: key position u of the prefix ending at t, key
         # first; later keys get exactly zero weight.
@@ -345,24 +339,25 @@ def dynamic_conv_head(
     else:
         weights = tn.softmax_array(scores, axis=0)  # (T, B * n)
         query = (weights[:, :, None] * proj).sum(axis=0)  # (B * n, d_h)
-    # Eq. 4: per-head gate sums as a GEMM with the (C, n) block-sum matrix.
-    sums = _block_diagonal(np.ones((n, d_h, 1), dtype))
+    # Eq. 4: each head's gate sums, one row of d_h each.
+    ones = np.ones(d_h, dtype)
     scale = dtype.type(1.0 / math.sqrt(d_h))
-    gate = ((local * query).reshape(-1, width) @ sums).reshape(t_len, heads, 1)
+    gate = ((local * query).reshape(-1, d_h) @ ones).reshape(t_len, heads, 1)
     gate *= scale
     gate = tn.sigmoid_array(gate)
     data = _batch_leading((local * gate).reshape(s.shape), x.shape)
 
     def bwd(g):
-        proj = (rows @ proj_blocks).reshape(t_len, heads, d_h)
+        proj = per_head(head_rows, stacked)[..., :d_h]
         g = _time_leading(g).reshape(t_len, heads, d_h)
-        dgate = ((g * local).reshape(-1, width) @ sums).reshape(t_len, heads, 1)
+        dgate = ((g * local).reshape(-1, d_h) @ ones).reshape(t_len, heads, 1)
         dscore = dgate * gate * (1 - gate) * scale
         dlocal = g * gate
         dlocal += dscore * query
         dquery = dscore * local
+        dprojected = np.empty((t_len, heads, d_h + 1), dtype)  # [dproj | dscores]
+        dproj = dprojected[..., :d_h]
         if causal:
-            dproj = np.empty_like(proj)
             np.matmul(
                 weights.transpose(1, 0, 2), dquery.transpose(1, 0, 2),
                 out=dproj.transpose(1, 0, 2),
@@ -375,27 +370,27 @@ def dynamic_conv_head(
             dweights -= (dweights * weights).sum(axis=0)
             dweights *= weights
             dscores = dweights.reshape(-1, t_len) @ np.ones(t_len, dtype)
+            dprojected[..., d_h] = dscores.reshape(t_len, heads)
         else:
             dquery = dquery.sum(axis=0)  # (B * n, d_h)
-            dproj = weights[:, :, None] * dquery
-            dweights = ((proj * dquery).reshape(-1, width) @ sums).reshape(t_len, heads)
+            np.multiply(weights[:, :, None], dquery, out=dproj)
+            dweights = ((proj * dquery).reshape(-1, d_h) @ ones).reshape(t_len, heads)
             dweights -= (dweights * weights).sum(axis=0)
             dweights *= weights
-            dscores = dweights
-        dproj = dproj.reshape(-1, width)
-        dscores = dscores.reshape(-1, n)
+            dprojected[..., d_h] = dweights
+        dheads = dprojected.reshape(-1, n, d_h + 1).transpose(1, 0, 2)  # (n, T * B, d_h + 1)
         dlocal = dlocal.reshape(s.shape)
         if x.requires_grad:
-            ds = dproj @ proj_blocks.T
-            ds += dscores @ score_blocks.T
-            ds = ds.reshape(s.shape)
+            ds = per_head(dheads, stacked.transpose(0, 2, 1)).reshape(s.shape)
             for j in range(min(taps, t_len)):
                 ds[: t_len - j] += kernel[j] * dlocal[j:]
             x._accumulate(_batch_leading(ds, x.shape))
-        if w_s.requires_grad:
-            w_s._accumulate(_diagonal_blocks(rows.T @ dproj, n).reshape(w_s.shape))
-        if w_q.requires_grad:
-            w_q._accumulate(_diagonal_blocks(rows.T @ dscores, n).reshape(w_q.shape))
+        if w_s.requires_grad or w_q.requires_grad:
+            dstacked = head_rows.transpose(0, 2, 1) @ dheads  # (n, d_h, d_h + 1)
+            if w_s.requires_grad:
+                w_s._accumulate(dstacked[..., :d_h].reshape(w_s.shape))
+            if w_q.requires_grad:
+                w_q._accumulate(dstacked[..., d_h].reshape(w_q.shape))
         if w_a.requires_grad:
             dkernel = np.zeros_like(kernel)
             for j in range(min(taps, t_len)):

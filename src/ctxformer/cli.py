@@ -154,22 +154,28 @@ def cmd_train(args) -> int:
 
 def cmd_translate(args) -> int:
     rc = _load_config(args)
+    from .checkpoint import _replacing
     from .data import read_text
     from .inference import beam_search
 
     text = read_text(args.input)
     model, src_vocab, tgt_vocab = _load_trained_model(rc, args)
-    sentences = [line.split() for line in text.splitlines() if line.strip()]
-    out_lines, n_finished, n_tokens = [], 0, 0
-    for words in sentences:
+    # One output line per input line, so hypotheses stay aligned with their
+    # sources and references; a blank line stays blank and is not decoded.
+    out_lines, n, n_finished, n_tokens = [], 0, 0, 0
+    for words in (line.split() for line in text.splitlines()):
+        if not words:
+            out_lines.append("")
+            continue
         result = beam_search(src_vocab.encode(words), model, rc.decode)
         out_lines.append(" ".join(tgt_vocab.decode(result.tokens)))
+        n += 1
         n_finished += result.finished
         n_tokens += len(result.tokens)
     out_path = Path(args.out) if args.out is not None else Path(rc.out_dir) / "translations.txt"
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text("\n".join(out_lines) + ("\n" if out_lines else ""), encoding="utf-8")
-    n = len(out_lines)
+    with _replacing(out_path) as out:
+        out.write(("\n".join(out_lines) + ("\n" if out_lines else "")).encode("utf-8"))
     print(
         f"translated {n} sentences to {out_path}: {n_finished} finished, "
         f"{n - n_finished} budget exhausted, mean length {n_tokens / max(n, 1):.2f} tokens"

@@ -289,6 +289,45 @@ def test_dynamic_head_gradients_through_both_softmaxes():
                 assert report.passed, f"n={n} T={t_len} F={taps} causal={causal} {field}: {report}"
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("causal", [False, True])
+def test_dynamic_head_keeps_a_bad_value_in_its_own_head(dtype, causal):
+    # NaN, +inf and -inf in turn in head j's kernel, w_s, w_q or input
+    # columns: every other head's output columns, input-column grads and
+    # weight-slice grads are finite and bitwise those of the clean run.
+    rng = np.random.default_rng(33)
+    n, d_h, taps = 3, 4, 5
+    shapes = ((2, 6, n * d_h), (n, taps, d_h), (n, d_h, d_h), (n, d_h))
+    clean = [rng.normal(size=shape).astype(dtype) for shape in shapes]
+    grad_out = rng.normal(size=shapes[0]).astype(dtype)
+    w_in = T.Tensor(np.zeros((n, 1, d_h), dtype))  # the node does not read it
+
+    def run(arrays):
+        leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
+        out = A.dynamic_conv_head(leaves[0], A.ConvHeadParams(w_in, *leaves[1:]), causal)
+        T.tsum(T.mul(out, grad_out)).backward()
+        return [out.data] + [leaf.grad for leaf in leaves]
+
+    def head(arrays, j):
+        """Head j's output and input-grad columns and its weight-grad slices."""
+        cols = slice(j * d_h, (j + 1) * d_h)
+        return [arrays[0][..., cols], arrays[1][..., cols]] + [a[j] for a in arrays[2:]]
+
+    want = run(clean)
+    for j in range(n):
+        places = ((0, (1, 2, j * d_h + 1)), (1, (j, 2, 1)), (2, (j, 1, 2)), (3, (j, 3)))
+        for bad in (np.nan, np.inf, -np.inf):
+            for field, index in places:
+                arrays = [a.copy() for a in clean]
+                arrays[field][index] = bad
+                with np.errstate(invalid="ignore", over="ignore"):
+                    got = run(arrays)
+                for other in set(range(n)) - {j}:
+                    for a, b in zip(head(got, other), head(want, other)):
+                        assert np.all(np.isfinite(a)), (j, bad, field, other)
+                        assert np.array_equal(a, b), (j, bad, field, other)
+
+
 def test_sdpa_gradients_match_finite_differences():
     rng = np.random.default_rng(29)
     cases = ((1, 5, 5, True), (1, 3, 6, False), (1, 1, 1, True), (2, 5, 5, True), (2, 3, 6, False))
@@ -347,12 +386,15 @@ def test_nodes_match_their_composed_references(dtype, tol):
 
     cases = []
     for causal in (False, True):
-        for n, t_len, taps in ((None, 6, 15), (3, 6, 15), (3, 1, 3), (2, 7, 5)):
+        # The last case has the paper's conv-head shapes: 8 heads of width 8, 15 taps.
+        for n, d_h, t_len, taps in (
+            (None, 4, 6, 15), (3, 4, 6, 15), (3, 4, 1, 3), (2, 4, 7, 5), (8, 8, 16, 15)
+        ):
             shape = () if n is None else (n,)
             cp = A.ConvHeadParams(
-                *(leaf(*shape, *s) for s in ((8, 4), (taps, 4), (4, 4), (4,)))
+                *(leaf(*shape, *s) for s in ((8, d_h), (taps, d_h), (d_h, d_h), (d_h,)))
             )
-            s = leaf(2, t_len, 4 * (n or 1))
+            s = leaf(2, t_len, d_h * (n or 1))
             cases.append((A.dynamic_conv_head, composed_conv_head, [s, cp.w_a, cp.w_s, cp.w_q],
                           (s, cp, causal), s.shape))
         for lead, t_q, t_k in (((), 5, 5), ((3, 2), 6, 6), ((2,), 1, 1), ((2,), 3, 6)):

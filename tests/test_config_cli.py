@@ -641,7 +641,20 @@ def test_cli_translate_prints_one_decoding_summary(tmp_path, capsys, tiny_run, e
     assert captured.out.splitlines() == [f"translated 3 sentences to {out}: {summary}"]
     assert captured.err == ""
     lengths = [len(line.split()) for line in out.read_text().splitlines()]
-    assert lengths == ([3, 3, 3] if eos_bias < 0 else [0, 0, 0])
+    assert lengths == ([3, 3, 0, 3] if eos_bias < 0 else [0, 0, 0, 0])
+
+
+def test_cli_translate_keeps_a_blank_line_so_eval_stays_aligned(tmp_path, capsys, tiny_run):
+    inp, hyp, ref = (tmp_path / name for name in ("in.txt", "hyp.txt", "ref.txt"))
+    inp.write_text("the fox sees a dog\n\nthe cat sleeps\n")
+    ref.write_text("a b c\nd e\nf g h\n")
+    common = ["--config", str(tiny_run["cfg"]), "--data", str(tiny_run["data"])]
+    argv = ["translate", str(inp), *common, "--checkpoint", str(tiny_run["ckpt"]), "--out", str(hyp)]
+    assert main(argv) == 0
+    lines = hyp.read_text().splitlines()
+    assert len(lines) == 3 and lines[1] == ""
+    assert capsys.readouterr().out.startswith("translated 2 sentences")
+    assert main(["eval", str(hyp), str(ref), *common]) == 0
 
 
 def test_cli_eval_corpus_with_an_unknown_tag_exits_3(tmp_path, capsys, tiny_run):

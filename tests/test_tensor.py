@@ -555,11 +555,10 @@ def _dropout_site(site, dtype, reference):
             leaves = [leaf(2, 5, 8), leaf(2, 5, 8), leaf(2, 5, 8)]
             y = A.scaled_dot_product_attention(*leaves, True, (0.3, drop), heads=2)
         elif site == "dropconnect":
-            # A NaN in any input reaches every head through the block-diagonal
-            # GEMMs, so only the upstream grad carries specials here; a -inf
-            # tap weight gives the masked kernel an exact zero.
-            shapes = ((2, 6, 8), (2, 3, 4), (2, 4, 4), (2, 4))
-            leaves = [leaf(*shape, specials=False) for shape in shapes]
+            # The input's specials sit in head 0's columns, so head 1 stays
+            # finite; a -inf tap weight gives the masked kernel an exact zero.
+            shapes = ((2, 3, 4), (2, 4, 4), (2, 4))
+            leaves = [leaf(2, 6, 8)] + [leaf(*shape, specials=False) for shape in shapes]
             leaves[1].data[0, 0, 0] = -np.inf
             params = A.ConvHeadParams(T.Tensor(np.zeros((2, 8, 4), dtype)), *leaves[1:])
             y = A.dynamic_conv_head(leaves[0], params, True, (0.3, drop))
