@@ -27,10 +27,11 @@ than over a leading axis, so each node puts the axis it reduces over first.
 - `dynamic_conv_head` works time-leading, on (T, B, n * d_h). The tap loop of
   Eq. 2 adds whole time slices. Eq. 3's projection and scores are one batched
   matmul of each head's rows with its own [w_s | w_q], written into
-  (T, B * n, d_h + 1). Its softmax runs over axis 0: over (T, B * n) in full
-  mode, over the prefix weights (T_key, B * n, T_query) in causal mode. Eq. 4's
-  gate sums are the (T * B * n, d_h) rows times ones(d_h). No head's
-  arithmetic reads another head's columns, so a NaN or inf stays in its head.
+  (T, B * n, d_h + 1). Its softmax weights are (T_key, B * n, T_query) and
+  run over axis 0; full mode is causal mode's last prefix alone, one query
+  over every key (T_query = 1). Eq. 4's gate sums are the (T * B * n, d_h)
+  rows times ones(d_h). No head's arithmetic reads another head's columns,
+  so a NaN or inf stays in its head.
 
 Also hosts the per-layer complexity model. `test_complexity_validation`
 checks it on the products the nodes run: `attention_scores` and
@@ -277,17 +278,20 @@ def dynamic_conv_head(
     of the block (Eq. 3), and gates the local context:
     sigmoid(<local_t, query_t> / sqrt(d_h)) * local_t (Eq. 4). Full mode
     has one query per sequence; `causal` gives each position the query of
-    its own prefix (the local window is causal either way).
+    its own prefix (the local window is causal either way). Both run the
+    same Eq. 3: `causal` only sets the number of queries, T or 1, and adds
+    the mask that gives a prefix's later keys zero weight.
     `kernel_dropconnect` is an optional (p, rng) pair zeroing kernel taps
     during training; its mask has the shape of `params.w_a`.
 
     The node works time-leading, head by head (see the module docstring).
     The backward keeps the input, the masked kernel and its DropConnect keep
-    bits, the local context, the softmax weights of the query, the query,
-    the gate and the per-head [w_s | w_q]. It recomputes Eq. 3's batched
-    matmul for the projection, packs the grads of the projection and the
-    scores per head as [dproj | dscores], and gets the input's grad and the
-    w_s and w_q grads from one batched matmul each.
+    bits, the local context, the softmax weights of the queries, the
+    queries, the gate and the per-head [w_s | w_q]. It recomputes Eq. 3's
+    batched matmul for the projection, sums the gate's query grad back to
+    the queries, packs the grads of the projection and the scores per head
+    as [dproj | dscores], and gets the input's grad and the w_s and w_q
+    grads from one batched matmul each.
     """
     x = tn.as_tensor(s_proj)
     w_a, w_s, w_q = params.w_a, params.w_s, params.w_q
@@ -325,20 +329,16 @@ def dynamic_conv_head(
         return out
 
     projected = per_head(head_rows, stacked)
-    proj, scores = projected[..., :d_h], projected[..., d_h]
+    proj, scores = projected[..., :d_h], projected[..., d_h, None]
+    # weights[u, i, t]: key position u of query t's summary, key first. Full
+    # mode has one query (t_q = 1); causal mode one per prefix, where later
+    # keys get exactly zero weight.
+    t_q = t_len if causal else 1
     if causal:
-        # weights[u, i, t]: key position u of the prefix ending at t, key
-        # first; later keys get exactly zero weight.
-        weights = tn.softmax_array(
-            scores[:, :, None] + _causal_bias(t_len, dtype)[:, None], axis=0
-        )
-        query = np.empty((t_len, heads, d_h), dtype)
-        np.matmul(
-            weights.transpose(1, 2, 0), proj.transpose(1, 0, 2), out=query.transpose(1, 0, 2)
-        )
-    else:
-        weights = tn.softmax_array(scores, axis=0)  # (T, B * n)
-        query = (weights[:, :, None] * proj).sum(axis=0)  # (B * n, d_h)
+        scores = scores + _causal_bias(t_len, dtype)[:, None]
+    weights = tn.softmax_array(scores, axis=0)  # (T, B * n, t_q)
+    query = np.empty((t_q, heads, d_h), dtype)
+    np.matmul(weights.transpose(1, 2, 0), proj.transpose(1, 0, 2), out=query.transpose(1, 0, 2))
     # Eq. 4: each head's gate sums, one row of d_h each.
     ones = np.ones(d_h, dtype)
     scale = dtype.type(1.0 / math.sqrt(d_h))
@@ -354,30 +354,20 @@ def dynamic_conv_head(
         dscore = dgate * gate * (1 - gate) * scale
         dlocal = g * gate
         dlocal += dscore * query
-        dquery = dscore * local
+        dquery = tn._unbroadcast(dscore * local, query.shape)
         dprojected = np.empty((t_len, heads, d_h + 1), dtype)  # [dproj | dscores]
         dproj = dprojected[..., :d_h]
-        if causal:
-            np.matmul(
-                weights.transpose(1, 0, 2), dquery.transpose(1, 0, 2),
-                out=dproj.transpose(1, 0, 2),
-            )
-            dweights = np.empty_like(weights)
-            np.matmul(
-                proj.transpose(1, 0, 2), dquery.transpose(1, 2, 0),
-                out=dweights.transpose(1, 0, 2),
-            )
-            dweights -= (dweights * weights).sum(axis=0)
-            dweights *= weights
-            dscores = dweights.reshape(-1, t_len) @ np.ones(t_len, dtype)
-            dprojected[..., d_h] = dscores.reshape(t_len, heads)
-        else:
-            dquery = dquery.sum(axis=0)  # (B * n, d_h)
-            np.multiply(weights[:, :, None], dquery, out=dproj)
-            dweights = ((proj * dquery).reshape(-1, d_h) @ ones).reshape(t_len, heads)
-            dweights -= (dweights * weights).sum(axis=0)
-            dweights *= weights
-            dprojected[..., d_h] = dweights
+        np.matmul(
+            weights.transpose(1, 0, 2), dquery.transpose(1, 0, 2), out=dproj.transpose(1, 0, 2)
+        )
+        dweights = np.empty_like(weights)
+        np.matmul(
+            proj.transpose(1, 0, 2), dquery.transpose(1, 2, 0), out=dweights.transpose(1, 0, 2)
+        )
+        dweights -= (dweights * weights).sum(axis=0)
+        dweights *= weights
+        dscores = dweights.reshape(-1, t_q) @ np.ones(t_q, dtype)
+        dprojected[..., d_h] = dscores.reshape(t_len, heads)
         dheads = dprojected.reshape(-1, n, d_h + 1).transpose(1, 0, 2)  # (n, T * B, d_h + 1)
         dlocal = dlocal.reshape(s.shape)
         if x.requires_grad:

@@ -121,14 +121,14 @@ def _load_trained_model(rc, args):
 
 def cmd_gen(args) -> int:
     rc = _load_config(args)
-    from .data import generate_corpus, split_corpus, write_corpus
+    from .data import generate_corpus, split_corpus, write_lines
 
     out_dir = Path(args.out) if args.out is not None else Path(rc.data_dir)
     _, lines = generate_corpus(rc.seed, rc.n_pairs, rc.max_sentence_len)
     train, valid, test = split_corpus(lines)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, part in (("train", train), ("valid", valid), ("test", test)):
-        write_corpus(out_dir / f"{name}.txt", part)
+        write_lines(out_dir / f"{name}.txt", part)
     print(f"wrote {len(train)}/{len(valid)}/{len(test)} records to {out_dir}")
     return 0
 
@@ -154,8 +154,7 @@ def cmd_train(args) -> int:
 
 def cmd_translate(args) -> int:
     rc = _load_config(args)
-    from .checkpoint import _replacing
-    from .data import read_text
+    from .data import read_text, write_lines
     from .inference import beam_search
 
     text = read_text(args.input)
@@ -174,8 +173,7 @@ def cmd_translate(args) -> int:
         n_tokens += len(result.tokens)
     out_path = Path(args.out) if args.out is not None else Path(rc.out_dir) / "translations.txt"
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with _replacing(out_path) as out:
-        out.write(("\n".join(out_lines) + ("\n" if out_lines else "")).encode("utf-8"))
+    write_lines(out_path, out_lines)
     print(
         f"translated {n} sentences to {out_path}: {n_finished} finished, "
         f"{n - n_finished} budget exhausted, mean length {n_tokens / max(n, 1):.2f} tokens"
@@ -185,7 +183,7 @@ def cmd_translate(args) -> int:
 
 def cmd_eval(args) -> int:
     rc = _load_config(args)
-    from .data import read_corpus, read_text
+    from .data import read_corpus, read_text, write_lines
     from .errors import DataError
     from .inference import bleu, exact_match, tag_accuracies
 
@@ -210,7 +208,7 @@ def cmd_eval(args) -> int:
     print(text)
     if args.out is not None:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        write_lines(args.out, [text])
     return 0
 
 

@@ -28,9 +28,10 @@ sizes and dropout rates but not the layout; the tag heads are sized by
 `POS_TAGS` and `NER_TAGS`.
 
 The `paper` preset pins the published recipe (5 blocks, 16 heads, kernel
-sizes 3,5,7,11,15, dropout 0.25 with 0.10 residual/embedding dropout,
-gradient accumulation 10, beam 5 with length-penalty exponent 0.5); the
-`toy` preset is sized for minutes-scale desk runs.
+sizes 3,5,7,11,15, dropout 0.25 on attention weights and hidden units,
+one 0.10 rate, `residual_dropout`, for the residual and embedding
+dropout, gradient accumulation 10, beam 5 with length-penalty exponent
+0.5); the `toy` preset is sized for minutes-scale desk runs.
 """
 
 from __future__ import annotations
@@ -100,7 +101,6 @@ def preset_run_config(name: str) -> RunConfig:
                 kernel_sizes=(3, 5, 7, 11, 15),
                 dropout=0.25,
                 residual_dropout=0.10,
-                embed_dropout=0.10,
                 dropconnect=0.10,
                 max_len=512,
             ),
@@ -124,7 +124,6 @@ def preset_run_config(name: str) -> RunConfig:
                 kernel_sizes=(3, 5, 7),
                 dropout=0.10,
                 residual_dropout=0.10,
-                embed_dropout=0.10,
                 dropconnect=0.0,
                 max_len=32,
             ),

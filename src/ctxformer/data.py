@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .checkpoint import _replacing
 from .errors import ConfigError, DataError
 
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
@@ -316,8 +317,12 @@ def parse_record(line: str):
     return src, tgt, pos, ner
 
 
-def write_corpus(path, lines) -> None:
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+def write_lines(path, lines) -> None:
+    """Write `lines` to `path` as UTF-8, one per line. The file is replaced
+    only once the write completes (see `checkpoint._replacing`), so a write
+    that fails midway leaves the previous file in place."""
+    with _replacing(Path(path)) as out:
+        out.write(("\n".join(lines) + ("\n" if lines else "")).encode("utf-8"))
 
 
 def read_text(path) -> str:

@@ -46,7 +46,6 @@ class ModelConfig:
     vocab_tgt: int = 64
     dropout: float = 0.0
     residual_dropout: float = 0.0
-    embed_dropout: float = 0.0
     dropconnect: float = 0.0
     max_len: int = 64
 
@@ -71,7 +70,7 @@ class ModelConfig:
         for f in self.kernel_sizes:
             if f < 1 or f % 2 == 0:
                 raise ConfigError(f"kernel sizes must be odd and >= 1, got {f}")
-        for name in ("dropout", "residual_dropout", "embed_dropout", "dropconnect"):
+        for name in ("dropout", "residual_dropout", "dropconnect"):
             p = getattr(self, name)
             if not (0.0 <= p < 1.0):
                 raise ConfigError(f"{name} must be in [0, 1), got {p}")
@@ -404,13 +403,14 @@ class Seq2SeqModel:
         training: bool = False,
         rng=None,
     ) -> Tensor:
-        """Token lookup scaled by sqrt(d) plus positions, then embed dropout."""
+        """Token lookup scaled by sqrt(d) plus positions, then dropout at the
+        residual rate."""
         ids = np.asarray(ids)
         t_len = ids.shape[-1]
         x = tn.mul(tn.embedding(table, ids), math.sqrt(self.config.d_model))
         x = tn.add(x, self._pe[:t_len])
-        if training and self.config.embed_dropout > 0:
-            x = tn.dropout(x, self.config.embed_dropout, rng)
+        if training and self.config.residual_dropout > 0:
+            x = tn.dropout(x, self.config.residual_dropout, rng)
         return x
 
     def encode(

@@ -24,7 +24,8 @@ Softmax, log-softmax, sigmoid and the layer-norm standardisation are one
 array kernel each (`softmax_array`, `log_softmax_array`, `sigmoid_array`,
 `standardize`), run by the graph ops, the attention nodes and graph-free
 decoding alike. Every dropout decision comes from one kernel,
-`dropout_mask`, as boolean keep bits and a scale; every node that drops
+`dropout_mask`, as boolean keep bits and a scale: two decisions per raw
+PCG64 word, the same bits in float32 and float64. Every node that drops
 keeps those bits, one byte per decision, never a float mask.
 `layer_norm` also runs a post-norm residual sublayer, LN(x + dropout(out)),
 as one node.
@@ -553,22 +554,21 @@ def dropout_mask(
     shape, p: float, rng: np.random.Generator, dtype
 ) -> Optional[tuple[np.ndarray, np.generic]]:
     """The inverted-dropout decisions for an array of `shape`: the boolean
-    keep bits, True where a uniform draw in `dtype` is >= p, and the scale
+    keep bits, True where a 24-bit uniform draw is >= p, and the scale
     1 / (1 - p) in `dtype`; None when p == 0, which draws nothing.
 
     `dropout`, `layer_norm`, `linear` and the attention nodes draw every
     mask here, so the masks and the rng stream do not depend on which of
-    them asks. The keep bits and the generator's state after the draw are
-    bitwise those of `rng.random(shape, dtype) >= p` with p a Python float
-    (rounded to `dtype` for the comparison), read off raw words; see
-    `_uniforms_at_least`. `apply_dropout` applies them.
+    them asks. The keep bits come from whole raw words, two decisions per
+    word, by one rule whatever `dtype` is, so a float32 and a float64 model
+    drop the same elements; see `_uniforms_at_least`. `apply_dropout`
+    applies them.
     """
     if not (0.0 <= p < 1.0):
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
     if p == 0.0:
         return None
-    dtype = np.dtype(dtype)
-    return _uniforms_at_least(shape, float(p), rng, dtype), dtype.type(1.0 / (1.0 - p))
+    return _uniforms_at_least(shape, float(p), rng), np.dtype(dtype).type(1.0 / (1.0 - p))
 
 
 def apply_dropout(x: np.ndarray, keep: np.ndarray, scale, **multiply_kw) -> np.ndarray:
@@ -585,39 +585,23 @@ def apply_dropout(x: np.ndarray, keep: np.ndarray, scale, **multiply_kw) -> np.n
     return out
 
 
-def _uniforms_at_least(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray:
-    """`rng.random(shape, dtype) >= p`, compared on the PCG64 words the
-    uniforms are made from.
+def _uniforms_at_least(shape, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Keep bits for an array of `shape`: True where decision i's uniform is >= p.
 
-    A float64 uniform is (word >> 11) / 2**53 of one 64-bit word, a float32
-    one (half >> 8) / 2**24 of a 32-bit half, low half first; the generator
-    buffers the unused high half for the next 32-bit draw. A uniform is >= p
-    exactly when its word is >= ceil(p * 2**53) << 11, or its half >=
-    ceil(p * 2**24) << 8, so the words need no conversion to floats. The
-    halves in the middle come from whole raw words; the leading buffered
-    half and the trailing one or two halves are drawn through
-    `rng.integers`, which reads and sets that buffer as `rng.random` does.
+    Decision i reads 32-bit half i of `ceil(n / 2)` whole PCG64 raw words,
+    low half first; an odd n leaves the last high half unread. Its uniform
+    is (half >> 8) / 2**24, the one `rng.random(dtype=np.float32)` makes
+    from a half, and it is >= p rounded to float32 exactly when the half is
+    >= ceil(p * 2**24) << 8, so the halves need no conversion to floats.
     """
     bits = rng.bit_generator
     if not isinstance(bits, np.random.PCG64):
         raise ConfigError(f"dropout needs a PCG64 bit generator, got {type(bits).__name__}")
-    keep = np.empty(shape, dtype=bool)
-    flat = keep.reshape(-1)
-    n = flat.size
-    if dtype == np.float64:
-        np.greater_equal(bits.random_raw(n), np.uint64(math.ceil(p * 2.0**53) << 11), out=flat)
-        return keep
-    if dtype != np.float32:
-        raise ConfigError(f"dropout masks are drawn in float32 or float64, not {dtype}")
+    n = math.prod(shape)
     threshold = math.ceil(float(np.float32(p)) * 2.0**24) << 8  # 2**32 when p rounds to 1
     limit = np.uint32(threshold) if threshold <= 0xFFFFFFFF else np.uint64(threshold)
-    lead = int(n > 0 and bits.state["has_uint32"])
-    tail = (n - lead) % 2 or min(2, n - lead)
-    np.greater_equal(rng.integers(0, 2**32, lead, dtype=np.uint32), limit, out=flat[:lead])
-    body = bits.random_raw((n - lead - tail) // 2).astype("<u8", copy=False).view("<u4")
-    np.greater_equal(body, limit, out=flat[lead : n - tail])
-    np.greater_equal(rng.integers(0, 2**32, tail, dtype=np.uint32), limit, out=flat[n - tail :])
-    return keep
+    halves = bits.random_raw(-(-n // 2)).astype("<u8", copy=False).view("<u4")
+    return (halves[:n] >= limit).reshape(shape)
 
 
 def dropout(x, p: float, rng: np.random.Generator) -> Tensor:

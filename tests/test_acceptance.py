@@ -268,7 +268,7 @@ def test_head_split_regression():
                 failures.append(f"{stack}.{i}: taps {mha.conv.w_a.shape[1]} != {taps}")
     if rc.train.accum_steps != 10 or rc.decode.beam_size != 5 or rc.decode.alpha != 0.5:
         failures.append("training/decoding constants drifted")
-    if rc.model.dropout != 0.25 or rc.model.residual_dropout != 0.10 or rc.model.embed_dropout != 0.10:
+    if rc.model.dropout != 0.25 or rc.model.residual_dropout != 0.10:
         failures.append("dropout constants drifted")
     _report("paper preset head split and constants", failures)
 
@@ -293,7 +293,6 @@ def test_toy_convergence():
         vocab_tgt=len(tgt_vocab),
         dropout=0.10,
         residual_dropout=0.10,
-        embed_dropout=0.10,
         max_len=32,
     )
     model = Seq2SeqModel(cfg, seed=0, dtype=np.float32)
@@ -568,7 +567,6 @@ def test_training_determinism(tmp_path):
             vocab_tgt=len(tgt_vocab),
             dropout=0.10,
             residual_dropout=0.10,
-            embed_dropout=0.10,
             max_len=32,
         )
         model = Seq2SeqModel(cfg, seed=4, dtype=np.float32)

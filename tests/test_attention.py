@@ -260,6 +260,29 @@ def test_dynamic_head_causal_query_blocks_future():
         assert np.array_equal(out[: t + 1], base[: t + 1])
 
 
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_dynamic_head_full_mode_is_causal_modes_last_position(dtype, tol):
+    # The prefix of position T-1 is the whole sequence, so its output and
+    # the grads of a loss on it alone agree between the two modes, within
+    # tol of the largest causal-mode entry (the summation orders differ).
+    rng = np.random.default_rng(34)
+    n, d_h, taps = 3, 4, 5
+    shapes = ((2, 7, n * d_h), (n, taps, d_h), (n, d_h, d_h), (n, d_h))
+    arrays = [rng.normal(size=shape).astype(dtype) for shape in shapes]
+    grad_out = np.zeros(shapes[0], dtype)
+    grad_out[:, -1] = rng.normal(size=(2, n * d_h))
+    w_in = T.Tensor(np.zeros((n, 1, d_h), dtype))  # the node does not read it
+    results = []
+    for causal in (False, True):
+        leaves = [T.Tensor(a, requires_grad=True) for a in arrays]
+        out = A.dynamic_conv_head(leaves[0], A.ConvHeadParams(w_in, *leaves[1:]), causal)
+        T.tsum(T.mul(out, grad_out)).backward()
+        results.append([out.data[:, -1]] + [leaf.grad for leaf in leaves])
+    for full, causal in zip(*results):
+        assert full.dtype == dtype and np.all(causal != 0)
+        assert np.max(np.abs(full - causal)) <= tol * np.max(np.abs(causal))
+
+
 def test_dynamic_head_gradients_through_both_softmaxes():
     # float64 finite differences through the node into its input and every
     # weight it reads: full and causal, one head and three stacked heads,

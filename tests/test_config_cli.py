@@ -3,6 +3,7 @@
 import configparser
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -36,7 +37,7 @@ def test_paper_preset_pins_published_recipe():
     assert tuple(rc.model.kernel_sizes) == (3, 5, 7, 11, 15)
     assert rc.model.dropout == 0.25
     assert rc.model.residual_dropout == 0.10
-    assert rc.model.embed_dropout == 0.10
+    assert not hasattr(rc.model, "embed_dropout")
     assert rc.train.accum_steps == 10
     assert rc.train.total_steps == 320_000
     assert rc.train.warmup_steps == 4000
@@ -443,13 +444,14 @@ def test_cli_translate_version_1_checkpoint_exits_3(tmp_path, capsys):
         ("[model]\nvocab_src = 40\n", "vocab_src"),
         ("[model]\nvocab_tgt = 40\n", "vocab_tgt"),
         ("[run]\nseed = -1\n", "seed"),
+        ("[model]\nembed_dropout = 0.1\n", "embed_dropout"),
     ],
     ids=["one-beta", "no-beta", "three-betas", "zero-width", "negative-width",
          "zero-max-tokens", "zero-dilation", "nan-alpha", "removed-cross-conv",
          "removed-n-pos-tags", "zero-adam-eps", "negative-adam-eps", "nan-adam-eps",
          "nan-lambda-pos", "nan-lambda-ner", "sentences-shorter-than-the-grammar",
          "overflowing-alpha", "vanishing-alpha", "derived-train-seed", "derived-vocab-src",
-         "derived-vocab-tgt", "negative-seed"],
+         "derived-vocab-tgt", "negative-seed", "removed-embed-dropout"],
 )
 def test_cli_gen_rejects_values_that_would_fail_later(tmp_path, capsys, text, key):
     cfg = tmp_path / "bad.cfg"
@@ -655,6 +657,43 @@ def test_cli_translate_keeps_a_blank_line_so_eval_stays_aligned(tmp_path, capsys
     assert len(lines) == 3 and lines[1] == ""
     assert capsys.readouterr().out.startswith("translated 2 sentences")
     assert main(["eval", str(hyp), str(ref), *common]) == 0
+
+
+class _DiskFullHalfway:
+    """A binary file that writes half of what it is given, then fails as a
+    full disk does."""
+
+    def __init__(self, path, mode):
+        self._file = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._file.close()
+
+    def write(self, data):
+        self._file.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("command", ["gen", "eval"])
+def test_cli_write_that_fails_midway_keeps_the_previous_file(tmp_path, capsys, monkeypatch, command):
+    from ctxformer import checkpoint
+
+    text = tmp_path / "a.txt"
+    text.write_text("x y z\n")
+    target = tmp_path / ("train.txt" if command == "gen" else "report.txt")
+    target.write_bytes(b"the previous file\n")
+    argv = {
+        "gen": ["gen", "--out", str(tmp_path)],
+        "eval": ["eval", str(text), str(text), "--out", str(target)],
+    }[command]
+    monkeypatch.setattr(checkpoint, "open", _DiskFullHalfway, raising=False)
+    assert main(argv) == 4
+    assert "No space left on device" in capsys.readouterr().err
+    assert target.read_bytes() == b"the previous file\n"
+    assert not list(tmp_path.glob(".*.tmp"))
 
 
 def test_cli_eval_corpus_with_an_unknown_tag_exits_3(tmp_path, capsys, tiny_run):

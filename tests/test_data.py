@@ -123,7 +123,7 @@ def test_tagged_pair_validates_tag_lengths():
 def test_corpus_roundtrip_via_file(tmp_path):
     _, lines = D.generate_corpus(5, 20)
     path = tmp_path / "corpus.txt"
-    D.write_corpus(path, lines)
+    D.write_lines(path, lines)
     records = D.read_corpus(path)
     assert len(records) == 20
     rebuilt = [format_record(*r) for r in records]

@@ -436,6 +436,13 @@ def test_dropout_rejects_p_one():
         T.dropout(T.Tensor(np.zeros(3)), 1.0, np.random.default_rng(0))
 
 
+def keep_bits_oracle(words, n, p):
+    """Decision i keeps when the 24-bit uniform of 32-bit half i of the raw
+    words, low half first, is >= p rounded to float32."""
+    halves = [word >> shift & 0xFFFFFFFF for word in words for shift in (0, 32)]
+    return [(half >> 8) / 2**24 >= float(np.float32(p)) for half in halves[:n]]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -449,16 +456,24 @@ def test_dropout_rejects_p_one():
     dtype=st.sampled_from([np.float32, np.float64]),
 )
 def test_dropout_mask_is_the_uniform_formula_bit_for_bit(seed, carried, shape, p, dtype):
-    # An odd number of carried-in float32 draws leaves half a word buffered.
-    reference, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for gen in (reference, rng):
+    # An odd number of carried-in float32 draws leaves half a word buffered;
+    # the mask reads whole raw words and leaves that half where it is.
+    reference, rng, other = (np.random.default_rng(seed) for _ in range(3))
+    for gen in (reference, rng, other):
         gen.random(carried, dtype=np.float32)
-    expected = reference.random(shape, dtype=dtype) >= p
+    n = math.prod(shape)
+    expected = keep_bits_oracle(reference.bit_generator.random_raw(-(-n // 2)).tolist(), n, p)
     keep, scale = T.dropout_mask(shape, p, rng, dtype)
-    assert keep.dtype == bool and keep.shape == expected.shape
-    assert keep.tobytes() == expected.tobytes()
+    assert keep.dtype == bool and keep.shape == shape
+    assert keep.reshape(-1).tolist() == expected
     assert type(scale) is dtype and scale == dtype(1.0 / (1.0 - p))
     assert rng.bit_generator.state == reference.bit_generator.state
+    if np.float32(p) == 1:
+        assert not keep.any()
+    # The other dtype draws the same bits and leaves the same state.
+    other_dtype = np.float64 if dtype == np.float32 else np.float32
+    assert T.dropout_mask(shape, p, other, other_dtype)[0].tobytes() == keep.tobytes()
+    assert other.bit_generator.state == reference.bit_generator.state
 
 
 def test_dropout_mask_draws_nothing_at_p_zero_and_needs_pcg64():
@@ -470,11 +485,14 @@ def test_dropout_mask_draws_nothing_at_p_zero_and_needs_pcg64():
         T.dropout_mask((4, 5), 0.1, np.random.Generator(np.random.MT19937(3)), np.float32)
 
 
-def test_dropout_draws_its_uniforms_in_the_activation_dtype():
-    # float64 keeps the default float64 stream; float32 draws float32 uniforms.
-    # The mask kernel, `dropout` and both attention nodes draw the same mask.
+def test_dropout_draws_the_same_keep_bits_in_every_dtype():
+    # float32 and float64 draw the oracle's keep bits; only the scale's dtype
+    # differs. The mask kernel, `dropout` and both attention nodes draw the
+    # same mask.
+    words = np.random.default_rng(5).bit_generator.random_raw(32).tolist()
+    keep = np.array(keep_bits_oracle(words, 63, 0.3)).reshape(7, 9)
+    assert 0 < keep.sum() < keep.size
     for dtype in (np.float64, np.float32):
-        keep = np.random.default_rng(5).random((7, 9), dtype=dtype) >= 0.3
         expected = np.where(keep, dtype(1.0 / 0.7), 0)
         bits, scale = T.dropout_mask((7, 9), 0.3, np.random.default_rng(5), dtype)
         assert scale.dtype == dtype and np.array_equal(np.where(bits, scale, 0), expected)

@@ -162,7 +162,7 @@ def test_nan_in_one_heads_grad_names_the_leaf_and_its_first_bad_entry():
 def test_train_step_writes_into_no_incoming_grad(dtype, monkeypatch):
     # Interior nodes borrow their first grad (see `tensor`); a backward that
     # wrote into its incoming grad would fail here on a read-only array.
-    overrides = dict(h=4, dropout=0.1, residual_dropout=0.1, embed_dropout=0.1, dropconnect=0.1)
+    overrides = dict(h=4, dropout=0.1, residual_dropout=0.1, dropconnect=0.1)
     cfg = TR.TrainConfig(accum_steps=1, warmup_steps=4)
     trained = []
     for wrap in (False, True):
