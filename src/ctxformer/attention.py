@@ -457,7 +457,7 @@ def multi_head_forward(
         )
     dot = dot_product_family(x, x, params, causal, attn_dropout)
     conv = conv_family(x, params.conv, causal, kernel_dropconnect)
-    return tn.matmul(tn.concat([dot, conv], axis=-1), params.w_o)
+    return tn.matmul(tn.concat([dot, conv]), params.w_o)
 
 
 # ------------------------------------------------------ Table of complexities

@@ -38,7 +38,9 @@ DTYPES = (np.dtype("<f4"), np.dtype("<f8"), np.dtype("<i8"))  # indexed by a rec
 def _replacing(path: Path):
     """A binary file that replaces `path` when the block exits cleanly.
 
-    On an exception the temporary file is removed and `path` is untouched.
+    On an exception before the rename the temporary file is removed and
+    `path` is untouched; one raised after it (an interrupt) propagates as it
+    is.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     out = open(tmp, "wb")
@@ -47,7 +49,7 @@ def _replacing(path: Path):
             yield out
         os.replace(tmp, path)
     except BaseException:
-        os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: gen (synthetic corpus), train, translate, eval, probe.
-Shared flags: --config PATH, --seed N, --preset {paper,toy}, --out PATH.
+Shared flags: --config PATH, --seed N, --preset NAME (one of
+`config.PRESETS`), --out PATH.
 The CTXFORMER_THREADS environment variable caps BLAS parallelism. The cap
 is applied in the package's `__init__`, which runs before this module and
 before any submodule loads numpy.
@@ -16,10 +17,14 @@ import argparse
 import sys
 from pathlib import Path
 
+from . import config, data, inference, training
+from .errors import ConfigError, DataError, NumericsError
+from .model import Seq2SeqModel
+
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=Path, default=None, help="key=value config file")
-    sub.add_argument("--preset", choices=("paper", "toy"), default=None)
+    sub.add_argument("--preset", choices=config.PRESETS, default=None)
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--out", type=Path, default=None, help="output directory or file")
     sub.add_argument("--data", type=Path, default=None, help="corpus directory")
@@ -66,9 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args):
-    from .config import load_run_config
-
-    rc = load_run_config(
+    rc = config.load_run_config(
         config_path=args.config,
         preset=args.preset,
         seed=args.seed,
@@ -80,39 +83,29 @@ def _load_config(args):
 
 
 def _read_split(rc, split: str):
-    from .config import corpus_paths
-    from .data import read_corpus
-
-    return read_corpus(corpus_paths(rc)[split])
+    return data.read_corpus(config.corpus_paths(rc)[split])
 
 
 def _build_vocabs(train_records):
-    from .data import vocab_from_corpus
-
-    src_vocab = vocab_from_corpus(r[0] for r in train_records)
-    tgt_vocab = vocab_from_corpus(r[1] for r in train_records)
+    src_vocab = data.vocab_from_corpus(r[0] for r in train_records)
+    tgt_vocab = data.vocab_from_corpus(r[1] for r in train_records)
     return src_vocab, tgt_vocab
 
 
 def _build_model(rc, src_vocab, tgt_vocab):
-    from .model import Seq2SeqModel
-
     rc.model.vocab_src = len(src_vocab)
     rc.model.vocab_tgt = len(tgt_vocab)
     return Seq2SeqModel(rc.model, seed=rc.seed)
 
 
 def _load_trained_model(rc, args):
-    from .errors import DataError
-    from .training import load_checkpoint
-
     ckpt_path = args.checkpoint or Path(rc.out_dir) / "averaged.bin"
     if not Path(ckpt_path).exists():
         raise DataError(f"missing checkpoint: {ckpt_path}")
     train_records = _read_split(rc, "train")
     src_vocab, tgt_vocab = _build_vocabs(train_records)
     model = _build_model(rc, src_vocab, tgt_vocab)
-    model.load_state(load_checkpoint(ckpt_path).params)
+    model.load_state(training.load_checkpoint(ckpt_path).params)
     return model, src_vocab, tgt_vocab
 
 
@@ -121,43 +114,35 @@ def _load_trained_model(rc, args):
 
 def cmd_gen(args) -> int:
     rc = _load_config(args)
-    from .data import generate_corpus, split_corpus, write_lines
-
     out_dir = Path(args.out) if args.out is not None else Path(rc.data_dir)
-    _, lines = generate_corpus(rc.seed, rc.n_pairs, rc.max_sentence_len)
-    train, valid, test = split_corpus(lines)
+    _, lines = data.generate_corpus(rc.seed, rc.n_pairs, rc.max_sentence_len)
+    train, valid, test = data.split_corpus(lines)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, part in (("train", train), ("valid", valid), ("test", test)):
-        write_lines(out_dir / f"{name}.txt", part)
+        data.write_lines(out_dir / f"{name}.txt", part)
     print(f"wrote {len(train)}/{len(valid)}/{len(test)} records to {out_dir}")
     return 0
 
 
 def cmd_train(args) -> int:
     rc = _load_config(args)
-    from .data import records_to_pairs
-    from .training import Trainer
-
     train_records = _read_split(rc, "train")
     src_vocab, tgt_vocab = _build_vocabs(train_records)
     model = _build_model(rc, src_vocab, tgt_vocab)
-    pairs = records_to_pairs(train_records, src_vocab, tgt_vocab)
+    pairs = data.records_to_pairs(train_records, src_vocab, tgt_vocab)
     out_dir = Path(rc.out_dir)
-    trainer = Trainer(model, pairs, rc.train, out_dir=out_dir, log_path=out_dir / "metrics.log")
+    trainer = training.Trainer(model, pairs, rc.train, out_dir=out_dir)
     if args.resume is not None:
         trainer.resume_from(args.resume)
     lines = trainer.run()
     print(f"trained to step {trainer.state.opt_step}; {len(lines) - 1} metric lines")
-    print(f"checkpoints and metrics.log in {out_dir}")
+    print(f"checkpoints and {training.METRICS_LOG} in {out_dir}")
     return 0
 
 
 def cmd_translate(args) -> int:
     rc = _load_config(args)
-    from .data import read_text, write_lines
-    from .inference import beam_search
-
-    text = read_text(args.input)
+    text = data.read_text(args.input)
     model, src_vocab, tgt_vocab = _load_trained_model(rc, args)
     # One output line per input line, so hypotheses stay aligned with their
     # sources and references; a blank line stays blank and is not decoded.
@@ -166,14 +151,14 @@ def cmd_translate(args) -> int:
         if not words:
             out_lines.append("")
             continue
-        result = beam_search(src_vocab.encode(words), model, rc.decode)
+        result = inference.beam_search(src_vocab.encode(words), model, rc.decode)
         out_lines.append(" ".join(tgt_vocab.decode(result.tokens)))
         n += 1
         n_finished += result.finished
         n_tokens += len(result.tokens)
     out_path = Path(args.out) if args.out is not None else Path(rc.out_dir) / "translations.txt"
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_lines(out_path, out_lines)
+    data.write_lines(out_path, out_lines)
     print(
         f"translated {n} sentences to {out_path}: {n_finished} finished, "
         f"{n - n_finished} budget exhausted, mean length {n_tokens / max(n, 1):.2f} tokens"
@@ -183,50 +168,42 @@ def cmd_translate(args) -> int:
 
 def cmd_eval(args) -> int:
     rc = _load_config(args)
-    from .data import read_corpus, read_text, write_lines
-    from .errors import DataError
-    from .inference import bleu, exact_match, tag_accuracies
-
     # keep empty lines: an empty hypothesis is still a (bad) translation
-    hyp_lines = [l.split() for l in read_text(args.hyp).splitlines()]
-    ref_lines = [l.split() for l in read_text(args.ref).splitlines()]
+    hyp_lines = [l.split() for l in data.read_text(args.hyp).splitlines()]
+    ref_lines = [l.split() for l in data.read_text(args.ref).splitlines()]
     if len(hyp_lines) != len(ref_lines):
         raise DataError(
             f"line count mismatch: {len(hyp_lines)} hypotheses vs {len(ref_lines)} references"
         )
     report = {
-        "bleu": f"{bleu(hyp_lines, ref_lines):.4f}",
-        "exact_match": f"{exact_match(hyp_lines, ref_lines):.4f}",
+        "bleu": f"{inference.bleu(hyp_lines, ref_lines):.4f}",
+        "exact_match": f"{inference.exact_match(hyp_lines, ref_lines):.4f}",
     }
     if args.corpus is not None:
-        records = read_corpus(args.corpus)
+        records = data.read_corpus(args.corpus)
         model, src_vocab, _ = _load_trained_model(rc, args)
-        pos_acc, ner_acc = tag_accuracies(records, model, src_vocab)
+        pos_acc, ner_acc = inference.tag_accuracies(records, model, src_vocab)
         report["pos_acc"] = f"{pos_acc:.4f}"
         report["ner_acc"] = f"{ner_acc:.4f}"
     text = "\n".join(f"{k}={v}" for k, v in report.items())
     print(text)
     if args.out is not None:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        write_lines(args.out, [text])
+        data.write_lines(args.out, [text])
     return 0
 
 
 def cmd_probe(args) -> int:
     rc = _load_config(args)
-    from .inference import PROBE_LAYERS, cosine_probe
-
     model, src_vocab, _ = _load_trained_model(rc, args)
     words = args.sentence.split()
-    for layer in PROBE_LAYERS:
-        sim = cosine_probe(args.word_a, args.word_b, words, model, src_vocab, layer)
+    for layer in inference.PROBE_LAYERS:
+        sim = inference.cosine_probe(args.word_a, args.word_b, words, model, src_vocab, layer)
         print(f"{layer}={sim:.6f}")
     return 0
 
 
 def main(argv=None) -> int:
-    from .errors import ConfigError, DataError, NumericsError
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,10 +1,12 @@
 """Run configuration: presets, plain-text config files, validation.
 
-A run config merges the model, training, and decoding configs with data
-paths and the preset name. Config files are flat `key = value` text with
-one section per constituent config:
+A run config merges the model, training, and decoding configs with the
+seed, the data and output paths and the corpus size. It starts from a
+preset (`PRESETS`), which a config file may override key by key. Config
+files are flat `key = value` text with one section per constituent config:
 
     [run]
+    preset = toy
     seed = 3
     data_dir = work/data
 
@@ -22,10 +24,11 @@ The keys of a section are the fields of its config, and a key that is not
 one (a misspelt or removed option) is a config error. So is a field whose
 value the run derives (`DERIVED_KEYS`): `[train] seed` is the `[run]`
 seed, and `[model] vocab_src`/`vocab_tgt` are the corpus vocabulary
-sizes. The model has one attention layout, H/2 dot-product and H/2
-word-context heads in every sublayer, so `[model]` sets sizes, kernel
-sizes and dropout rates but not the layout; the tag heads are sized by
-`POS_TAGS` and `NER_TAGS`.
+sizes. The one key that is not a field is `[run] preset`, the preset the
+file starts from; a `--preset` flag wins over it. The model has one
+attention layout, H/2 dot-product and H/2 word-context heads in every
+sublayer, so `[model]` sets sizes, kernel sizes and dropout rates but not
+the layout; the tag heads are sized by `POS_TAGS` and `NER_TAGS`.
 
 The `paper` preset pins the published recipe (5 blocks, 16 heads, kernel
 sizes 3,5,7,11,15, dropout 0.25 on attention weights and hidden units,
@@ -52,7 +55,6 @@ PRESETS = ("paper", "toy")
 
 @dataclass
 class RunConfig:
-    preset: str = "toy"
     seed: int = 0
     data_dir: str = "work/data"
     out_dir: str = "work/run"
@@ -63,8 +65,6 @@ class RunConfig:
     decode: DecodeConfig = field(default_factory=DecodeConfig)
 
     def validate(self) -> None:
-        if self.preset not in PRESETS:
-            raise ConfigError(f"unknown preset {self.preset!r}; expected one of {PRESETS}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_pairs < 1:
@@ -93,7 +93,6 @@ class RunConfig:
 def preset_run_config(name: str) -> RunConfig:
     if name == "paper":
         return RunConfig(
-            preset="paper",
             model=ModelConfig(
                 d_model=1024,
                 h=16,
@@ -116,7 +115,6 @@ def preset_run_config(name: str) -> RunConfig:
         )
     if name == "toy":
         return RunConfig(
-            preset="toy",
             model=ModelConfig(
                 d_model=64,
                 h=8,
@@ -165,15 +163,13 @@ DERIVED_KEYS = {
 }
 
 
-def _apply_section(target, name: str, section, skip=()) -> None:
+def _apply_section(target, name: str, section) -> None:
     known = {
         f.name for f in dataclasses.fields(target)
         if not dataclasses.is_dataclass(getattr(target, f.name))
         and (name, f.name) not in DERIVED_KEYS
     }
     for key, raw in section.items():
-        if key in skip:
-            continue
         if (name, key) in DERIVED_KEYS:
             raise ConfigError(
                 f"[{name}] {key} cannot be set in a config file; "
@@ -208,23 +204,22 @@ def load_run_config(
 ) -> RunConfig:
     """Build a RunConfig: preset defaults, then file overrides, then flags.
 
-    The run-level seed is authoritative and is propagated into the training
+    The preset is `preset`, else the file's `[run] preset`, else `toy`. The
+    run-level seed is authoritative and is propagated into the training
     config. Validation runs before the config is returned, so commands
     never act on an invalid configuration.
     """
     sections = {} if config_path is None else _read_config_file(config_path)
-    chosen = preset
-    if chosen is None:
-        chosen = sections.get("run", {}).get("preset")
-    rc = preset_run_config(chosen if chosen is not None else "toy")
-    for section_name, target, skip in (
-        ("run", rc, ("preset",)),
-        ("model", rc.model, ()),
-        ("train", rc.train, ()),
-        ("decode", rc.decode, ()),
+    in_file = sections.get("run", {}).pop("preset", "toy")
+    rc = preset_run_config(in_file if preset is None else preset)
+    for section_name, target in (
+        ("run", rc),
+        ("model", rc.model),
+        ("train", rc.train),
+        ("decode", rc.decode),
     ):
         if section_name in sections:
-            _apply_section(target, section_name, sections[section_name], skip)
+            _apply_section(target, section_name, sections[section_name])
     unknown = set(sections) - {"run", "model", "train", "decode"}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")

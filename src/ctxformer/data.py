@@ -24,10 +24,10 @@ import numpy as np
 
 from .checkpoint import _replacing
 from .errors import ConfigError, DataError
+from .tensor import IGNORE_ID
 
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
-IGNORE_ID = -1  # cross-entropy skip marker for positions without a label
 
 POS_TAGS = ("ADJ", "ADV", "DET", "NOUN", "PROPN", "VERB")
 NER_TAGS = ("LOC", "O", "PER")
@@ -87,9 +87,6 @@ class Vocabulary:
 
     def __len__(self):
         return len(self.tokens)
-
-    def __contains__(self, token):
-        return token in self.index
 
     def encode(self, words) -> list[int]:
         return [self.index.get(w, UNK_ID) for w in words]
@@ -433,9 +430,13 @@ def collate(batch_pairs) -> Batch:
     return Batch(src=src, tgt_in=tgt_in, tgt_out=tgt_out, pos=pos, ner=ner)
 
 
-def split_corpus(lines, ratios=(0.9, 0.05, 0.05)):
-    """Deterministic train/valid/test split honoring exact ratios."""
+SPLIT_RATIOS = (0.9, 0.05, 0.05)  # train, valid, test
+
+
+def split_corpus(lines):
+    """Deterministic train/valid/test split by `SPLIT_RATIOS`: the first
+    lines train, the next validate and the rest test."""
     n = len(lines)
-    n_train = int(n * ratios[0])
-    n_valid = int(n * ratios[1])
+    n_train = int(n * SPLIT_RATIOS[0])
+    n_valid = int(n * SPLIT_RATIOS[1])
     return lines[:n_train], lines[n_train : n_train + n_valid], lines[n_train + n_valid :]

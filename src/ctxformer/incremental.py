@@ -46,7 +46,7 @@ import numpy as np
 from . import tensor as tn
 from .attention import conv_family, head_columns
 from .errors import DataError, DimensionError
-from .model import LAYER_NORM_EPS, DecoderLayerParams, FeedForwardParams, LayerNormParams
+from .model import DecoderLayerParams, FeedForwardParams, LayerNormParams
 
 
 @dataclass
@@ -131,7 +131,7 @@ def _feed_forward(y: np.ndarray, ffn: FeedForwardParams) -> np.ndarray:
 
 def _add_norm(x: np.ndarray, sublayer_out: np.ndarray, ln: LayerNormParams) -> np.ndarray:
     """The residual sum through the layer norm `ln`."""
-    return ln.gamma.data * tn.standardize(x + sublayer_out, LAYER_NORM_EPS)[0] + ln.beta.data
+    return ln.gamma.data * tn.standardize(x + sublayer_out)[0] + ln.beta.data
 
 
 class DecoderCache:

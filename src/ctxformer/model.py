@@ -29,7 +29,6 @@ from .data import NER_TAGS, POS_TAGS
 from .errors import ConfigError, DataError
 from .tensor import Tensor
 
-LAYER_NORM_EPS = 1e-5
 FFN_MULTIPLE = 4
 
 
@@ -181,9 +180,7 @@ def _feed_forward(x: Tensor, ffn: FeedForwardParams, reg: _Regularizers) -> Tens
 
 def _sublayer(x: Tensor, out: Tensor, ln: LayerNormParams, reg: _Regularizers) -> Tensor:
     """LN(x + dropout(out)), one `layer_norm` node."""
-    return tn.layer_norm(
-        x, ln.gamma, ln.beta, LAYER_NORM_EPS, sublayer=out, residual_dropout=reg.residual
-    )
+    return tn.layer_norm(x, ln.gamma, ln.beta, out, reg.residual)
 
 
 def encoder_layer(
@@ -223,8 +220,7 @@ def _cross_attention(
     dot = dot_product_family(y, memory, params, attn_dropout=reg.attn)
     gated = conv_family(memory, params.conv, kernel_dropconnect=reg.kernel)
     pooled = tn.tmean(gated, axis=-2, keepdims=True)
-    conv = tn.broadcast_to(pooled, pooled.shape[:-2] + (y.shape[-2], pooled.shape[-1]))
-    return tn.matmul(tn.concat([dot, conv], axis=-1), params.w_o)
+    return tn.matmul(tn.concat([dot, tn.broadcast_to(pooled, dot.shape)]), params.w_o)
 
 
 def decoder_layer(

@@ -27,8 +27,10 @@ decoding alike. Every dropout decision comes from one kernel,
 `dropout_mask`, as boolean keep bits and a scale: two decisions per raw
 PCG64 word, the same bits in float32 and float64. Every node that drops
 keeps those bits, one byte per decision, never a float mask.
-`layer_norm` also runs a post-norm residual sublayer, LN(x + dropout(out)),
-as one node.
+`layer_norm` is the model's one normalisation, the post-norm residual
+sublayer LN(x + dropout(out)), as one node; every standardisation adds
+`LAYER_NORM_EPS` to the variance. `cross_entropy` skips the positions whose
+target is `IGNORE_ID`.
 
 `linear` is a matmul plus bias as one node: one GEMM forward, and a
 backward of two GEMMs and one column sum for the bias. `matmul` with a
@@ -50,6 +52,9 @@ import numpy as np
 from .errors import ConfigError, DataError, DimensionError, NumericsError
 
 _GRAD_ENABLED = True
+
+LAYER_NORM_EPS = 1e-5  # added to the variance before the square root
+IGNORE_ID = -1  # a cross-entropy target that has no label
 
 
 @contextmanager
@@ -265,18 +270,17 @@ def broadcast_to(x, shape) -> Tensor:
     return _make(data, (x,), bwd)
 
 
-def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """The parts joined along their last axis."""
     parts = [as_tensor(p) for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=axis)
-    extents = [p.data.shape[axis] for p in parts]
+    data = np.concatenate([p.data for p in parts], axis=-1)
 
     def bwd(g):
         offset = 0
-        for p, ext in zip(parts, extents):
+        for p in parts:
+            ext = p.data.shape[-1]
             if p.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(offset, offset + ext)
-                p._accumulate(g[tuple(idx)])
+                p._accumulate(g[..., offset : offset + ext])
             offset += ext
 
     return _make(data, tuple(parts), bwd)
@@ -401,57 +405,49 @@ def log_softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def standardize(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """(x - mean) / sqrt(var + eps) over the last axis, and 1 / sqrt(var + eps).
+def standardize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x - mean) / sqrt(var + eps) over the last axis, and 1 / sqrt(var + eps),
+    with eps `LAYER_NORM_EPS`.
 
     Each mean is sum / width: bitwise ndarray.mean, without its overhead."""
     d = x.shape[-1]
     centered = x - x.sum(axis=-1, keepdims=True) / d
-    inv_std = 1.0 / np.sqrt((centered**2).sum(axis=-1, keepdims=True) / d + eps)
+    inv_std = 1.0 / np.sqrt((centered**2).sum(axis=-1, keepdims=True) / d + LAYER_NORM_EPS)
     centered *= inv_std
     return centered, inv_std
 
 
-def layer_norm(
-    x, gamma, beta, eps: float = 1e-5, sublayer=None, residual_dropout=None
-) -> Tensor:
-    """Zero-mean unit-variance over the last axis, then affine; with a
-    `sublayer` output, the post-norm residual LN(x + dropout(sublayer)).
+def layer_norm(x, gamma, beta, sublayer, residual_dropout=None) -> Tensor:
+    """The post-norm residual sublayer LN(x + dropout(sublayer)): the sum is
+    standardized over the last axis (`standardize`), then scaled by gamma
+    and shifted by beta.
 
     `residual_dropout` is an optional (p, rng) pair for the sublayer output;
     its mask is drawn here, as `dropout(sublayer, p, rng)` would draw it.
-    Either way this is one node: it keeps only the standardized sum, the
-    inverse standard deviations and the keep bits, and its backward computes
-    its row means as sum / d, bitwise `ndarray.mean`. Every output and grad
-    is bitwise that of the composed dropout -> add -> layer-norm graph.
+    This is one node: it keeps only the standardized sum, the inverse
+    standard deviations and the keep bits, and its backward computes its row
+    means as sum / d, bitwise `ndarray.mean`. Every output and grad is
+    bitwise that of the composed dropout -> add -> layer-norm graph.
     """
-    if eps <= 0:
-        raise ConfigError(f"layer_norm eps must be positive, got {eps}")
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    x, gamma, beta, sublayer = as_tensor(x), as_tensor(gamma), as_tensor(beta), as_tensor(sublayer)
     d = x.data.shape[-1]
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise DimensionError(
             f"layer_norm affine params must have shape ({d},), got "
             f"{gamma.data.shape} and {beta.data.shape}"
         )
-    parents = (x, gamma, beta)
+    if sublayer.data.shape != x.data.shape:
+        raise DimensionError(
+            f"sublayer output {sublayer.data.shape} does not match the residual "
+            f"input {x.data.shape}"
+        )
     drawn = None
-    if sublayer is None:
-        total = x.data
-    else:
-        sublayer = as_tensor(sublayer)
-        if sublayer.data.shape != x.data.shape:
-            raise DimensionError(
-                f"sublayer output {sublayer.data.shape} does not match the residual "
-                f"input {x.data.shape}"
-            )
-        parents += (sublayer,)
-        if residual_dropout is not None:
-            p, rng = residual_dropout
-            drawn = dropout_mask(sublayer.data.shape, p, rng, sublayer.data.dtype)
-        total = sublayer.data.copy() if drawn is None else apply_dropout(sublayer.data, *drawn)
-        total += x.data
-    xhat, inv_std = standardize(total, eps)
+    if residual_dropout is not None:
+        p, rng = residual_dropout
+        drawn = dropout_mask(sublayer.data.shape, p, rng, sublayer.data.dtype)
+    total = sublayer.data.copy() if drawn is None else apply_dropout(sublayer.data, *drawn)
+    total += x.data
+    xhat, inv_std = standardize(total)
     del total
     data = xhat * gamma.data
     data += beta.data
@@ -462,7 +458,7 @@ def layer_norm(
             gamma._accumulate((g * xhat).sum(axis=reduce_axes))
         if beta.requires_grad:
             beta._accumulate(g.sum(axis=reduce_axes))
-        if not (x.requires_grad or (sublayer is not None and sublayer.requires_grad)):
+        if not (x.requires_grad or sublayer.requires_grad):
             return
         gx_hat = g * gamma.data
         m1 = gx_hat.sum(axis=-1, keepdims=True) / d
@@ -472,10 +468,10 @@ def layer_norm(
         gx_hat *= inv_std
         if x.requires_grad:
             x._accumulate(gx_hat)
-        if sublayer is not None and sublayer.requires_grad:
+        if sublayer.requires_grad:
             sublayer._accumulate(gx_hat if drawn is None else apply_dropout(gx_hat, *drawn))
 
-    return _make(data, parents, bwd)
+    return _make(data, (x, gamma, beta, sublayer), bwd)
 
 
 # -- sequence ops -------------------------------------------------------------
@@ -506,8 +502,10 @@ def embedding(table, ids: np.ndarray) -> Tensor:
     return _make(data, (table,), bwd)
 
 
-def cross_entropy(logits, targets: np.ndarray, ignore_id: int = -1) -> Tensor:
-    """Mean negative log-softmax probability over non-ignored positions."""
+def cross_entropy(logits, targets: np.ndarray) -> Tensor:
+    """Mean negative log-softmax probability of the target over the
+    positions whose target is not `IGNORE_ID`; every other target must be
+    a vocabulary id."""
     logits = as_tensor(logits)
     targets = np.asarray(targets)
     if not np.issubdtype(targets.dtype, np.integer):
@@ -519,7 +517,7 @@ def cross_entropy(logits, targets: np.ndarray, ignore_id: int = -1) -> Tensor:
         )
     flat_logits = logits.data.reshape(-1, vocab)
     flat_targets = targets.reshape(-1)
-    valid = flat_targets != ignore_id
+    valid = flat_targets != IGNORE_ID
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise DataError("cross_entropy: every position is ignored")

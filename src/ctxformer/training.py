@@ -20,7 +20,7 @@ import numpy as np
 
 from . import checkpoint as ckpt_io
 from . import tensor as tn
-from .data import Batch, collate, make_batches, read_text
+from .data import Batch, collate, make_batches, read_text, write_lines
 from .errors import ConfigError, DataError, NumericsError
 from .model import Seq2SeqModel
 from .tensor import Tensor
@@ -135,8 +135,8 @@ def multi_task_loss(
     Returns (total loss Tensor, per-component float dict).
     """
     ce_mt = tn.cross_entropy(mt_logits, batch.tgt_out)
-    ce_pos = tn.cross_entropy(pos_logits, batch.pos, ignore_id=-1)
-    ce_ner = tn.cross_entropy(ner_logits, batch.ner, ignore_id=-1)
+    ce_pos = tn.cross_entropy(pos_logits, batch.pos)
+    ce_ner = tn.cross_entropy(ner_logits, batch.ner)
     total = ce_mt
     if lambda_pos != 0.0:
         total = tn.add(total, tn.mul(ce_pos, lambda_pos))
@@ -307,6 +307,7 @@ def average_checkpoints(checkpoints) -> Checkpoint:
 # ------------------------------------------------------------------ trainer
 
 
+METRICS_LOG = "metrics.log"
 METRICS_HEADER = "step\tlr\tloss_total\tloss_mt\tloss_pos\tloss_ner\ttokens_per_sec"
 _CKPT_NAME = re.compile(r"ckpt_(\d+)\.bin")
 
@@ -318,11 +319,15 @@ def _epoch_seed(seed: int, epoch: int) -> int:
 class Trainer:
     """Drives train_step over epochs of equal-length batches.
 
-    Writes one tab-separated metrics line per optimizer step; the trailing
-    tokens/sec column is wall-clock and therefore the only nondeterministic
-    field in the log. The log is streamed: `run` writes the header and the
-    lines a resume kept when it starts, then appends each line as it is
-    logged, so a crash keeps every line before it.
+    With an `out_dir`, the run writes its cadence checkpoints, `averaged.bin`
+    and the metrics log `out_dir / METRICS_LOG` there; without one it
+    writes no file. The log has one tab-separated line per optimizer step;
+    the trailing tokens/sec column is wall-clock and therefore the only
+    nondeterministic field in it. The log is streamed: `run` first rewrites
+    it as the header and the lines a resume kept, through `write_lines`, so
+    the file is replaced only once that write completes and a failed
+    rewrite leaves the previous log whole. It then appends each line as it
+    is logged, so a crash keeps every line before it.
     """
 
     def __init__(
@@ -331,7 +336,6 @@ class Trainer:
         pairs,
         cfg: TrainConfig,
         out_dir: Optional[Path] = None,
-        log_path: Optional[Path] = None,
     ):
         cfg.validate()
         if not pairs:
@@ -340,7 +344,7 @@ class Trainer:
         self.pairs = pairs
         self.cfg = cfg
         self.out_dir = Path(out_dir) if out_dir is not None else None
-        self.log_path = Path(log_path) if log_path is not None else None
+        self.log_path = None if self.out_dir is None else self.out_dir / METRICS_LOG
         self.state = TrainState()
         self._log_lines: list[str] = [METRICS_HEADER]
         self._saved_paths: list[Path] = []
@@ -390,26 +394,27 @@ class Trainer:
     def _save_cadence_checkpoint(self) -> None:
         if self.out_dir is None:
             return
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / f"ckpt_{self.state.opt_step:07d}.bin"
         save_checkpoint(path, self._checkpoint())
         self._saved_paths.append(path)
         self._saved_step = self.state.opt_step
+        self._rotate()
+
+    def _rotate(self) -> None:
+        """Delete all but the newest `keep_last` saved checkpoints."""
         while len(self._saved_paths) > self.cfg.keep_last:
             old = self._saved_paths.pop(0)
             old.unlink(missing_ok=True)
             Path(str(old) + ".manifest").unlink(missing_ok=True)
 
-    def _write_log(self, lines: list[str], mode: str) -> None:
-        if self.log_path is not None:
-            with open(self.log_path, mode, encoding="utf-8") as f:
-                f.write("".join(line + "\n" for line in lines))
-
     def run(self) -> list[str]:
         cfg = self.cfg
-        if self.log_path is not None:
-            self.log_path.parent.mkdir(parents=True, exist_ok=True)
-        self._write_log(self._log_lines, "w")
+        if self.out_dir is not None:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            write_lines(self.log_path, self._log_lines)
+        # A run stopped between a save and its rotation left one checkpoint
+        # too many; the run that never stopped had already deleted it.
+        self._rotate()
         epoch = self.state.micro_step // self.batches_per_epoch
         index = self.state.micro_step % self.batches_per_epoch
         batches = self._epoch_batches(epoch)
@@ -436,7 +441,9 @@ class Trainer:
                     f"\t{tps:.1f}"
                 )
                 self._log_lines.append(line)
-                self._write_log([line], "a")
+                if self.log_path is not None:
+                    with open(self.log_path, "a", encoding="utf-8") as f:
+                        f.write(line + "\n")
                 if self.state.opt_step % cfg.checkpoint_every == 0:
                     self._save_cadence_checkpoint()
         if self.out_dir is not None and self.state.opt_step != self._saved_step:

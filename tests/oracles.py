@@ -358,9 +358,8 @@ def _graph_layer_norm(x, gamma, beta, eps):
 
 
 def composed_sublayer(x, out, gamma, beta, dropout=None, eps=1e-5):
-    """LN(x + dropout(out)) as three nodes; `out` None gives LN(x) alone."""
-    if out is not None:
-        x = T.add(x, out if dropout is None else T.dropout(out, *dropout))
+    """LN(x + dropout(out)) as three nodes."""
+    x = T.add(x, out if dropout is None else T.dropout(out, *dropout))
     return _graph_layer_norm(x, gamma, beta, eps)
 
 

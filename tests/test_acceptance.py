@@ -580,7 +580,7 @@ def test_training_determinism(tmp_path):
             max_tokens=768,
         )
         out = tmp_path / run
-        trainer = TR.Trainer(model, pairs, tcfg, out_dir=out, log_path=out / "metrics.log")
+        trainer = TR.Trainer(model, pairs, tcfg, out_dir=out)
         trainer.run()
         artifacts.append(
             SimpleNamespace(

@@ -541,7 +541,7 @@ def test_fused_training_forward_matches_per_head_composition(causal):
     for j in range(4):
         cp = conv_head(params.conv, j)
         outs.append(composed_conv_head(T.matmul(x, cp.w_in), cp, causal, (0.2, stream)))
-    composed = T.matmul(T.concat(outs, axis=-1), params.w_o).data
+    composed = T.matmul(T.concat(outs), params.w_o).data
     assert np.max(np.abs(fused - composed)) < 1e-10
     assert fused_stream.bit_generator.state == stream.bit_generator.state
 

@@ -258,6 +258,34 @@ def test_forward_train_batched_matches_single():
         assert np.allclose(ner_b.data[i], ner.data, atol=1e-12)
 
 
+@pytest.mark.parametrize("batch", [1, 3])
+def test_decode_broadcasts_an_unbatched_memory_over_a_batched_prefix(batch):
+    """Prefixes (B, T) against one memory (T_src, d): the logits are bitwise
+    those against memory[None], and the memory's grad is that of a memory
+    copied B times, summed over the copies."""
+    model = tiny_model(seed=11)
+    rng = np.random.default_rng(12)
+    memory = model.encode(rng.integers(4, 16, size=5)).memory.data
+    tgt = rng.integers(4, 16, size=(batch, 4))
+    upstream = rng.normal(size=(batch, 4, 16))
+
+    def run(mem_data, ids=tgt):
+        mem = T.Tensor(mem_data.copy(), requires_grad=True)
+        logits = model.decode(ids, mem)
+        T.tsum(T.mul(logits, upstream)).backward()
+        return logits.data, mem.grad
+
+    logits, grad = run(memory)
+    logits_ref, grad_ref = run(memory[None])
+    assert logits.shape == (batch, 4, 16) and logits.tobytes() == logits_ref.tobytes()
+    assert grad.shape == memory.shape and np.array_equal(grad, grad_ref[0])
+    _, grad_copies = run(np.repeat(memory[None], batch, axis=0))
+    assert np.allclose(grad, grad_copies.sum(axis=0), rtol=1e-12, atol=1e-14)
+    if batch == 1:
+        alone = model.decode(tgt[0], T.Tensor(memory)).data
+        assert alone.tobytes() == logits[0].tobytes()
+
+
 # ---------------------------------------------------------- gradient check
 
 
@@ -452,7 +480,7 @@ def test_training_cross_attention_matches_per_head_composition():
         gated = A.dynamic_conv_head(T.matmul(memory, cp.w_in), cp, False, (0.2, stream))
         pooled = T.tmean(gated, axis=-2, keepdims=True)
         outs.append(T.broadcast_to(pooled, (2, 4, pooled.shape[-1])))
-    composed = T.matmul(T.concat(outs, axis=-1), xmha.w_o).data
+    composed = T.matmul(T.concat(outs), xmha.w_o).data
     assert np.max(np.abs(fused - composed)) < 1e-10
     assert fused_stream.bit_generator.state == stream.bit_generator.state
 

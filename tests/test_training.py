@@ -2,15 +2,18 @@
 
 import dataclasses
 import itertools
+import os
 import struct
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctxformer import checkpoint
 from ctxformer import data as D
 from ctxformer import training as TR
 from ctxformer import tensor as T
@@ -20,6 +23,7 @@ from ctxformer.errors import ConfigError, DataError, NumericsError
 from ctxformer.model import ModelConfig, Seq2SeqModel
 
 from oracles import cross_entropy_oracle
+from test_config_cli import _DiskFullHalfway
 from test_tensor import read_only_incoming_grads
 
 
@@ -688,9 +692,7 @@ def _toy_training_setup(tmp_path, total_steps, seed=1, out=None, keep_last=3, dt
         keep_last=keep_last,
         max_tokens=128,
     )
-    trainer = TR.Trainer(
-        model, pairs, cfg, out_dir=out, log_path=None if out is None else out / "metrics.log"
-    )
+    trainer = TR.Trainer(model, pairs, cfg, out_dir=out)
     return trainer, model
 
 
@@ -787,6 +789,167 @@ def test_trainer_streams_metrics_log_before_a_crash(tmp_path, monkeypatch):
     lines = (out / "metrics.log").read_text().splitlines()
     assert lines[0] == TR.METRICS_HEADER
     assert [line.split("\t")[0] for line in lines[1:]] == ["1", "2"]
+
+
+def test_trainer_log_rewrite_that_fails_midway_keeps_the_previous_log(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    _toy_training_setup(tmp_path, total_steps=7, out=out)[0].run()
+    before = (out / "metrics.log").read_bytes()
+    trainer, _ = _toy_training_setup(tmp_path, total_steps=10, out=out)
+    trainer.resume_from(out / "ckpt_0000005.bin")  # keeps 5 of the log's 7 lines
+    monkeypatch.setattr(checkpoint, "open", _DiskFullHalfway, raising=False)
+    with pytest.raises(OSError, match="No space left on device"):
+        trainer.run()
+    assert (out / "metrics.log").read_bytes() == before
+    assert not list(out.glob(".*.tmp"))
+
+
+# Fault injection: a run that fails at one write point, resumed from its
+# newest checkpoint, must leave the checkpoints, averaged.bin and metrics.log
+# of a run that never failed. Cadence saves land at steps 5, 10 and 15 and
+# the last one at 17; keep_last=2 rotates step 5 away at 15 and step 10 at 17.
+FAULT_STEPS, FAULT_KEEP = 17, 2
+
+
+class _Fault(Exception):
+    """The failure a fault point raises."""
+
+
+def _ckpt_name(step):
+    return f"ckpt_{step:07d}.bin"
+
+
+def _raise_after_log_line(monkeypatch, step):
+    # The trainer opens a file only to append a metrics line: call n appends
+    # step n's.
+    real_open, calls = open, []
+
+    class LineThenFault:
+        def __init__(self, *args, **kwargs):
+            self.file = real_open(*args, **kwargs)
+            calls.append(self)
+
+        def __enter__(self):
+            return self.file
+
+        def __exit__(self, *exc):
+            self.file.close()
+            if len(calls) == step:
+                raise _Fault
+
+    monkeypatch.setattr(TR, "open", LineThenFault, raising=False)
+
+
+def _raise_at_replace(monkeypatch, step, after):
+    real_replace = os.replace
+
+    def replace(src, dst):
+        hit = Path(dst).name == _ckpt_name(step)
+        if hit and not after:
+            raise _Fault
+        real_replace(src, dst)
+        if hit:
+            raise _Fault
+
+    monkeypatch.setattr(checkpoint.os, "replace", replace)
+
+
+def _raise_before_manifest(monkeypatch, step):
+    real_replacing = checkpoint._replacing
+
+    def replacing(path):
+        if path.name == _ckpt_name(step) + ".manifest":
+            raise _Fault
+        return real_replacing(path)
+
+    monkeypatch.setattr(checkpoint, "_replacing", replacing)
+
+
+def _raise_between_rotation_unlinks(monkeypatch, step):
+    real_unlink = Path.unlink
+
+    def unlink(path, missing_ok=False):
+        real_unlink(path, missing_ok=missing_ok)
+        if path.name == _ckpt_name(step):
+            raise _Fault
+
+    monkeypatch.setattr(Path, "unlink", unlink)
+
+
+def _raise_while_averaging(monkeypatch, step):
+    real_open = open
+
+    def opened(path, mode="r", *args):
+        if ".averaged.bin." in Path(path).name:
+            return _FaultHalfway(path, mode)
+        return real_open(path, mode, *args)
+
+    monkeypatch.setattr(checkpoint, "open", opened, raising=False)
+
+
+class _FaultHalfway(_DiskFullHalfway):
+    def write(self, data):
+        self._file.write(data[: len(data) // 2])
+        raise _Fault
+
+
+FAULT_POINTS = {
+    "after_log_line": _raise_after_log_line,
+    "before_replace": lambda mp, step: _raise_at_replace(mp, step, after=False),
+    "after_replace": lambda mp, step: _raise_at_replace(mp, step, after=True),
+    "before_manifest": _raise_before_manifest,
+    "between_rotation_unlinks": _raise_between_rotation_unlinks,
+    "while_averaging": _raise_while_averaging,
+}
+
+
+@pytest.fixture(scope="module")
+def uninterrupted_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("uninterrupted") / "run"
+    _toy_training_setup(out.parent, FAULT_STEPS, out=out, keep_last=FAULT_KEEP)[0].run()
+    return out
+
+
+def _run_files(out):
+    """The checkpoint containers and averaged.bin by name, and metrics.log
+    without its wall-clock column."""
+    files = {p.name: p.read_bytes() for p in sorted(out.glob("ckpt_*.bin"))}
+    files["averaged.bin"] = (out / "averaged.bin").read_bytes()
+    lines = (out / "metrics.log").read_text().splitlines()
+    files["metrics.log"] = ["\t".join(line.split("\t")[:-1]) for line in lines]
+    return files
+
+
+@pytest.mark.parametrize(
+    "point, step",
+    [
+        ("after_log_line", 12),
+        ("after_log_line", 17),
+        ("before_replace", 15),
+        ("before_replace", 17),
+        ("after_replace", 15),
+        ("after_replace", 17),
+        ("before_manifest", 15),
+        ("before_manifest", 17),
+        ("between_rotation_unlinks", 5),  # rotated away by the save at 15
+        ("between_rotation_unlinks", 10),  # and by the save at 17
+        ("while_averaging", 17),
+    ],
+)
+def test_trainer_resumed_after_a_fault_matches_the_uninterrupted_run(
+    tmp_path, monkeypatch, uninterrupted_run, point, step
+):
+    out = tmp_path / "run"
+    trainer, _ = _toy_training_setup(tmp_path, FAULT_STEPS, out=out, keep_last=FAULT_KEEP)
+    with monkeypatch.context() as mp:
+        FAULT_POINTS[point](mp, step)
+        with pytest.raises(_Fault):
+            trainer.run()
+    newest = max(out.glob("ckpt_*.bin"))
+    trainer, _ = _toy_training_setup(tmp_path, FAULT_STEPS, out=out, keep_last=FAULT_KEEP)
+    trainer.resume_from(newest)
+    trainer.run()
+    assert _run_files(out) == _run_files(uninterrupted_run)
 
 
 def test_trainer_resume_rejects_a_log_that_is_not_a_metrics_log(tmp_path):
