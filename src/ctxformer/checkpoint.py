@@ -13,6 +13,11 @@ renamed over the target, so a write that fails midway leaves the previous
 file in place. The rename is atomic, but nothing is fsynced: a power loss
 can still lose the newest write. A killed write leaves its temporary file
 behind; nothing reads it.
+
+Containers are deleted only through `remove_arrays`, which the trainer
+calls to rotate its checkpoints and to remove those a resume rewinds past;
+it removes the manifest first, so a fault between the two unlinks leaves a
+container without a manifest and never a manifest without its container.
 """
 
 from __future__ import annotations
@@ -75,6 +80,13 @@ def save_arrays(path, named: dict[str, np.ndarray]) -> None:
         out.write(struct.pack("<I", crc))
     with _replacing(Path(str(path) + ".manifest")) as out:
         out.write(("\n".join(manifest_lines) + "\n").encode("utf-8"))
+
+
+def remove_arrays(path) -> None:
+    """Delete a container and its manifest; either may already be gone."""
+    path = Path(path)
+    Path(str(path) + ".manifest").unlink(missing_ok=True)
+    path.unlink(missing_ok=True)
 
 
 SKIP_CHUNK = 1 << 20  # bytes of a skipped record read at a time

@@ -3,6 +3,10 @@
 Subcommands: gen (synthetic corpus), train, translate, eval, probe.
 Shared flags: --config PATH, --seed N, --preset NAME (one of
 `config.PRESETS`), --out PATH.
+`train` into a run directory that already holds checkpoints needs
+`--resume` with one of its `ckpt_*.bin` files; otherwise it exits 3 and
+changes nothing there. A resume removes the checkpoints newer than the
+one it continues from, as it cuts `metrics.log` back to that step.
 The CTXFORMER_THREADS environment variable caps BLAS parallelism. The cap
 is applied in the package's `__init__`, which runs before this module and
 before any submodule loads numpy.

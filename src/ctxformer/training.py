@@ -14,7 +14,6 @@ import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -319,36 +318,33 @@ def _epoch_seed(seed: int, epoch: int) -> int:
 class Trainer:
     """Drives train_step over epochs of equal-length batches.
 
-    With an `out_dir`, the run writes its cadence checkpoints, `averaged.bin`
-    and the metrics log `out_dir / METRICS_LOG` there; without one it
-    writes no file. The log has one tab-separated line per optimizer step;
-    the trailing tokens/sec column is wall-clock and therefore the only
-    nondeterministic field in it. The log is streamed: `run` first rewrites
-    it as the header and the lines a resume kept, through `write_lines`, so
-    the file is replaced only once that write completes and a failed
-    rewrite leaves the previous log whole. It then appends each line as it
-    is logged, so a crash keeps every line before it.
+    The run writes its checkpoints, `averaged.bin` and the metrics log
+    `out_dir / METRICS_LOG` into `out_dir`, whose `ckpt_*.bin` files are its
+    one record of its checkpoints: rotation, `averaged.bin` and the check
+    that the last step has one read them. A fresh run needs a directory
+    without checkpoints (else `run` raises DataError); a resumed run first
+    removes those newer than its step, as it cuts the log back to that step.
+
+    The log has one tab-separated line per optimizer step; the trailing
+    tokens/sec column is wall-clock and therefore the only nondeterministic
+    field in it. The log is streamed: `run` first rewrites it as the header
+    and the lines a resume kept, through `write_lines`, so the file is
+    replaced only once that write completes and a failed rewrite leaves the
+    previous log whole. It then appends each line as it is logged, so a
+    crash keeps every line before it.
     """
 
-    def __init__(
-        self,
-        model: Seq2SeqModel,
-        pairs,
-        cfg: TrainConfig,
-        out_dir: Optional[Path] = None,
-    ):
+    def __init__(self, model: Seq2SeqModel, pairs, cfg: TrainConfig, out_dir: Path):
         cfg.validate()
         if not pairs:
             raise DataError("training corpus is empty")
         self.model = model
         self.pairs = pairs
         self.cfg = cfg
-        self.out_dir = Path(out_dir) if out_dir is not None else None
-        self.log_path = None if self.out_dir is None else self.out_dir / METRICS_LOG
+        self.out_dir = Path(out_dir)
+        self.log_path = self.out_dir / METRICS_LOG
         self.state = TrainState()
         self._log_lines: list[str] = [METRICS_HEADER]
-        self._saved_paths: list[Path] = []
-        self._saved_step: Optional[int] = None  # step of the last checkpoint in _saved_paths
         self.batches_per_epoch = len(make_batches(pairs, cfg.max_tokens, _epoch_seed(cfg.seed, 0)))
 
     def _epoch_batches(self, epoch: int) -> list[Batch]:
@@ -357,24 +353,17 @@ class Trainer:
 
     def resume_from(self, path) -> None:
         ck = load_checkpoint(path)
+        if not ck.m:
+            raise DataError(f"{path} holds no optimizer moments to resume from")
         self.model.load_state(ck.params)  # the names and shapes `validate` matched m and v to
         self.state.m = {k: arr.astype(self.model.dtype, copy=False) for k, arr in ck.m.items()}
         self.state.v = {k: arr.astype(self.model.dtype, copy=False) for k, arr in ck.v.items()}
         self.state.opt_step = ck.step
         self.state.micro_step = ck.step * self.cfg.accum_steps
         self.model.zero_grad()
-        # Continue the run directory's checkpoint set and log as they stood
-        # at the resumed step, so rotation and averaged.bin match a run that
-        # was never interrupted.
-        if self.out_dir is not None:
-            saved = {}
-            for p in self.out_dir.glob("ckpt_*.bin"):
-                match = _CKPT_NAME.fullmatch(p.name)
-                if match and int(match[1]) <= ck.step:
-                    saved[int(match[1])] = p
-            self._saved_paths = [saved[step] for step in sorted(saved)]
-            self._saved_step = max(saved, default=None)
-        if self.log_path is not None and self.log_path.exists():
+        # Continue the log as it stood at the resumed step, so it matches a
+        # run that was never interrupted.
+        if self.log_path.exists():
             lines = read_text(self.log_path).splitlines()
             steps = [line.split("\t", 1)[0] for line in lines[1:]]
             if lines[:1] != [METRICS_HEADER] or not all(s.isdigit() for s in steps):
@@ -391,27 +380,38 @@ class Trainer:
             v={k: arr.copy() for k, arr in self.state.v.items()},
         )
 
+    def _saved_checkpoints(self) -> dict[int, Path]:
+        """The run directory's checkpoints by step, oldest first."""
+        saved = {}
+        for p in self.out_dir.glob("ckpt_*.bin"):
+            match = _CKPT_NAME.fullmatch(p.name)
+            if match:
+                saved[int(match[1])] = p
+        return dict(sorted(saved.items()))
+
     def _save_cadence_checkpoint(self) -> None:
-        if self.out_dir is None:
-            return
-        path = self.out_dir / f"ckpt_{self.state.opt_step:07d}.bin"
-        save_checkpoint(path, self._checkpoint())
-        self._saved_paths.append(path)
-        self._saved_step = self.state.opt_step
+        save_checkpoint(self.out_dir / f"ckpt_{self.state.opt_step:07d}.bin", self._checkpoint())
         self._rotate()
 
     def _rotate(self) -> None:
         """Delete all but the newest `keep_last` saved checkpoints."""
-        while len(self._saved_paths) > self.cfg.keep_last:
-            old = self._saved_paths.pop(0)
-            old.unlink(missing_ok=True)
-            Path(str(old) + ".manifest").unlink(missing_ok=True)
+        for old in list(self._saved_checkpoints().values())[: -self.cfg.keep_last]:
+            ckpt_io.remove_arrays(old)
 
     def run(self) -> list[str]:
         cfg = self.cfg
-        if self.out_dir is not None:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
-            write_lines(self.log_path, self._log_lines)
+        saved = self._saved_checkpoints()
+        if self.state.opt_step == 0 and saved:
+            raise DataError(
+                f"{self.out_dir} holds checkpoints: resume from one or train in an empty directory"
+            )
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        # Rewind to the resumed step: newest first and before the log loses
+        # their lines, so a fault midway leaves a run to resume from its newest.
+        for step in reversed(saved):
+            if step > self.state.opt_step:
+                ckpt_io.remove_arrays(saved[step])
+        write_lines(self.log_path, self._log_lines)
         # A run stopped between a save and its rotation left one checkpoint
         # too many; the run that never stopped had already deleted it.
         self._rotate()
@@ -441,15 +441,13 @@ class Trainer:
                     f"\t{tps:.1f}"
                 )
                 self._log_lines.append(line)
-                if self.log_path is not None:
-                    with open(self.log_path, "a", encoding="utf-8") as f:
-                        f.write(line + "\n")
+                with open(self.log_path, "a", encoding="utf-8") as f:
+                    f.write(line + "\n")
                 if self.state.opt_step % cfg.checkpoint_every == 0:
                     self._save_cadence_checkpoint()
-        if self.out_dir is not None and self.state.opt_step != self._saved_step:
+        if self.state.opt_step not in self._saved_checkpoints():
             self._save_cadence_checkpoint()  # so averaged.bin includes the last updates
-        if self.out_dir is not None:
-            tail = self._saved_paths[-cfg.keep_last :]
-            averaged = average_checkpoints([load_checkpoint(p, moments=False) for p in tail])
-            save_checkpoint(self.out_dir / "averaged.bin", averaged)
+        tail = list(self._saved_checkpoints().values())[-cfg.keep_last :]
+        averaged = average_checkpoints([load_checkpoint(p, moments=False) for p in tail])
+        save_checkpoint(self.out_dir / "averaged.bin", averaged)
         return self._log_lines

@@ -278,7 +278,7 @@ def test_head_split_regression():
 # ---------------------------------------------------------------------------
 
 
-def test_toy_convergence():
+def test_toy_convergence(tmp_path):
     failures = []
     started = time.perf_counter()
     pairs, _ = D.generate_corpus(1, 8000)
@@ -310,7 +310,7 @@ def test_toy_convergence():
     tcfg = TR.TrainConfig(
         warmup_steps=200, total_steps=5000, accum_steps=1, seed=0, max_tokens=1536
     )
-    trainer = TR.Trainer(model, train_pairs, tcfg)
+    trainer = TR.Trainer(model, train_pairs, tcfg, out_dir=tmp_path / "run")
     # drive the trainer in slices so we can stop at the first passing probe
     acc = 0.0
     checked_at = 0

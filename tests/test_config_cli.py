@@ -7,6 +7,7 @@ import errno
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -612,6 +613,32 @@ def test_cli_directory_given_as_a_file_exits_3(tmp_path, capsys, tiny_run, which
     assert err.startswith("data error:") and str(directory) in err
     assert "Traceback" not in err
     assert not (tmp_path / "o.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "resume, message",
+    [
+        (None, "holds checkpoints: resume from one"),  # a fresh run would mix its checkpoints in
+        ("averaged.bin", "averaged.bin holds no optimizer moments"),  # Adam would restart
+    ],
+    ids=["fresh", "from-averaged"],
+)
+def test_cli_train_that_cannot_continue_the_run_exits_3_and_changes_nothing(
+    tmp_path, capsys, tiny_run, resume, message
+):
+    run = tmp_path / "run"
+    shutil.copytree(tiny_run["ckpt"].parent, run)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    argv = ["train", "--config", str(tiny_run["cfg"]), "--data", str(tiny_run["data"]),
+            "--out", str(run)]
+    if resume is not None:
+        argv += ["--resume", str(run / resume)]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(run) in err and message in err
+    assert "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
 @pytest.mark.parametrize(

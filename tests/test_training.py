@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import os
+import shutil
 import struct
 import tracemalloc
 import zlib
@@ -290,13 +291,13 @@ def test_aux_head_values_do_not_change_translation_trajectory():
     assert np.array_equal(finals[0], finals[1])
 
 
-def test_train_config_rejects_a_negative_seed():
+def test_train_config_rejects_a_negative_seed(tmp_path):
     # The Trainer validates its config on its own, apart from the run config.
     with pytest.raises(ConfigError, match="seed"):
         TR.TrainConfig(seed=-1).validate()
     pairs, _ = D.generate_corpus(29, 10)
     with pytest.raises(ConfigError, match="seed"):
-        TR.Trainer(small_model(), pairs, TR.TrainConfig(seed=-1))
+        TR.Trainer(small_model(), pairs, TR.TrainConfig(seed=-1), out_dir=tmp_path)
 
 
 def test_train_step_rejects_empty_batch():
@@ -692,7 +693,7 @@ def _toy_training_setup(tmp_path, total_steps, seed=1, out=None, keep_last=3, dt
         keep_last=keep_last,
         max_tokens=128,
     )
-    trainer = TR.Trainer(model, pairs, cfg, out_dir=out)
+    trainer = TR.Trainer(model, pairs, cfg, out_dir=tmp_path / "run" if out is None else out)
     return trainer, model
 
 
@@ -910,10 +911,11 @@ def uninterrupted_run(tmp_path_factory):
     return out
 
 
-def _run_files(out):
-    """The checkpoint containers and averaged.bin by name, and metrics.log
-    without its wall-clock column."""
-    files = {p.name: p.read_bytes() for p in sorted(out.glob("ckpt_*.bin"))}
+def _run_files(out, manifests):
+    """The checkpoint containers, with their manifests if `manifests`, and
+    averaged.bin by name, and metrics.log without its wall-clock column."""
+    pattern = "ckpt_*.bin*" if manifests else "ckpt_*.bin"
+    files = {p.name: p.read_bytes() for p in sorted(out.glob(pattern))}
     files["averaged.bin"] = (out / "averaged.bin").read_bytes()
     lines = (out / "metrics.log").read_text().splitlines()
     files["metrics.log"] = ["\t".join(line.split("\t")[:-1]) for line in lines]
@@ -949,7 +951,67 @@ def test_trainer_resumed_after_a_fault_matches_the_uninterrupted_run(
     trainer, _ = _toy_training_setup(tmp_path, FAULT_STEPS, out=out, keep_last=FAULT_KEEP)
     trainer.resume_from(newest)
     trainer.run()
-    assert _run_files(out) == _run_files(uninterrupted_run)
+    # A fault between a container's rename and its manifest's leaves that
+    # checkpoint without a manifest, and the resumed run does not write it again.
+    manifests = point not in ("after_replace", "before_manifest")
+    assert _run_files(out, manifests) == _run_files(uninterrupted_run, manifests)
+
+
+def test_trainer_resumed_in_place_from_an_older_checkpoint_matches_a_straight_run(tmp_path):
+    # The rewound run finds ckpt 15 and 17 ahead of it and saves both again.
+    straight, resumed = tmp_path / "straight", tmp_path / "resumed"
+    _toy_training_setup(tmp_path, FAULT_STEPS, out=straight)[0].run()
+    shutil.copytree(straight, resumed)
+    assert sorted(p.name for p in resumed.glob("ckpt_*.bin")) == [
+        _ckpt_name(step) for step in (10, 15, 17)
+    ]
+    trainer, _ = _toy_training_setup(tmp_path, FAULT_STEPS, out=resumed)
+    trainer.resume_from(resumed / _ckpt_name(10))
+    trainer.run()
+    assert _run_files(resumed, manifests=True) == _run_files(straight, manifests=True)
+
+
+def test_trainer_rewound_past_a_shorter_runs_last_checkpoint_matches_a_straight_run(tmp_path):
+    # The 12-step run leaves ckpt 5, 10 and 12; the run rewound to step 10
+    # must neither rotate nor average that off-cadence ckpt 12.
+    straight, out = tmp_path / "straight", tmp_path / "run"
+    _toy_training_setup(tmp_path, FAULT_STEPS, out=straight)[0].run()
+    _toy_training_setup(tmp_path, 12, out=out)[0].run()
+    trainer, _ = _toy_training_setup(tmp_path, FAULT_STEPS, out=out)
+    trainer.resume_from(out / _ckpt_name(10))
+    trainer.run()
+    assert _run_files(out, manifests=True) == _run_files(straight, manifests=True)
+
+
+def test_trainer_rewound_to_a_shorter_run_removes_the_checkpoints_ahead_of_it(tmp_path):
+    out = tmp_path / "run"
+    _toy_training_setup(tmp_path, FAULT_STEPS, out=out)[0].run()
+    trainer, _ = _toy_training_setup(tmp_path, 12, out=out)
+    trainer.resume_from(out / _ckpt_name(10))
+    trainer.run()
+    # The directory holds the rewound run alone: ckpt 15 and 17 and their
+    # manifests are gone, and averaged.bin is ckpt 10 and 12's.
+    assert sorted(p.name for p in out.glob("ckpt_*")) == [
+        _ckpt_name(step) + end for step in (10, 12) for end in ("", ".manifest")
+    ]
+    averaged = TR.load_checkpoint(out / "averaged.bin")
+    kept = [TR.load_checkpoint(out / _ckpt_name(step)) for step in (10, 12)]
+    assert averaged.step == 12
+    for name, arr in TR.average_checkpoints(kept).params.items():
+        assert np.array_equal(arr, averaged.params[name]), name
+
+
+def test_trainer_rewound_with_another_seed_overwrites_the_last_checkpoint(tmp_path):
+    # The first run saved ckpt_17 as its last step, off the cadence; the
+    # rewound run must save its own step 17 there, not keep the first run's.
+    out = tmp_path / "run"
+    _toy_training_setup(tmp_path, FAULT_STEPS, out=out)[0].run()
+    trainer, model = _toy_training_setup(tmp_path, FAULT_STEPS, seed=2, out=out)
+    trainer.resume_from(out / _ckpt_name(10))
+    trainer.run()
+    last = TR.load_checkpoint(out / _ckpt_name(17))
+    for name, arr in model.state_arrays().items():
+        assert np.array_equal(last.params[name], arr), name
 
 
 def test_trainer_resume_rejects_a_log_that_is_not_a_metrics_log(tmp_path):
